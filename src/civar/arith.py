@@ -38,6 +38,20 @@ def fp_inv(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+def add_terms(a: dict, b: dict, c: int, p: int) -> dict:
+    """a + c*b as a new term dict, zero coefficients dropped.  Any key format
+    works: monomials for polynomials, (component, monomial) for module
+    elements."""
+    out = dict(a)
+    for k, v in b.items():
+        s = (out.get(k, 0) + c * v) % p
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # monomials: exponent tuples of fixed length
 
@@ -137,6 +151,10 @@ class PolyRing:
     __slots__ = ("p", "vars", "order", "nvars", "_index", "_one_mono")
 
     def __init__(self, p: int, variables, order: Order = DEGREVLEX):
+        if isinstance(p, int) and p >= 1 << 31:
+            # int64 row operations overflow past this bound (see the module
+            # docstring), and trial division would take too long anyway
+            raise InputError(f"p = {p} is too large: the prime must be below 2^31")
         if not is_odd_prime(p):
             raise InputError(f"p = {p} is not an odd prime")
         variables = tuple(variables)
@@ -279,31 +297,14 @@ class Poly:
 
     def __add__(self, other):
         self._assert_same(other)
-        p = self.ring.p
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = (t.get(m, 0) + c) % p
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        return Poly(self.ring, t)
+        return Poly(self.ring, add_terms(self.terms, other.terms, 1, self.ring.p))
 
     def __sub__(self, other):
         self._assert_same(other)
-        p = self.ring.p
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = (t.get(m, 0) - c) % p
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        return Poly(self.ring, t)
+        return Poly(self.ring, add_terms(self.terms, other.terms, -1, self.ring.p))
 
     def __neg__(self):
-        p = self.ring.p
-        return Poly(self.ring, {m: p - c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -324,13 +325,9 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "Poly":
-        c %= self.ring.p
-        if c == 0:
-            return Poly(self.ring, {})
-        if c == 1:
+        if c % self.ring.p == 1:
             return self
-        p = self.ring.p
-        return Poly(self.ring, {m: (c * v) % p for m, v in self.terms.items()})
+        return Poly(self.ring, add_terms({}, self.terms, c, self.ring.p))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -500,16 +497,6 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
 # dense linear algebra mod p (numpy int64, exact)
 
 
-def as_matrix(rows, p: int, width=None) -> np.ndarray:
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1) if a.size else a.reshape(0, width or 0)
-    if a.size == 0:
-        r = a.shape[0] if a.ndim == 2 else 0
-        return np.zeros((r, width or (a.shape[1] if a.ndim == 2 else 0)), dtype=np.int64)
-    return np.mod(a, p)
-
-
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p without int64 overflow: the inner dimension is chunked so
     every partial sum stays below 2^62."""
@@ -598,10 +585,6 @@ def solve_linear(a, b, p: int):
     for i, pc in enumerate(pivots):
         x[pc] = int(r[i, cols])
     return x, nullspace(a, p)
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
 
 
 class IncrementalSpan:

@@ -12,7 +12,8 @@ polynomial grammar, JSON-quoted).  Reports are rendered either as indented
 text or as canonical JSON ("structured"); identical inputs and config give
 byte-identical structured output.  Exit codes: 0 success, 1 input or
 premise error, 2 resource budget exceeded, 3 verification failure (a
-theorem-level check failed on the given instance).
+theorem-level check failed on the given instance), 4 internal error (a
+broken invariant: a bug, never the input's fault).
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .errors import InputError, ResourceBudgetError, VerificationError
-from .groebner import Budgets, configure_budgets
-from .cohomology import VarietyIdeal, lift_and_operators, complexity, support_variety
+from .errors import CivarError, InputError, ResourceBudgetError, VerificationError
+from .groebner import DEFAULT_BUDGETS, Budgets, configure_budgets
+from .cohomology import VarietyIdeal, lift_and_operators, support_variety
 from .resolve import (
     ModulePresentation,
     RingSpec,
@@ -33,50 +33,23 @@ from .resolve import (
     resolve_min,
     vector_model,
 )
-from .construct import check_carlson, decompose, phi, pushout_cut, realize
+from .construct import (
+    DEFAULT_ATTEMPTS,
+    DEFAULT_SEED,
+    check_carlson,
+    decompose,
+    phi,
+    pushout_cut,
+    realize,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_VERIFICATION = 3
+EXIT_INTERNAL = 4
 
-
-@dataclass
-class JobConfig:
-    """Per-invocation knobs, one instance per job."""
-
-    steps: int | None = None
-    max_op_degree: int | None = None
-    max_pairs: int = 50_000
-    max_degree: int = 40
-    attempts: int = 64
-    seed: int = 0xC15
-    verify: bool = True
-    fmt: str = "text"
-    out: str | None = None
-
-    def __post_init__(self):
-        for name in ("steps", "max_op_degree"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise InputError(f"{name} must be positive", value=v)
-        for name in ("max_pairs", "max_degree", "attempts"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be positive", value=getattr(self, name))
-
-    @classmethod
-    def from_args(cls, args) -> "JobConfig":
-        return cls(
-            steps=args.steps,
-            max_op_degree=args.cap,
-            max_pairs=args.max_pairs,
-            max_degree=args.max_degree,
-            attempts=args.attempts,
-            seed=args.seed,
-            verify=not args.no_verify,
-            fmt=args.format,
-            out=args.out,
-        )
+DEFAULT_STEPS = 12  # resolution window of `resolve` and `operators`
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +229,7 @@ def _resolution_doc(res, steps: int) -> dict:
 # commands
 
 
-def cmd_validate(args, cfg: JobConfig):
+def cmd_validate(args):
     rs = load_ring(args.ring)
     report = {"command": "validate", "ring": _ring_doc(rs), "ok": True}
     if args.module is not None:
@@ -267,10 +240,10 @@ def cmd_validate(args, cfg: JobConfig):
     return report
 
 
-def cmd_resolve(args, cfg: JobConfig):
+def cmd_resolve(args):
     rs = load_ring(args.ring)
     pres = load_module(rs, args.module)
-    steps = cfg.steps if cfg.steps is not None else 12
+    steps = args.steps if args.steps is not None else DEFAULT_STEPS
     res = resolve_min(pres, steps)
     report = {
         "command": "resolve",
@@ -282,10 +255,10 @@ def cmd_resolve(args, cfg: JobConfig):
     return report
 
 
-def cmd_operators(args, cfg: JobConfig):
+def cmd_operators(args):
     rs = load_ring(args.ring)
     pres = load_module(rs, args.module)
-    steps = cfg.steps if cfg.steps is not None else 12
+    steps = args.steps if args.steps is not None else DEFAULT_STEPS
     if steps < 2:
         raise InputError("operators need at least 2 steps", steps=steps)
     res = resolve_min(pres, steps)
@@ -308,10 +281,10 @@ def cmd_operators(args, cfg: JobConfig):
     }
 
 
-def cmd_variety(args, cfg: JobConfig):
+def cmd_variety(args):
     rs = load_ring(args.ring)
     pres = load_module(rs, args.module)
-    v = support_variety(pres, steps=cfg.steps, max_op_degree=cfg.max_op_degree)
+    v = support_variety(pres, steps=args.steps, max_op_degree=args.max_op_degree)
     used = v.meta["steps_used"]
     res = resolve_min(pres, used)
     return {
@@ -320,14 +293,14 @@ def cmd_variety(args, cfg: JobConfig):
         "module": module_doc(pres),
         "annihilator": [str(g) for g in v.gens],
         "dimension": v.dimension(),
-        "complexity": complexity(pres),
+        "complexity": v.meta["complexity"],
         "stabilized_at": v.meta["stabilized_at"],
         "steps_used": used,
         "betti": [len(res.degs[i]) for i in range(used + 1)],
     }
 
 
-def cmd_cut(args, cfg: JobConfig):
+def cmd_cut(args):
     rs = load_ring(args.ring)
     pres = load_module(rs, args.module)
     theta = phi(pres, args.eta)
@@ -342,9 +315,9 @@ def cmd_cut(args, cfg: JobConfig):
         "chain_map": [str(col) for col in theta.cols],
         "result": module_doc(result),
     }
-    if cfg.verify:
-        v_m = support_variety(pres, steps=cfg.steps, max_op_degree=cfg.max_op_degree)
-        v_k = support_variety(result, steps=cfg.steps, max_op_degree=cfg.max_op_degree)
+    if not args.no_verify:
+        v_m = support_variety(pres, steps=args.steps, max_op_degree=args.max_op_degree)
+        v_k = support_variety(result, steps=args.steps, max_op_degree=args.max_op_degree)
         expected = v_m.intersect(VarietyIdeal(rs.h_ring, [theta.h]))
         mcm = is_mcm(pres)
         ok = expected.contains_variety(v_k) and (not mcm or v_k.equals(expected))
@@ -360,16 +333,16 @@ def cmd_cut(args, cfg: JobConfig):
                 computed=[str(g) for g in v_k.gens],
                 mcm=mcm,
             )
-    if cfg.out:
-        _write_out(cfg.out, format_module_file(result, note=f"cut by {theta.h}"))
-        report["out"] = cfg.out
+    if args.out:
+        _write_out(args.out, format_module_file(result, note=f"cut by {theta.h}"))
+        report["out"] = args.out
     return report
 
 
-def cmd_realize(args, cfg: JobConfig):
+def cmd_realize(args):
     rs = load_ring(args.ring)
-    result = realize(rs, args.eta, verify=cfg.verify)
-    v = support_variety(result, steps=cfg.steps, max_op_degree=cfg.max_op_degree)
+    result = realize(rs, args.eta, verify=not args.no_verify)
+    v = support_variety(result, steps=args.steps, max_op_degree=args.max_op_degree)
     report = {
         "command": "realize",
         "ring": _ring_doc(rs),
@@ -377,28 +350,28 @@ def cmd_realize(args, cfg: JobConfig):
         "result": module_doc(result),
         "variety": _ideal_doc(v),
         "is_mcm": is_mcm(result),
-        "verified": cfg.verify,
+        "verified": not args.no_verify,
     }
-    if cfg.out:
+    if args.out:
         note = "realized module for ({})".format(", ".join(report["etas"]))
-        _write_out(cfg.out, format_module_file(result, note=note))
-        report["out"] = cfg.out
+        _write_out(args.out, format_module_file(result, note=note))
+        report["out"] = args.out
     return report
 
 
-def cmd_decompose(args, cfg: JobConfig):
+def cmd_decompose(args):
     rs = load_ring(args.ring)
     pres = load_module(rs, args.module)
     vm = vector_model(pres)
-    dec = decompose(pres, attempts=cfg.attempts, seed=cfg.seed)
+    dec = decompose(pres, attempts=args.attempts, seed=args.seed)
     summands = []
     for i, sub in enumerate(dec.summands):
         doc = module_doc(sub)
         doc["model_dimension"] = len(dec.models[i][0])
         doc["possibly_decomposable"] = dec.possibly_decomposable[i]
         summands.append(doc)
-        if cfg.out:
-            path = f"{cfg.out}.summand{i}"
+        if args.out:
+            path = f"{args.out}.summand{i}"
             _write_out(path, format_module_file(sub, note=f"summand {i}"))
     report = {
         "command": "decompose",
@@ -406,20 +379,20 @@ def cmd_decompose(args, cfg: JobConfig):
         "module": module_doc(pres),
         "model_dimension": vm.dim,
         "summands": summands,
-        "seed": cfg.seed,
-        "attempts": cfg.attempts,
+        "seed": args.seed,
+        "attempts": args.attempts,
     }
-    if cfg.out:
-        report["out"] = [f"{cfg.out}.summand{i}" for i in range(len(dec.summands))]
+    if args.out:
+        report["out"] = [f"{args.out}.summand{i}" for i in range(len(dec.summands))]
     return report
 
 
-def cmd_check_carlson(args, cfg: JobConfig):
+def cmd_check_carlson(args):
     rs = load_ring(args.ring)
     pres = load_module(rs, args.module)
     a1 = VarietyIdeal(rs.h_ring, [args.a1])
     a2 = VarietyIdeal(rs.h_ring, [args.a2])
-    outcome = check_carlson(pres, a1, a2, attempts=cfg.attempts, seed=cfg.seed)
+    outcome = check_carlson(pres, a1, a2, attempts=args.attempts, seed=args.seed)
     return {
         "command": "check-carlson",
         "ring": _ring_doc(rs),
@@ -434,8 +407,8 @@ def cmd_check_carlson(args, cfg: JobConfig):
         "group1_variety": _ideal_doc(outcome.v1),
         "group2_variety": _ideal_doc(outcome.v2),
         "verdict": "pass",
-        "seed": cfg.seed,
-        "attempts": cfg.attempts,
+        "seed": args.seed,
+        "attempts": args.attempts,
     }
 
 
@@ -466,11 +439,20 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--steps", type=int, default=None, help="resolution window size N")
-    common.add_argument("--cap", type=int, default=None, help="operator degree cap D")
-    common.add_argument("--max-pairs", type=int, default=50_000, help="S-pair budget")
-    common.add_argument("--max-degree", type=int, default=40, help="degree budget")
-    common.add_argument("--attempts", type=int, default=64, help="idempotent search budget")
-    common.add_argument("--seed", type=int, default=0xC15, help="idempotent search seed")
+    common.add_argument(
+        "--cap", dest="max_op_degree", metavar="CAP", type=int, default=None,
+        help="operator degree cap D",
+    )
+    common.add_argument(
+        "--max-pairs", type=int, default=DEFAULT_BUDGETS.max_pairs, help="S-pair budget"
+    )
+    common.add_argument(
+        "--max-degree", type=int, default=DEFAULT_BUDGETS.max_degree, help="degree budget"
+    )
+    common.add_argument(
+        "--attempts", type=int, default=DEFAULT_ATTEMPTS, help="idempotent search budget"
+    )
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="idempotent search seed")
     common.add_argument("--no-verify", action="store_true", help="skip theorem-level checks")
     common.add_argument(
         "--format", choices=("text", "structured"), default="text", help="report format"
@@ -507,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(cfg_fmt: str, exc) -> None:
-    if cfg_fmt == "structured":
+def _emit_error(fmt: str, exc) -> None:
+    if fmt == "structured":
         doc = {"error": {"reason": exc.reason, "message": str(exc), "details": exc.details}}
         sys.stdout.write(render_structured(doc))
     else:
@@ -521,10 +503,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fmt = args.format
     try:
-        cfg = JobConfig.from_args(args)
-        prev = configure_budgets(Budgets(max_pairs=cfg.max_pairs, max_degree=cfg.max_degree))
+        for name in ("steps", "max_op_degree", "max_pairs", "max_degree", "attempts"):
+            value = getattr(args, name)
+            if value is not None and value < 1:
+                raise InputError(f"{name} must be positive", value=value)
+        prev = configure_budgets(Budgets(max_pairs=args.max_pairs, max_degree=args.max_degree))
         try:
-            report = COMMANDS[args.command](args, cfg)
+            report = COMMANDS[args.command](args)
         finally:
             configure_budgets(prev)
     except VerificationError as exc:
@@ -536,6 +521,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         _emit_error(fmt, exc)
         return EXIT_INPUT
+    except CivarError as exc:
+        _emit_error(fmt, exc)
+        return EXIT_INTERNAL
     renderer = render_structured if fmt == "structured" else render_text
     sys.stdout.write(renderer(report))
     return EXIT_OK

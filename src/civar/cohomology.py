@@ -32,7 +32,7 @@ from .groebner import (
     normal_form,
     radical_membership,
 )
-from .resolve import ModulePresentation, Resolution, resolve_min
+from .resolve import ModulePresentation, Resolution, apply_columns, resolve_min
 
 
 class CiOperators:
@@ -65,10 +65,7 @@ def lift_and_operators(res: Resolution, upto: int) -> Resolution:
         lo_shifts = res.degs[i - 1]
         t_cols = [[] for _ in range(rs.codim)]
         for c_idx, v in enumerate(res.diffs[i + 1]):
-            w = FreeElt(ring, lo_rank, {}, lo_shifts)
-            for r, f in enumerate(v.components()):
-                if not f.is_zero():
-                    w = w + res.diffs[i][r].poly_mul(f)
+            w = apply_columns(res.diffs[i], v, lo_rank, lo_shifts)
             u = [dict() for _ in range(rs.codim)]
             for r in range(lo_rank):
                 wr = w.component(r)
@@ -339,8 +336,10 @@ def support_variety(
     Candidates a_N and a_{N+2} are computed; they are accepted when mutually
     radical-contained with equal dimension, and when that dimension matches
     the Betti-growth complexity estimate (an independent oracle for
-    under-resolution).  Otherwise the window widens by 2 until the cap,
-    where a stabilization error reports both candidates."""
+    under-resolution).  Otherwise the window widens by 2, a_{N+2} becoming
+    the next a_N, until the cap, where a stabilization error reports both
+    candidates.  The accepted ideal's meta records stabilized_at (N),
+    steps_used (N+2) and the complexity value the guard accepted."""
     rs = pres.rs
     n0 = steps if steps is not None else max(8, 2 * rs.codim + 4)
     if n0 < 4:
@@ -348,17 +347,19 @@ def support_variety(
     cap = max_steps if max_steps is not None else n0 + 8
     res = resolve_min(pres, n0 + 3)
     n = n0
+    a_lo = annihilator_window(ext_k_module(res, n), max_op_degree)
     while True:
-        a_lo = annihilator_window(ext_k_module(res, n), max_op_degree)
         a_hi = annihilator_window(ext_k_module(res, n + 2), max_op_degree)
         agree = (
             a_lo.dimension() == a_hi.dimension()
             and a_lo.contains_variety(a_hi)
             and a_hi.contains_variety(a_lo)
         )
-        if agree and complexity(pres, n + 2) == a_hi.dimension():
-            a_hi.meta = {"stabilized_at": n, "steps_used": n + 2}
-            return a_hi
+        if agree:
+            cx = complexity(pres, n + 2)
+            if cx == a_hi.dimension():
+                a_hi.meta = {"stabilized_at": n, "steps_used": n + 2, "complexity": cx}
+                return a_hi
         n += 2
         if n + 2 > cap:
             raise StabilizationError(
@@ -367,3 +368,4 @@ def support_variety(
                 candidate_hi=[str(g) for g in a_hi.gens],
                 steps=cap,
             )
+        a_lo = a_hi

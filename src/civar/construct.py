@@ -45,6 +45,7 @@ from .cohomology import VarietyIdeal, lift_and_operators, support_variety
 from .resolve import (
     ModulePresentation,
     RingSpec,
+    apply_columns,
     direct_sum,
     is_mcm,
     present_from_vector_model,
@@ -54,6 +55,10 @@ from .resolve import (
     syzygy_module,
     vector_model,
 )
+
+# idempotent search budget and seed, shared with the command line
+DEFAULT_ATTEMPTS = 64
+DEFAULT_SEED = 0xC15
 
 
 class ExtElement:
@@ -83,10 +88,7 @@ def _compose_down(res, cols_high, level, j):
     shifts = res.degs[level]
     out = []
     for col in cols_high:
-        w = FreeElt(rs.ring, rank, {}, shifts)
-        for r, f in enumerate(col.components()):
-            if not f.is_zero():
-                w = w + t_cols[r].poly_mul(f)
+        w = apply_columns(t_cols, col, rank, shifts)
         out.append(rs.qnf_elt(w) if w.terms else w)
     return out
 
@@ -138,10 +140,7 @@ def phi(pres: ModulePresentation, h, res=None) -> ExtElement:
     # cocycle audit: T must send im d_{n+1} into im d_1
     oracle = SubmoduleOracle(list(res.diffs[1]), quotient=list(rs.ci))
     for c, v in enumerate(res.diffs[n + 1]):
-        w = FreeElt(rs.ring, b0, {}, shifts0)
-        for r, f in enumerate(v.components()):
-            if not f.is_zero():
-                w = w + total[r].poly_mul(f)
+        w = apply_columns(total, v, b0, shifts0)
         if w.terms:
             w = rs.qnf_elt(w)
         if not oracle.contains(w):
@@ -381,8 +380,8 @@ def _split_once(degs, actions, p, rng, attempts):
 
 def decompose(
     pres: ModulePresentation,
-    attempts: int = 64,
-    seed: int = 0xC15,
+    attempts: int = DEFAULT_ATTEMPTS,
+    seed: int = DEFAULT_SEED,
 ) -> DecompositionResult:
     """Split a finite-length module into (probable) indecomposables by
     idempotent splitting of the graded endomorphism algebra.  Deterministic
@@ -447,8 +446,8 @@ def check_carlson(
     pres: ModulePresentation,
     a1: VarietyIdeal,
     a2: VarietyIdeal,
-    attempts: int = 64,
-    seed: int = 0xC15,
+    attempts: int = DEFAULT_ATTEMPTS,
+    seed: int = DEFAULT_SEED,
 ) -> CarlsonResult:
     """Verify the decomposition statement for a disjoint split of the
     variety: if V(M) = V1 union V2 with trivial intersection, M splits as

@@ -11,9 +11,16 @@ element whose module part dies during reduction is harvested, its tail being
 exactly a syzygy (the Schreyer generating set, one syzygy per S-pair that
 reduces to zero).
 
+Every division, whether top reduction during completion, interreduction of
+the finished basis or a normal form against it, runs through one loop,
+`_divide`, over one in-place kernel, `_sub_shifted`.  The reducer is always
+the first basis element, in a fixed order, whose lead divides the current
+leading term, so every output is deterministic.
+
 Quotient rings never appear explicitly.  To work over Q = P/(f) the callers
-adjoin f_j * e_i to the generators and, for syzygies, strip those components
-from the harvested tails afterwards.
+adjoin the elements `quotient_elements` builds, f_j * e_i, to the generators
+and, for syzygies, strip those components from the harvested tails
+afterwards.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .arith import Poly, PolyRing, fp_inv, mono_deg, mono_div, mono_lcm, mono_mul, mono_one
+from .arith import Poly, PolyRing, add_terms, fp_inv, mono_deg, mono_div, mono_lcm, mono_mul
 from .errors import InputError, ResourceBudgetError
 
 
@@ -114,49 +121,23 @@ class FreeElt:
         return cm, self.terms[cm]
 
     def scale(self, c: int) -> "FreeElt":
-        p = self.ring.p
-        c %= p
-        if c == 0:
-            return FreeElt(self.ring, self.rank, {}, self.shifts)
-        return FreeElt(
-            self.ring, self.rank, {k: (c * v) % p for k, v in self.terms.items()}, self.shifts
-        )
+        t = add_terms({}, self.terms, c, self.ring.p)
+        return FreeElt(self.ring, self.rank, t, self.shifts)
 
     def __add__(self, other):
         self._check(other)
-        p = self.ring.p
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            s = (t.get(k, 0) + v) % p
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
+        t = add_terms(self.terms, other.terms, 1, self.ring.p)
         return FreeElt(self.ring, self.rank, t, self.shifts)
 
     def __sub__(self, other):
         self._check(other)
-        p = self.ring.p
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            s = (t.get(k, 0) - v) % p
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
+        t = add_terms(self.terms, other.terms, -1, self.ring.p)
         return FreeElt(self.ring, self.rank, t, self.shifts)
 
     def poly_mul(self, f: Poly) -> "FreeElt":
-        p = self.ring.p
         t = {}
-        for (c, m), v in self.terms.items():
-            for fm, fv in f.terms.items():
-                k = (c, mono_mul(m, fm))
-                s = (t.get(k, 0) + v * fv) % p
-                if s:
-                    t[k] = s
-                else:
-                    t.pop(k, None)
+        for fm, fv in f.terms.items():
+            _sub_shifted(t, self.terms, -fv, fm, self.ring.p)
         return FreeElt(self.ring, self.rank, t, self.shifts)
 
     def _check(self, other):
@@ -187,6 +168,47 @@ def _wrap(g, ring=None):
     if isinstance(g, Poly):
         return FreeElt(g.ring, 1, {(0, m): c for m, c in g.terms.items()}, (0,))
     raise InputError(f"cannot interpret {type(g).__name__} as a module element")
+
+
+# ---------------------------------------------------------------------------
+# division
+
+
+def _sub_shifted(acc: dict, src: dict, coeff: int, q: tuple, p: int) -> None:
+    """acc -= coeff * x^q * src, in place, on (slot, monomial) keys; the slot
+    is a component for module parts and a generator index for tails."""
+    for (s, m), v in src.items():
+        k = (s, mono_mul(m, q))
+        r = (acc.get(k, 0) - coeff * v) % p
+        if r:
+            acc[k] = r
+        else:
+            acc.pop(k, None)
+
+
+def _divide(terms: dict, tail, reducers: dict, termkey, p: int, rest: dict = None):
+    """Divide `terms` in place by monic reducers, given per component as
+    lists of (lead monomial, terms, tail); the first reducer in its list
+    whose lead divides the current leading term is used, and the tail, when
+    the reducer has one, follows every step.  Without `rest` this is top
+    reduction: it stops at the first leading term no lead divides and
+    returns that term (None when `terms` dies).  With `rest`, irreducible
+    terms move into it and division goes on until `terms` is empty."""
+    while terms:
+        lt = max(terms, key=termkey)
+        for lm, g, gt in reducers.get(lt[0], ()):
+            q = mono_div(lt[1], lm)
+            if q is not None:
+                coeff = terms[lt]
+                _sub_shifted(terms, g, coeff, q, p)
+                if gt:  # reducers carry tails exactly when `tail` is a dict
+                    _sub_shifted(tail, gt, coeff, q, p)
+                break
+        else:
+            if rest is None:
+                return lt
+            rest[lt] = terms.pop(lt)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -227,73 +249,32 @@ class _Completion:
         self.tails = []  # tail dicts (expression in input gens) or None
         self.pure = []  # element entirely inside its lead component?
         self.by_comp: dict[int, list[int]] = {}
+        self.reducers: dict[int, list] = {}  # by_comp as (lead mono, terms, tail)
         self.queue = []  # heap of (deg, lcm key, comp, i, j)
         self.treated = set()
         self.pairs_done = 0
         self.harvested = []  # tail dicts of elements that died
 
-    # -- term helpers ------------------------------------------------------
-
     def termkey(self, t):
         return (-t[0], self.monokey(t[1]))
-
-    def _lead(self, terms):
-        return max(terms, key=self.termkey)
-
-    # -- reduction ---------------------------------------------------------
-
-    def top_reduce(self, terms, tail):
-        """Reduce the leading term as long as some basis lead divides it.
-        Returns the (possibly empty) reduced dict."""
-        p = self.p
-        while terms:
-            c0, m0 = self._lead(terms)
-            hit = -1
-            for bi in self.by_comp.get(c0, ()):
-                q = mono_div(m0, self.leads[bi][1])
-                if q is not None:
-                    hit = bi
-                    qm = q
-                    break
-            if hit < 0:
-                break
-            coeff = terms[(c0, m0)]
-            for (gc, gm), gv in self.polys[hit].items():
-                k = (gc, mono_mul(gm, qm))
-                s = (terms.get(k, 0) - coeff * gv) % p
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-            if tail is not None:
-                gt = self.tails[hit]
-                if gt:
-                    for (gi, gm), gv in gt.items():
-                        k = (gi, mono_mul(gm, qm))
-                        s = (tail.get(k, 0) - coeff * gv) % p
-                        if s:
-                            tail[k] = s
-                        else:
-                            tail.pop(k, None)
-        return terms, tail
 
     # -- basis growth ------------------------------------------------------
 
     def add_generator(self, terms, tail):
-        """Reduce an incoming element against the current basis, then either
-        harvest its tail (if it died) or install it."""
-        terms, tail = self.top_reduce(dict(terms), tail)
-        if not terms:
+        """Top-reduce an incoming element against the current basis, then
+        either harvest its tail (if it died) or install it."""
+        terms = dict(terms)
+        lead = _divide(terms, tail, self.reducers, self.termkey, self.p)
+        if lead is None:
             if self.collect and tail:
                 self.harvested.append(tail)
             return
-        lead = self._lead(terms)
         lc = terms[lead]
         if lc != 1:
             inv = fp_inv(lc, self.p)
-            terms = {k: (v * inv) % self.p for k, v in terms.items()}
+            terms = add_terms({}, terms, inv, self.p)
             if tail is not None:
-                tail = {k: (v * inv) % self.p for k, v in tail.items()}
+                tail = add_terms({}, tail, inv, self.p)
         idx = len(self.leads)
         comp = lead[0]
         for other in self.by_comp.get(comp, ()):
@@ -307,6 +288,7 @@ class _Completion:
         self.tails.append(tail)
         self.pure.append(all(c == comp for (c, _m) in terms))
         self.by_comp.setdefault(comp, []).append(idx)
+        self.reducers.setdefault(comp, []).append((lead[1], terms, tail))
 
     # -- main loop ---------------------------------------------------------
 
@@ -336,28 +318,13 @@ class _Completion:
             ui = mono_div(lcm, mi)
             uj = mono_div(lcm, mj)
             terms = {}
-            for (gc, gm), gv in self.polys[i].items():
-                k = (gc, mono_mul(gm, ui))
-                terms[k] = gv
-            for (gc, gm), gv in self.polys[j].items():
-                k = (gc, mono_mul(gm, uj))
-                s = (terms.get(k, 0) - gv) % p
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
+            _sub_shifted(terms, self.polys[i], -1, ui, p)
+            _sub_shifted(terms, self.polys[j], 1, uj, p)
             tail = None
             if self.track:
                 tail = {}
-                for (gi, gm), gv in (self.tails[i] or {}).items():
-                    tail[(gi, mono_mul(gm, ui))] = gv
-                for (gi, gm), gv in (self.tails[j] or {}).items():
-                    k = (gi, mono_mul(gm, uj))
-                    s = (tail.get(k, 0) - gv) % p
-                    if s:
-                        tail[k] = s
-                    else:
-                        tail.pop(k, None)
+                _sub_shifted(tail, self.tails[i], -1, ui, p)
+                _sub_shifted(tail, self.tails[j], 1, uj, p)
             self.add_generator(terms, tail)
 
     def _criteria_skip(self, i, j, comp, lcm, mi, mj) -> bool:
@@ -390,15 +357,22 @@ class _Completion:
 class GroebnerBasis:
     """Reduced Groebner basis of a submodule, sorted with the largest lead
     first.  When built with cofactors=True, cofactors[i][g] expands
-    elements[i] as a combination of the input generators."""
+    elements[i] as a combination of the input generators.  leads[i] is the
+    (component, monomial) lead of elements[i]."""
 
-    def __init__(self, ring, rank, shifts, elements, cofactors, gens):
+    def __init__(self, ring, rank, shifts, elements, cofactors):
         self.ring = ring
         self.rank = rank
         self.shifts = shifts
         self.elements: list[FreeElt] = elements
         self.cofactors = cofactors
-        self.gens = gens
+        self.leads = [e.lead()[0] for e in elements]
+        # element k divides with the tail {(k, 1): -1}, so a division's tail
+        # collects the cofactors
+        self._reducers: dict[int, list] = {}
+        for k, ((c, m), e) in enumerate(zip(self.leads, elements)):
+            minus_one = {(k, ring._one_mono): ring.p - 1}
+            self._reducers.setdefault(c, []).append((m, e.terms, minus_one))
 
     def __len__(self):
         return len(self.elements)
@@ -415,9 +389,6 @@ class GroebnerBasis:
             raise InputError("scalar_elements on a module basis")
         return [e.component(0) for e in self.elements]
 
-    def lead_terms(self):
-        return [e.lead()[0] for e in self.elements]
-
 
 def _prepare(gens, require_homogeneous: bool):
     gens = [_wrap(g) for g in gens]
@@ -432,6 +403,17 @@ def _prepare(gens, require_homogeneous: bool):
         if require_homogeneous and not g.is_homogeneous():
             raise InputError(f"generator {i} is not homogeneous", index=i)
     return gens, ring, rank, shifts
+
+
+def quotient_elements(quotient, rank: int, shifts) -> list[FreeElt]:
+    """The elements f_j e_i, for each f_j in `quotient` and each component i
+    of a rank-`rank` free module: adjoined to a generating set, they make it
+    generate over P/(f)."""
+    return [
+        FreeElt(f.ring, rank, {(r, m): c for m, c in f.terms.items()}, shifts)
+        for f in quotient
+        for r in range(rank)
+    ]
 
 
 def groebner_basis(
@@ -469,7 +451,7 @@ def groebner_basis(
         cofs = [
             [_tail_component(t, g, ring) for g in range(len(gens))] for t in tails
         ]
-    return GroebnerBasis(ring, rank, shifts, elements, cofs, [FreeElt(ring, rank, dict(g.terms), shifts) for g in gens])
+    return GroebnerBasis(ring, rank, shifts, elements, cofs)
 
 
 def _tail_component(tail, g, ring):
@@ -480,62 +462,24 @@ def _reduced_form(eng: _Completion):
     """Minimalize and tail-reduce the completed basis; monic; sorted with the
     largest lead first.  Tails follow every operation so cofactor identities
     survive interreduction."""
-    ring = eng.ring
-    p = eng.p
-    idxs = sorted(range(len(eng.leads)), key=lambda i: eng.termkey(eng.leads[i]))
-    kept = []
-    for i in idxs:
-        ci, mi = eng.leads[i]
-        redundant = False
-        for k in kept:
-            ck, mk = eng.leads[k]
-            if ck == ci and mono_div(mi, mk) is not None:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(i)
-    # full tail reduction of each kept element against the others
+    kept: dict[int, list] = {}  # per component, ascending leads
+    for i in sorted(range(len(eng.leads)), key=lambda i: eng.termkey(eng.leads[i])):
+        c, m = eng.leads[i]
+        same = kept.setdefault(c, [])
+        if all(mono_div(m, lm) is None for lm, _g, _t in same):
+            same.append((m, eng.polys[i], eng.tails[i]))
+    # an element's own lead never divides its smaller terms, so once the
+    # lead is set aside every kept element can serve as a reducer
     out = []
-    for i in kept:
-        reducers = [k for k in kept if k != i]
-        terms = dict(eng.polys[i])
-        tail = dict(eng.tails[i]) if eng.tails[i] is not None else None
-        result = {}
-        while terms:
-            lt = eng._lead(terms)
-            coeff = terms[lt]
-            hit = -1
-            for k in reducers:
-                ck, mk = eng.leads[k]
-                if ck == lt[0]:
-                    q = mono_div(lt[1], mk)
-                    if q is not None:
-                        hit = k
-                        qm = q
-                        break
-            if hit < 0:
-                result[lt] = coeff
-                del terms[lt]
-                continue
-            for (gc, gm), gv in eng.polys[hit].items():
-                kk = (gc, mono_mul(gm, qm))
-                s = (terms.get(kk, 0) - coeff * gv) % p
-                if s:
-                    terms[kk] = s
-                else:
-                    terms.pop(kk, None)
-            if tail is not None:
-                for (gi, gm), gv in (eng.tails[hit] or {}).items():
-                    kk = (gi, mono_mul(gm, qm))
-                    s = (tail.get(kk, 0) - gv * coeff) % p
-                    if s:
-                        tail[kk] = s
-                    else:
-                        tail.pop(kk, None)
-            # the moved-out part of result is already irreducible
-        out.append((eng.leads[i], result, tail))
+    for c, same in kept.items():
+        for m, g, t in same:
+            terms = dict(g)
+            tail = dict(t) if t is not None else None
+            result = {(c, m): terms.pop((c, m))}
+            _divide(terms, tail, kept, eng.termkey, eng.p, result)
+            out.append(((c, m), result, tail))
     out.sort(key=lambda t: eng.termkey(t[0]), reverse=True)
-    elements = [FreeElt(ring, eng.rank, terms, eng.shifts) for (_l, terms, _t) in out]
+    elements = [FreeElt(eng.ring, eng.rank, terms, eng.shifts) for (_l, terms, _t) in out]
     tails = [t for (_l, _terms, t) in out]
     return elements, tails
 
@@ -548,42 +492,16 @@ def normal_form(v, gb: GroebnerBasis):
     v = _wrap(v)
     if v.ring != gb.ring or v.rank != gb.rank:
         raise InputError("element does not live in the basis's free module")
-    p = gb.ring.p
     key = gb.ring.order.key
-    leads = [e.lead() for e in gb.elements]
     terms = dict(v.terms)
+    tail = {}
     result = {}
-    cofs = [dict() for _ in gb.elements]
-    while terms:
-        lt = max(terms, key=lambda t: (-t[0], key(t[1])))
-        coeff = terms[lt]
-        hit = -1
-        for k, ld in enumerate(leads):
-            if ld is None:
-                continue
-            (ck, mk), _lc = ld
-            if ck == lt[0]:
-                q = mono_div(lt[1], mk)
-                if q is not None:
-                    hit = k
-                    qm = q
-                    break
-        if hit < 0:
-            result[lt] = coeff
-            del terms[lt]
-            continue
-        # basis elements are monic
-        cofs[hit][qm] = (cofs[hit].get(qm, 0) + coeff) % p
-        for (gc, gm), gv in gb.elements[hit].terms.items():
-            kk = (gc, mono_mul(gm, qm))
-            s = (terms.get(kk, 0) - coeff * gv) % p
-            if s:
-                terms[kk] = s
-            else:
-                terms.pop(kk, None)
+    _divide(terms, tail, gb._reducers, lambda t: (-t[0], key(t[1])), gb.ring.p, result)
+    cofs = [{} for _ in gb.elements]
+    for (k, m), c in tail.items():
+        cofs[k][m] = c
     rem = FreeElt(gb.ring, gb.rank, result, gb.shifts)
-    cof_polys = [Poly(gb.ring, {m: c for m, c in d.items() if c}) for d in cofs]
-    return rem, cof_polys
+    return rem, [Poly(gb.ring, d) for d in cofs]
 
 
 def syzygies(
@@ -618,15 +536,10 @@ def syzygies(
     )
     for idx, g in enumerate(gens):
         eng.add_generator(g.terms, {(idx, ring._one_mono): 1})
-    if quotient:
-        for f in quotient:
-            for r in range(rank):
-                terms = {(r, mm): c for mm, c in f.terms.items()}
-                eng.add_generator(terms, {})
+    for q in quotient_elements(quotient or (), rank, shifts):
+        eng.add_generator(q.terms, {})
     eng.run()
-    qgb = None
-    if quotient:
-        qgb = groebner_basis(quotient, budgets=budgets)
+    qgb = groebner_basis(quotient, budgets=budgets) if quotient else None
     col_degs = tuple(g.degree() for g in gens)
     out = []
     for pos, tail in enumerate(eng.harvested):
@@ -657,14 +570,7 @@ class SubmoduleOracle:
         if self.empty:
             self.quotient_gb = groebner_basis(quotient, budgets=budgets) if quotient else None
             return
-        ring, rank, shifts = gens[0].ring, gens[0].rank, gens[0].shifts
-        ext = list(gens)
-        if quotient:
-            for f in quotient:
-                for r in range(rank):
-                    ext.append(
-                        FreeElt(ring, rank, {(r, m): c for m, c in f.terms.items()}, shifts)
-                    )
+        ext = gens + quotient_elements(quotient or (), gens[0].rank, gens[0].shifts)
         self.gb = groebner_basis(ext, budgets=budgets)
         self.quotient_gb = None
 
@@ -699,7 +605,7 @@ def ideal_dimension(gens, ring: PolyRing = None, *, budgets: Budgets | None = No
     if not gens:
         return n
     gb = groebner_basis(gens, budgets=budgets, _allow_inhomogeneous=True)
-    leads = [e.lead()[0][1] for e in gb.elements]
+    leads = [m for (_c, m) in gb.leads]
     if any(mono_deg(m) == 0 for m in leads):
         return -1
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
@@ -744,7 +650,7 @@ def radical_membership(g: Poly, gens, ring: PolyRing = None, *, budgets: Budgets
     t = ext.gen(ext.nvars - 1)
     lifted.append(ext.one() - t * g.map_to(ext, idx))
     gb = groebner_basis(lifted, budgets=budgets, _allow_inhomogeneous=True)
-    return any(e.lead()[0][1] == ext._one_mono for e in gb.elements)
+    return any(m == ext._one_mono for (_c, m) in gb.leads)
 
 
 def ideal_ops(a, b, op: str, ring: PolyRing = None, *, budgets: Budgets | None = None) -> list[Poly]:

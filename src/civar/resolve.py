@@ -27,6 +27,7 @@ from .groebner import (
     SubmoduleOracle,
     groebner_basis,
     normal_form,
+    quotient_elements,
     syzygies,
 )
 
@@ -121,7 +122,7 @@ class RingSpec:
             return ()
         got = self._std_cache.get(d)
         if got is None:
-            leads = [e.lead()[0][1] for e in self.ci_gb.elements]
+            leads = [m for (_c, m) in self.ci_gb.leads]
             from .arith import mono_div
 
             got = tuple(
@@ -175,13 +176,7 @@ class ModulePresentation:
         free module's surjection onto the module.  Normal forms against it
         give canonical representatives of module elements."""
         if self._sub_gb is None:
-            ext = list(self.relations)
-            ring = self.rs.ring
-            for f in self.rs.ci:
-                for r in range(self.rank):
-                    ext.append(
-                        FreeElt(ring, self.rank, {(r, m): c for m, c in f.terms.items()}, self.gens)
-                    )
+            ext = list(self.relations) + quotient_elements(self.rs.ci, self.rank, self.gens)
             self._sub_gb = groebner_basis(ext)
         return self._sub_gb
 
@@ -493,45 +488,21 @@ def is_mcm(pres: ModulePresentation) -> bool:
 class VectorModel:
     """A module of finite k-dimension flattened to explicit linear algebra:
     a monomial basis (component, standard monomial), the degree of each basis
-    vector, one action matrix per ring variable, and the coordinates of the
-    presentation's generators.  Action matrices are exact mod-p integer
-    matrices; composites of them realize the action of any monomial."""
+    vector, and one action matrix per ring variable.  Action matrices are
+    exact mod-p integer matrices; composites of them realize the action of
+    any monomial."""
 
-    __slots__ = ("rs", "basis", "degs", "actions", "gen_coords", "_index")
+    __slots__ = ("rs", "basis", "degs", "actions")
 
-    def __init__(self, rs, basis, degs, actions, gen_coords):
+    def __init__(self, rs, basis, degs, actions):
         self.rs = rs
         self.basis = basis
         self.degs = degs
         self.actions = actions
-        self.gen_coords = gen_coords
-        self._index = {k: i for i, k in enumerate(basis)}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def degree_indices(self, d: int) -> np.ndarray:
-        return np.flatnonzero(self.degs == d)
-
-    def top_degree(self) -> int:
-        return int(self.degs.max()) if len(self.degs) else -1
-
-    def monomial_action(self, mono: tuple) -> np.ndarray:
-        out = np.eye(self.dim, dtype=np.int64)
-        from .arith import matmul
-
-        for v, e in enumerate(mono):
-            for _ in range(e):
-                out = matmul(self.actions[v], out, self.rs.p)
-        return out
-
-    def coords(self, elt: FreeElt, gb: GroebnerBasis) -> np.ndarray:
-        rem, _ = normal_form(elt, gb)
-        v = np.zeros(self.dim, dtype=np.int64)
-        for key, coeff in rem.terms.items():
-            v[self._index[key]] = coeff
-        return v
 
 
 def vector_model(pres: ModulePresentation) -> VectorModel:
@@ -549,12 +520,11 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
             [],
             np.zeros(0, dtype=np.int64),
             [np.zeros((0, 0), dtype=np.int64) for _ in range(ring.nvars)],
-            np.zeros((0, 0), dtype=np.int64),
         )
         pres._model = vm
         return vm
     gb = pres.relation_submodule_gb()
-    leads = [e.lead()[0] for e in gb.elements]
+    leads = gb.leads
     from .arith import mono_div, mono_one
 
     one = mono_one(ring.nvars)
@@ -597,12 +567,7 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
             for key, coeff in rem.terms.items():
                 mat[index[key], col] = coeff
         actions.append(mat)
-    gen_coords = np.zeros((rank, dim), dtype=np.int64)
-    for c in range(rank):
-        rem, _ = normal_form(FreeElt(ring, rank, {(c, one): 1}, pres.gens), gb)
-        for key, coeff in rem.terms.items():
-            gen_coords[c, index[key]] = coeff
-    vm = VectorModel(rs, basis, degs, actions, gen_coords)
+    vm = VectorModel(rs, basis, degs, actions)
     pres._model = vm
     return vm
 
@@ -627,10 +592,9 @@ def hilbert_function(pres: ModulePresentation, d: int) -> int:
     finite total dimension."""
     if pres.rank == 0:
         return 0
-    gb = pres.relation_submodule_gb()
     from .arith import mono_div
 
-    leads = [e.lead()[0] for e in gb.elements]
+    leads = pres.relation_submodule_gb().leads
     count = 0
     for c, s in enumerate(pres.gens):
         e = d - s

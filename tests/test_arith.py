@@ -47,6 +47,14 @@ def test_is_odd_prime():
     assert not is_odd_prime(1)
 
 
+def test_prime_bound_of_the_linear_algebra():
+    assert PolyRing(2147483647, ("x",)).p == 2147483647  # 2^31 - 1, the largest allowed
+    with pytest.raises(InputError, match="2\\^31"):
+        PolyRing(2147483659, ("x",))  # the next prime
+    with pytest.raises(InputError, match="2\\^31"):
+        PolyRing((1 << 61) - 1, ("x",))  # refused before any trial division
+
+
 def test_fp_inv():
     rng = seeded("fp_inv")
     for _ in range(50):

@@ -6,6 +6,7 @@ import pytest
 
 from civar import cli
 from civar.cohomology import VarietyIdeal
+from civar.errors import InternalError
 from civar.resolve import RingSpec, present_module
 
 
@@ -78,6 +79,15 @@ def test_variety_of_residue_field(files, capsys):
     assert doc["dimension"] == 2
     assert doc["annihilator"] == []
     assert doc["complexity"] == 2
+
+
+@pytest.mark.parametrize("name", ["k", "m1"])
+def test_variety_reports_the_accepted_complexity(files, capsys, name):
+    ring, mods, _ = files
+    code, out, _ = run(capsys, ["variety", ring, mods[name], "--format", "structured"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["complexity"] == doc["dimension"]
 
 
 def test_variety_text_mentions_dimension(files, capsys):
@@ -217,9 +227,35 @@ def test_ragged_relations_exit_1(files, capsys):
 
 def test_bad_flag_value_exits_1(files, capsys):
     ring, mods, _ = files
-    code, _, err = run(capsys, ["variety", ring, mods["k"], "--steps", "0"])
+    for flag, name in (("--steps", "steps"), ("--cap", "max_op_degree"), ("--max-pairs", "max_pairs")):
+        code, _, err = run(capsys, ["variety", ring, mods["k"], flag, "0"])
+        assert code == 1
+        assert f"{name} must be positive" in err
+
+
+def test_prime_beyond_int64_linear_algebra_exits_1(tmp_path, capsys):
+    ring = tmp_path / "big.json"
+    ring.write_text(json.dumps({"p": 2147483659, "vars": ["x"], "ci": ["x^2"]}))
+    code, _, err = run(capsys, ["validate", str(ring)])
     assert code == 1
-    assert "steps" in err
+    assert "2^31" in err
+
+
+def test_internal_error_exits_4(files, capsys, monkeypatch):
+    ring, mods, _ = files
+
+    def broken(args):
+        raise InternalError("invariant broke", step=3)
+
+    monkeypatch.setitem(cli.COMMANDS, "resolve", broken)
+    code, out, err = run(capsys, ["resolve", ring, mods["k"]])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert "error[internal]: invariant broke" in err and "step: 3" in err
+    code, out, _ = run(capsys, ["resolve", ring, mods["k"], "--format", "structured"])
+    assert code == 4
+    assert json.loads(out) == {
+        "error": {"reason": "internal", "message": "invariant broke", "details": {"step": 3}}
+    }
 
 
 def test_usage_error_exits_1(files, capsys):
@@ -295,9 +331,3 @@ def test_parse_module_text_row_count_mismatch():
     with pytest.raises(cli.InputError):
         cli.parse_module_text(rs, "gens: [0]\nrelations: [[\"x\"], [\"y\"]]\n")
 
-
-def test_job_config_rejects_nonpositive():
-    with pytest.raises(cli.InputError):
-        cli.JobConfig(steps=0)
-    with pytest.raises(cli.InputError):
-        cli.JobConfig(max_pairs=0)

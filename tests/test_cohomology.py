@@ -203,6 +203,25 @@ def test_support_variety_residue_field(r1, r2):
     assert v2.gens == () and v2.dimension() == 1
 
 
+def test_support_variety_reuses_the_wider_window(r3, monkeypatch):
+    """A widening carries a_{N+2} over as the next a_N instead of computing
+    that window again; the guard's complexity value lands in meta."""
+    import civar.cohomology as cohomology
+
+    windows = []
+    real = cohomology.annihilator_window
+
+    def counted(ext, max_op_degree=None):
+        windows.append(ext.steps)
+        return real(ext, max_op_degree)
+
+    monkeypatch.setattr(cohomology, "annihilator_window", counted)
+    v = support_variety(residue_field(r3), steps=4)
+    assert windows == [4, 6, 8]
+    assert v.gens == ()
+    assert v.meta == {"stabilized_at": 6, "steps_used": 8, "complexity": 3}
+
+
 def test_support_variety_hypersurface_modules(r1):
     m1 = support_variety(present_module(r1, (0,), [["x"]]))
     assert m1.equals(VarietyIdeal(r1.h_ring, ["chi2"]))

@@ -114,6 +114,39 @@ def test_module_basis_and_criterion(pxy):
             assert naive_reduce(g, gb.elements).is_zero()
 
 
+def test_module_division_matches_oracle(pxy):
+    """Division on rank 2.  The remainder by a Groebner basis is unique, so
+    it must equal the oracle's, which picks reducers the other way round;
+    cofactors must rebuild each component exactly in plain polynomial
+    arithmetic, for normal forms and for the basis itself."""
+    rng = seeded("module-division")
+    shifts = (0, 1)
+
+    def combine(cofs, elts, r):
+        acc = pxy.zero()
+        for c, e in zip(cofs, elts):
+            acc = acc + c * e.component(r)
+        return acc
+
+    for _ in range(6):
+        gens = [random_column(pxy, shifts, rng.randrange(2, 4), rng) for _ in range(3)]
+        gb = groebner_basis(gens, cofactors=True)
+        for e, cof in zip(gb.elements, gb.cofactors):
+            for r in range(2):
+                assert combine(cof, gens, r) == e.component(r)
+        members = [
+            gens[0].poly_mul(random_homogeneous(pxy, 1, rng))
+            + gens[1].poly_mul(random_homogeneous(pxy, 2, rng))
+        ]
+        samples = [random_column(pxy, shifts, rng.randrange(1, 5), rng) for _ in range(8)]
+        for v in samples + members:
+            rem, cofs = normal_form(v, gb)
+            assert rem == naive_reduce(v, gb.elements)
+            for r in range(2):
+                assert rem.component(r) + combine(cofs, gb.elements, r) == v.component(r)
+        assert all(normal_form(v, gb)[0].is_zero() for v in members)
+
+
 def test_koszul_syzygy(pxy):
     syz = syzygies([pxy.parse("x"), pxy.parse("y")])
     assert [str(s) for s in syz] == ["(y, 100*x)"]
