@@ -108,6 +108,8 @@ class Order:
         return f"Order({self.name})"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Order) and self.name == other.name
 
     def __hash__(self):
@@ -233,6 +235,8 @@ class PolyRing:
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PolyRing)
             and self.p == other.p

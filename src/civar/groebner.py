@@ -21,6 +21,18 @@ Quotient rings never appear explicitly.  To work over Q = P/(f) the callers
 adjoin the elements `quotient_elements` builds, f_j * e_i, to the generators
 and, for syzygies, strip those components from the harvested tails
 afterwards.
+
+Reduction modulo an ideal, where no cofactors are wanted, goes through
+`GroebnerBasis.reduce_terms` instead of a division.  A rank-1 basis keeps a
+table from monomial to the terms of its normal form, each entry filled by
+`normal_form` the first time that monomial is met.  A polynomial, or any
+dict keyed by (slot, monomial) such as a module element or a syzygy tail,
+is then reduced term by term, slot by slot, by table lookups.  This is
+exact: the remainder modulo a Groebner basis is the unique combination of
+standard monomials congruent to the input, so it does not depend on the
+division path, and it is linear, so NF(sum c_m x^m) = sum c_m NF(x^m).
+Divisions whose cofactors matter stay on `normal_form`, because cofactors
+do depend on the path.  The table lives on the basis and dies with it.
 """
 
 from __future__ import annotations
@@ -373,6 +385,7 @@ class GroebnerBasis:
         for k, ((c, m), e) in enumerate(zip(self.leads, elements)):
             minus_one = {(k, ring._one_mono): ring.p - 1}
             self._reducers.setdefault(c, []).append((m, e.terms, minus_one))
+        self._nf_table: dict[tuple, tuple] = {}  # monomial -> ((monomial, coeff), ...)
 
     def __len__(self):
         return len(self.elements)
@@ -383,6 +396,28 @@ class GroebnerBasis:
     def contains(self, v) -> bool:
         rem, _ = normal_form(v, self)
         return rem.is_zero()
+
+    def reduce_terms(self, terms: dict, q: tuple = None) -> dict:
+        """Normal form of x^q * terms modulo this ideal basis, slot by slot:
+        `terms` maps (slot, monomial) to a residue, and so does the result.
+        Each monomial is looked up in the basis's normal-form table, which
+        `normal_form` fills the first time the monomial is met."""
+        if self.rank != 1:
+            raise InputError("reduce_terms needs the basis of an ideal")
+        table = self._nf_table
+        p = self.ring.p
+        acc = {}
+        for (s, m), v in terms.items():
+            if q is not None:
+                m = mono_mul(m, q)
+            nf = table.get(m)
+            if nf is None:
+                rem, _ = normal_form(Poly(self.ring, {m: 1}), self)
+                nf = table[m] = tuple((mm, c) for (_c, mm), c in rem.terms.items())
+            for mm, c in nf:
+                k = (s, mm)
+                acc[k] = acc.get(k, 0) + v * c
+        return {k: r for k, a in acc.items() if (r := a % p)}
 
     def scalar_elements(self) -> list[Poly]:
         if self.rank != 1:
@@ -543,15 +578,11 @@ def syzygies(
     col_degs = tuple(g.degree() for g in gens)
     out = []
     for pos, tail in enumerate(eng.harvested):
-        comps = []
-        for gidx in range(m):
-            f = _tail_component(tail, gidx, ring)
-            if qgb is not None and not f.is_zero():
-                f = normal_form(f, qgb)[0].component(0)
-            comps.append(f)
-        if all(f.is_zero() for f in comps):
+        # a tail's slots are generator indices, so it is the syzygy itself
+        terms = qgb.reduce_terms(tail) if qgb is not None else tail
+        if not terms:
             continue
-        elt = FreeElt.from_polys(comps, col_degs)
+        elt = FreeElt(ring, m, terms, col_degs)
         lc = elt.lead()[1]
         if lc != 1:
             elt = elt.scale(fp_inv(lc, ring.p))
@@ -577,10 +608,8 @@ class SubmoduleOracle:
     def reduce(self, v):
         if self.empty:
             if self.quotient_gb is not None:
-                comps = [
-                    normal_form(f, self.quotient_gb)[0].component(0) for f in v.components()
-                ]
-                return FreeElt.from_polys(comps, v.shifts)
+                terms = self.quotient_gb.reduce_terms(v.terms)
+                return FreeElt(v.ring, v.rank, terms, v.shifts)
             return v
         return normal_form(v, self.gb)[0]
 

@@ -13,6 +13,14 @@ pruning alone cannot do this job; a column can be redundant without any unit
 entry appearing anywhere (v3 = v1 + x v2 leaves every entry in the maximal
 ideal), and keeping such a column silently inflates every Betti number after
 it.
+
+Every reduction modulo (f) without cofactors (`RingSpec.qnf`,
+`RingSpec.qnf_elt`, the products g * x^m that `minimal_columns` spans)
+reads the monomial normal-form table of `RingSpec.ci_gb` through
+`GroebnerBasis.reduce_terms`.  The remainder modulo a Groebner basis is
+unique and linear, so reducing term by term from the table gives exactly
+what a full division would.  The table fills lazily, one `normal_form` per
+distinct monomial, and lives as long as the ring.
 """
 
 from __future__ import annotations
@@ -109,11 +117,12 @@ class RingSpec:
     def qnf(self, f: Poly) -> Poly:
         """Normal form of f modulo (f_1..f_c): the canonical representative
         of its class in Q."""
-        return normal_form(f, self.ci_gb)[0].component(0)
+        rem = self.ci_gb.reduce_terms({(0, m): c for m, c in f.terms.items()})
+        return Poly(self.ring, {m: c for (_s, m), c in rem.items()})
 
     def qnf_elt(self, v: FreeElt) -> FreeElt:
-        comps = [self.qnf(f) for f in v.components()]
-        return FreeElt.from_polys(comps, v.shifts)
+        """Componentwise normal form of a free-module element modulo (f)."""
+        return FreeElt(v.ring, v.rank, self.ci_gb.reduce_terms(v.terms), v.shifts)
 
     def standard_monomials(self, d: int):
         """Monomial k-basis of Q in degree d (ambient monomials not divisible
@@ -334,7 +343,7 @@ def minimal_columns(rs: RingSpec, columns, shifts):
             for m in rs.standard_monomials(d - e):
                 if mono_deg(m) == 0:
                     continue
-                w = rs.qnf_elt(g.poly_mul(Poly(rs.ring, {m: 1})))
+                w = FreeElt(rs.ring, g.rank, rs.ci_gb.reduce_terms(g.terms, m), g.shifts)
                 if not w.is_zero():
                     span.add(_vectorize(w, index, len(keys)))
         while i < len(cols) and cols[i].degree() == d:

@@ -116,6 +116,23 @@ def test_cut_hilbert_additivity(r1):
             assert hilbert_function(cut, d) == want
 
 
+def test_cut_hilbert_additivity_on_corpus(corpus):
+    # 0 -> Omega^{n-1} M -> K -> M(-e) -> 0 along the cut by chi1, in every
+    # degree 0..10; hilbert_function also covers the non-artinian R4
+    failures = []
+    for label, m in corpus:
+        th = phi(m, "chi1")
+        cut = pushout_cut(m, th)
+        om = syzygy_module(m, th.n - 1)
+        e = th.internal_degree
+        for d in range(11):
+            want = hilbert_function(om, d) + hilbert_function(m, d - e)
+            got = hilbert_function(cut, d)
+            if got != want:
+                failures.append(f"{label}, degree {d}: H_K = {got}, expected {want}")
+    assert not failures, failures
+
+
 def test_cut_variety_equality_on_mcm(r1):
     k = residue_field(r1)
     v_k = support_variety(k)

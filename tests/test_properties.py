@@ -1,0 +1,145 @@
+"""Property tests against independent oracles, on rings whose relations are
+not monomials.
+
+Every corpus ring has monomial relations, so there the normal form of a
+monomial modulo (f) is the monomial itself or 0, and a wrong normal-form
+table could still pass the corpus.  Here the table of `RingSpec.ci_gb` is
+checked against full division (`normal_form`) and against the
+last-match reducer of `helpers.naive_reduce`, on
+R5 = F_101[x,y,z]/(x^2+yz, y^2+xz, z^2), on the one-dimensional
+F_101[x,y,z]/(x^2+yz, y^2+xz), and on a one-dimensional ring with
+trinomial relations.  Tate's formula is checked on drawn regular
+sequences.  Hypothesis runs derandomized with few examples, so these stay
+fast and reproducible.
+"""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from civar.arith import Poly, PolyRing
+from civar.errors import InputError
+from civar.groebner import FreeElt, normal_form, syzygies
+from civar.resolve import RingSpec, apply_columns, residue_field, resolve_min
+
+from helpers import naive_reduce, random_column
+
+PROPS = settings(derandomize=True, max_examples=25, deadline=None)
+
+R5 = RingSpec(101, ["x", "y", "z"], ["x^2 + y*z", "y^2 + x*z", "z^2"])
+DIM1 = RingSpec(101, ["x", "y", "z"], ["x^2 + y*z", "y^2 + x*z"])
+# binomial relations still give one-term normal forms of monomials; these
+# trinomials give many-term ones (60 monomials of degree <= 6)
+DENSE = RingSpec(101, ["x", "y", "z"], ["x^2 + 2*y*z + 3*z^2", "y^2 + 5*x*z + 7*x*y"])
+RINGS = pytest.mark.parametrize("rs", [R5, DIM1, DENSE], ids=["R5", "dim1", "dense"])
+
+
+@st.composite
+def homogeneous(draw, ring, degree=None, nonzero_coeffs=False):
+    """A homogeneous polynomial of the given degree (drawn in 0..6 when
+    None), sparse or, with nonzero_coeffs, with every monomial present."""
+    if degree is None:
+        degree = draw(st.integers(0, 6))
+    monos = ring.monomials_of_degree(degree)
+    low = 1 if nonzero_coeffs else 0
+    coeffs = draw(st.lists(st.integers(low, ring.p - 1), min_size=len(monos), max_size=len(monos)))
+    return Poly(ring, {m: c for m, c in zip(monos, coeffs) if c})
+
+
+def oracle_nf(rs, f):
+    return normal_form(f, rs.ci_gb)[0].component(0)
+
+
+# ---------------------------------------------------------------------------
+# the normal-form table against full division
+
+
+@RINGS
+@PROPS
+@given(data=st.data())
+def test_qnf_matches_division(rs, data):
+    f = data.draw(homogeneous(rs.ring))
+    got = rs.qnf(f)
+    assert got == oracle_nf(rs, f)
+    assert got == naive_reduce(FreeElt.from_polys([f]), rs.ci_gb.elements).component(0)
+
+
+@RINGS
+@PROPS
+@given(data=st.data())
+def test_qnf_is_linear_and_idempotent(rs, data):
+    d = data.draw(st.integers(0, 6))
+    f = data.draw(homogeneous(rs.ring, d))
+    g = data.draw(homogeneous(rs.ring, d))
+    c = data.draw(st.integers(0, rs.p - 1))
+    assert rs.qnf(f + g.scale(c)) == rs.qnf(f) + rs.qnf(g).scale(c)
+    assert rs.qnf(rs.qnf(f)) == rs.qnf(f)
+
+
+@RINGS
+@PROPS
+@given(data=st.data())
+def test_qnf_elt_is_componentwise(rs, data):
+    d = data.draw(st.integers(1, 6))
+    f = data.draw(homogeneous(rs.ring, d))
+    g = data.draw(homogeneous(rs.ring, d - 1))
+    v = FreeElt.from_polys([f, g], (0, 1))
+    want = FreeElt.from_polys([oracle_nf(rs, f), oracle_nf(rs, g)], (0, 1))
+    got = rs.qnf_elt(v)
+    assert got == want
+    assert got.shifts == v.shifts
+
+
+@RINGS
+@settings(PROPS, max_examples=15)
+@given(seed=st.integers(0, 10**6), ncols=st.integers(1, 3))
+def test_syzygies_vanish_modulo_f(rs, seed, ncols):
+    rng = random.Random(seed)
+    shifts = (0, 1)
+    cols = [random_column(rs.ring, shifts, rng.randint(1, 2), rng) for _ in range(ncols)]
+    for s in syzygies(cols, quotient=list(rs.ci)):
+        combo = apply_columns(cols, s, len(shifts), shifts)
+        for comp in combo.components():
+            assert oracle_nf(rs, comp).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Tate's formula: over a CI with every f_i in m^2, the Poincare series of k
+# is (1+t)^n / (1-t^2)^c
+
+
+def tate_coefficients(n: int, c: int, steps: int):
+    series = [1] + [0] * steps
+    for _ in range(n):  # times (1 + t)
+        series = [a + (series[i - 1] if i else 0) for i, a in enumerate(series)]
+    for _ in range(c):  # divided by (1 - t^2)
+        for i in range(2, steps + 1):
+            series[i] += series[i - 2]
+    return series
+
+
+@pytest.mark.parametrize(
+    "variables, ci, want",
+    [
+        (["x", "y", "z"], ["x^2 + y*z", "y^2 + x*z"], [1, 3, 5, 7, 9, 11]),
+        (["x", "y", "z", "w"], ["x^2 + y*z", "y^2 + z*w"], [1, 4, 8, 12, 16, 20]),
+    ],
+)
+def test_tate_pinned(variables, ci, want):
+    assert tate_coefficients(len(variables), len(ci), 5) == want
+    rs = RingSpec(101, variables, ci)
+    assert resolve_min(residue_field(rs), 5).betti_sequence(5) == want
+
+
+@settings(PROPS, max_examples=10)
+@given(data=st.data())
+def test_tate_on_drawn_regular_sequences(data):
+    ring = PolyRing(32003, ("x", "y", "z"))
+    c = data.draw(st.integers(1, 3))
+    ci = [data.draw(homogeneous(ring, data.draw(st.integers(2, 3)), nonzero_coeffs=True)) for _ in range(c)]
+    try:
+        rs = RingSpec(32003, ring.vars, ci)
+    except InputError:
+        assume(False)
+    assert resolve_min(residue_field(rs), 5).betti_sequence(5) == tate_coefficients(3, c, 5)
