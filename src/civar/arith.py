@@ -195,10 +195,6 @@ class PolyRing:
     def one(self) -> "Poly":
         return Poly(self, {self._one_mono: 1})
 
-    def const(self, c: int) -> "Poly":
-        c %= self.p
-        return Poly(self, {self._one_mono: c} if c else {})
-
     def gen(self, i) -> "Poly":
         if isinstance(i, str):
             i = self._index[i]

@@ -338,8 +338,10 @@ def support_variety(
     the Betti-growth complexity estimate (an independent oracle for
     under-resolution).  Otherwise the window widens by 2, a_{N+2} becoming
     the next a_N, until the cap, where a stabilization error reports both
-    candidates.  The accepted ideal's meta records stabilized_at (N),
-    steps_used (N+2) and the complexity value the guard accepted."""
+    candidates and which test rejected the last pair: their dimensions
+    differ, their radicals differ, or the complexity does not match.  The
+    accepted ideal's meta records stabilized_at (N), steps_used (N+2) and
+    the complexity value the guard accepted."""
     rs = pres.rs
     n0 = steps if steps is not None else max(8, 2 * rs.codim + 4)
     if n0 < 4:
@@ -350,22 +352,26 @@ def support_variety(
     a_lo = annihilator_window(ext_k_module(res, n), max_op_degree)
     while True:
         a_hi = annihilator_window(ext_k_module(res, n + 2), max_op_degree)
-        agree = (
-            a_lo.dimension() == a_hi.dimension()
-            and a_lo.contains_variety(a_hi)
-            and a_hi.contains_variety(a_lo)
-        )
-        if agree:
+        dims = (a_lo.dimension(), a_hi.dimension())
+        cx = None
+        if dims[0] != dims[1]:
+            rejected, why = "dimension", "the candidates differ in dimension"
+        elif not (a_lo.contains_variety(a_hi) and a_hi.contains_variety(a_lo)):
+            rejected, why = "radical", "the candidates differ up to radical"
+        else:
             cx = complexity(pres, n + 2)
-            if cx == a_hi.dimension():
+            if cx == dims[1]:
                 a_hi.meta = {"stabilized_at": n, "steps_used": n + 2, "complexity": cx}
                 return a_hi
+            rejected, why = "complexity", f"the candidates agree, the complexity estimate is {cx}"
         n += 2
         if n + 2 > cap:
             raise StabilizationError(
-                f"window annihilator did not stabilize by N = {cap}",
+                f"window annihilator not accepted by N = {cap}: {why} "
+                f"(candidate dimensions {dims[0]} and {dims[1]})",
                 candidate_lo=[str(g) for g in a_lo.gens],
                 candidate_hi=[str(g) for g in a_hi.gens],
                 steps=cap,
+                rejected=rejected, dim_lo=dims[0], dim_hi=dims[1], complexity=cx,
             )
         a_lo = a_hi

@@ -138,7 +138,7 @@ def phi(pres: ModulePresentation, h, res=None) -> ExtElement:
         for c in range(len(total)):
             total[c] = total[c] + cols[c].scale(coeff)
     # cocycle audit: T must send im d_{n+1} into im d_1
-    oracle = SubmoduleOracle(list(res.diffs[1]), quotient=list(rs.ci))
+    oracle = SubmoduleOracle(list(res.diffs[1]), quotient=rs.ci_gb)
     for c, v in enumerate(res.diffs[n + 1]):
         w = apply_columns(total, v, b0, shifts0)
         if w.terms:

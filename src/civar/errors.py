@@ -39,8 +39,10 @@ class ResourceBudgetError(CivarError):
 
 
 class StabilizationError(ResourceBudgetError):
-    """Annihilator candidates kept changing up to the step budget.  Carries
-    both candidate generator lists in ``details``."""
+    """No window annihilator was accepted up to the step budget.  Carries
+    both candidate generator lists in ``details``, with the test that
+    rejected the last pair (``rejected``: dimension, radical or complexity),
+    both dimensions and the complexity estimate."""
 
     reason = "stabilization"
 

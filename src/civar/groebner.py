@@ -17,10 +17,11 @@ the finished basis or a normal form against it, runs through one loop,
 the first basis element, in a fixed order, whose lead divides the current
 leading term, so every output is deterministic.
 
-Quotient rings never appear explicitly.  To work over Q = P/(f) the callers
-adjoin the elements `quotient_elements` builds, f_j * e_i, to the generators
-and, for syzygies, strip those components from the harvested tails
-afterwards.
+Quotient rings never appear explicitly.  To work over Q = P/(f) a caller
+passes the ring's reduced Groebner basis of (f), `RingSpec.ci_gb`, as
+`quotient`; it is built once per ring and is the only way Q enters this
+module.  `quotient_elements` adjoins its elements g_j * e_i to the
+generators, and `syzygies` reduces the harvested tails modulo it.
 
 Reduction modulo an ideal, where no cofactors are wanted, goes through
 `GroebnerBasis.reduce_terms` instead of a division.  A rank-1 basis keeps a
@@ -38,9 +39,13 @@ do depend on the path.  The table lives on the basis and dies with it.
 from __future__ import annotations
 
 import heapq
+from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import combinations
 
-from .arith import Poly, PolyRing, add_terms, fp_inv, mono_deg, mono_div, mono_lcm, mono_mul
+from .arith import (
+    Poly, PolyRing, add_terms, elimination_order, fp_inv, mono_deg, mono_div, mono_lcm, mono_mul,
+)
 from .errors import InputError, ResourceBudgetError
 
 
@@ -55,17 +60,17 @@ class Budgets:
 
 DEFAULT_BUDGETS = Budgets()
 
-_current_budgets = DEFAULT_BUDGETS
+_current_budgets: ContextVar[Budgets] = ContextVar("civar_budgets", default=DEFAULT_BUDGETS)
 
 
 def configure_budgets(budgets: Budgets | None) -> Budgets:
-    """Set the process-wide fallback budgets and return the previous value.
-    None restores the shipped defaults.  The CLI runs one job per process,
-    which is what makes a process-wide setting safe; library callers that
-    need a local override pass `budgets` explicitly."""
-    global _current_budgets
-    prev = _current_budgets
-    _current_budgets = DEFAULT_BUDGETS if budgets is None else budgets
+    """Set the fallback budgets of the current context and return the
+    previous value.  None restores the shipped defaults.  The setting is a
+    context variable, so it never reaches another thread (a new thread
+    starts from the defaults) and concurrent callers cannot race.  Callers
+    that need a one-off override pass `budgets` explicitly."""
+    prev = _current_budgets.get()
+    _current_budgets.set(DEFAULT_BUDGETS if budgets is None else budgets)
     return prev
 
 
@@ -440,13 +445,24 @@ def _prepare(gens, require_homogeneous: bool):
     return gens, ring, rank, shifts
 
 
-def quotient_elements(quotient, rank: int, shifts) -> list[FreeElt]:
-    """The elements f_j e_i, for each f_j in `quotient` and each component i
-    of a rank-`rank` free module: adjoined to a generating set, they make it
-    generate over P/(f)."""
+def _check_quotient(quotient, ring: PolyRing = None) -> None:
+    """`quotient=` is None (over P) or the Groebner basis of an ideal of
+    `ring`."""
+    if quotient is None:
+        return
+    if not isinstance(quotient, GroebnerBasis) or quotient.rank != 1:
+        raise InputError("quotient must be the Groebner basis of an ideal, such as RingSpec.ci_gb")
+    if ring is not None and quotient.ring != ring:
+        raise InputError("quotient lives in a different ring")
+
+
+def quotient_elements(quotient: GroebnerBasis, rank: int, shifts) -> list[FreeElt]:
+    """The elements g_j e_i, for each element g_j of the ideal basis
+    `quotient` and each component i of a rank-`rank` free module: adjoined
+    to a generating set, they make it generate over P/(g)."""
     return [
         FreeElt(f.ring, rank, {(r, m): c for m, c in f.terms.items()}, shifts)
-        for f in quotient
+        for f in quotient.scalar_elements()
         for r in range(rank)
     ]
 
@@ -462,7 +478,7 @@ def groebner_basis(
     FreeElt).  Deterministic: normal selection strategy, first-match
     reduction, element order fixed by sorting on lead terms."""
     if budgets is None:
-        budgets = _current_budgets
+        budgets = _current_budgets.get()
     raw = list(gens)
     gens, ring, rank, shifts = _prepare(raw, not _allow_inhomogeneous)
     graded = all(g.is_homogeneous() for g in gens)
@@ -548,16 +564,18 @@ def syzygies(
     """Generators of the syzygy module of `gens` (rank-m column vectors of
     relations among them), via one tracked completion run.
 
-    With quotient=[f_1..f_c] the syzygies are taken over P/(f): the f_j e_i
+    With `quotient` the Groebner basis of an ideal (f), such as
+    `RingSpec.ci_gb`, the syzygies are taken over P/(f): its elements g_j e_i
     are adjoined as untracked generators and harvested tails are reduced
-    modulo (f).  Criteria pruning is off here: the harvested set must be the
+    modulo it.  Criteria pruning is off here: the harvested set must be the
     full Schreyer generating set, and skipping pairs would drop members."""
     if budgets is None:
-        budgets = _current_budgets
+        budgets = _current_budgets.get()
     raw = list(gens)
     if not raw:
         return []
     gens, ring, rank, shifts = _prepare(raw, True)
+    _check_quotient(quotient, ring)
     m = len(gens)
     eng = _Completion(
         ring,
@@ -571,15 +589,15 @@ def syzygies(
     )
     for idx, g in enumerate(gens):
         eng.add_generator(g.terms, {(idx, ring._one_mono): 1})
-    for q in quotient_elements(quotient or (), rank, shifts):
-        eng.add_generator(q.terms, {})
+    if quotient is not None:
+        for q in quotient_elements(quotient, rank, shifts):
+            eng.add_generator(q.terms, {})
     eng.run()
-    qgb = groebner_basis(quotient, budgets=budgets) if quotient else None
     col_degs = tuple(g.degree() for g in gens)
     out = []
     for pos, tail in enumerate(eng.harvested):
         # a tail's slots are generator indices, so it is the syzygy itself
-        terms = qgb.reduce_terms(tail) if qgb is not None else tail
+        terms = quotient.reduce_terms(tail) if quotient is not None else tail
         if not terms:
             continue
         elt = FreeElt(ring, m, terms, col_degs)
@@ -593,25 +611,25 @@ def syzygies(
 
 class SubmoduleOracle:
     """Membership tests against a fixed generating set, optionally over the
-    quotient by (f).  Builds one Groebner basis up front and reuses it."""
+    quotient by an ideal given by its Groebner basis, such as
+    `RingSpec.ci_gb`.  Builds one Groebner basis up front and reuses it."""
 
     def __init__(self, gens, *, quotient=None, budgets: Budgets | None = None):
         gens = [_wrap(g) for g in gens]
-        self.empty = not gens
-        if self.empty:
-            self.quotient_gb = groebner_basis(quotient, budgets=budgets) if quotient else None
-            return
-        ext = gens + quotient_elements(quotient or (), gens[0].rank, gens[0].shifts)
-        self.gb = groebner_basis(ext, budgets=budgets)
-        self.quotient_gb = None
+        _check_quotient(quotient, gens[0].ring if gens else None)
+        self.quotient = quotient
+        self.gb = None
+        if gens:
+            if quotient is not None:
+                gens += quotient_elements(quotient, gens[0].rank, gens[0].shifts)
+            self.gb = groebner_basis(gens, budgets=budgets)
 
     def reduce(self, v):
-        if self.empty:
-            if self.quotient_gb is not None:
-                terms = self.quotient_gb.reduce_terms(v.terms)
-                return FreeElt(v.ring, v.rank, terms, v.shifts)
-            return v
-        return normal_form(v, self.gb)[0]
+        if self.gb is not None:
+            return normal_form(v, self.gb)[0]
+        if self.quotient is not None:
+            return FreeElt(v.ring, v.rank, self.quotient.reduce_terms(v.terms), v.shifts)
+        return v
 
     def contains(self, v) -> bool:
         return self.reduce(_wrap(v)).is_zero()
@@ -634,27 +652,22 @@ def ideal_dimension(gens, ring: PolyRing = None, *, budgets: Budgets | None = No
     if not gens:
         return n
     gb = groebner_basis(gens, budgets=budgets, _allow_inhomogeneous=True)
+    return _leads_dimension(gb, n)
+
+
+def _leads_dimension(gb: GroebnerBasis, n: int) -> int:
+    """The dimension `ideal_dimension` reads off the leads of a Groebner
+    basis of the ideal, in n variables."""
     leads = [m for (_c, m) in gb.leads]
     if any(mono_deg(m) == 0 for m in leads):
         return -1
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
     for size in range(n, -1, -1):
-        for subset in _subsets(n, size):
+        for subset in combinations(range(n), size):
             s = frozenset(subset)
             if all(not sup <= s for sup in supports):
                 return size
     return 0
-
-
-def _subsets(n, size):
-    def rec(start, left, acc):
-        if left == 0:
-            yield tuple(acc)
-            return
-        for i in range(start, n - left + 1):
-            yield from rec(i + 1, left - 1, acc + [i])
-
-    yield from rec(0, size, [])
 
 
 def _fresh_name(taken, base="t"):
@@ -709,8 +722,6 @@ def ideal_ops(a, b, op: str, ring: PolyRing = None, *, budgets: Budgets | None =
 def _ideal_intersection(a, b, ring, budgets):
     if not a or not b:
         return []
-    from .arith import elimination_order
-
     tname = _fresh_name(set(ring.vars))
     ext = PolyRing(ring.p, (tname,) + ring.vars, elimination_order(1))
     idx = [i + 1 for i in range(ring.nvars)]

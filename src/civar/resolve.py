@@ -14,25 +14,34 @@ entry appearing anywhere (v3 = v1 + x v2 leaves every entry in the maximal
 ideal), and keeping such a column silently inflates every Betti number after
 it.
 
-Every reduction modulo (f) without cofactors (`RingSpec.qnf`,
-`RingSpec.qnf_elt`, the products g * x^m that `minimal_columns` spans)
-reads the monomial normal-form table of `RingSpec.ci_gb` through
-`GroebnerBasis.reduce_terms`.  The remainder modulo a Groebner basis is
-unique and linear, so reducing term by term from the table gives exactly
+`RingSpec` builds the reduced Groebner basis of (f), `ci_gb`, once, when it
+validates the ring, and every computation over Q passes that one basis down
+(`syzygies`, `SubmoduleOracle`, the relation submodule's basis).  So its
+monomial normal-form table is the only one for (f): every reduction modulo
+(f) without cofactors (`RingSpec.qnf`, `RingSpec.qnf_elt`, the products
+g * x^m that `minimal_columns` spans, the tails `syzygies` harvests) reads it
+through `GroebnerBasis.reduce_terms`.  The remainder modulo a Groebner basis
+is unique and linear, so reducing term by term from the table gives exactly
 what a full division would.  The table fills lazily, one `normal_form` per
 distinct monomial, and lives as long as the ring.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
-from .arith import IncrementalSpan, Poly, PolyRing, DEGREVLEX, fp_inv, mono_deg
+from .arith import (
+    DEGREVLEX, IncrementalSpan, Poly, PolyRing, fp_inv, matmul, mono_deg, mono_div, mono_mul,
+    mono_one, nullspace,
+)
 from .errors import InputError
 from .groebner import (
     FreeElt,
     GroebnerBasis,
     SubmoduleOracle,
+    _leads_dimension,
     groebner_basis,
     normal_form,
     quotient_elements,
@@ -45,14 +54,17 @@ class RingSpec:
     construction: p an odd prime, each f_i homogeneous of degree >= 2, and
     (f_1..f_c) of codimension c (checked through the dimension of the ideal
     they generate, which certifies the regular-sequence property for
-    homogeneous ideals)."""
+    homogeneous ideals).  That check reads the leads of `ci_gb`, the reduced
+    Groebner basis of (f), which then serves every computation over Q.  Its
+    cofactors (element_e = sum_g T[e][g] f_g) let a reduction to zero be
+    rewritten as an exact combination of the f_j themselves."""
 
     __slots__ = (
         "ring",
         "ci",
         "ci_degs",
         "h_ring",
-        "_ci_gb",
+        "ci_gb",
         "_std_cache",
     )
 
@@ -74,9 +86,8 @@ class RingSpec:
             raise InputError("a complete intersection needs at least one relation")
         if len(polys) > self.ring.nvars:
             raise InputError("more relations than variables cannot be a regular sequence")
-        from .groebner import ideal_dimension
-
-        dim = ideal_dimension(polys, self.ring)
+        self.ci_gb = groebner_basis(polys, cofactors=True)
+        dim = _leads_dimension(self.ci_gb, self.ring.nvars)
         if dim != self.ring.nvars - len(polys):
             raise InputError(
                 "the given relations do not form a regular sequence "
@@ -86,7 +97,6 @@ class RingSpec:
         self.ci = tuple(polys)
         self.ci_degs = tuple(f.homogeneous_degree() for f in polys)
         self.h_ring = PolyRing(p, tuple(f"chi{j+1}" for j in range(len(polys))), DEGREVLEX)
-        self._ci_gb = None
         self._std_cache = {}
 
     @property
@@ -104,15 +114,6 @@ class RingSpec:
     @property
     def is_artinian(self) -> bool:
         return self.dim == 0
-
-    @property
-    def ci_gb(self) -> GroebnerBasis:
-        """Groebner basis of (f), with cofactors: element_e = sum_g T[e][g] f_g.
-        The cofactors are what lets a reduction to zero be rewritten as an
-        exact combination of the f_j themselves."""
-        if self._ci_gb is None:
-            self._ci_gb = groebner_basis(self.ci, cofactors=True)
-        return self._ci_gb
 
     def qnf(self, f: Poly) -> Poly:
         """Normal form of f modulo (f_1..f_c): the canonical representative
@@ -132,8 +133,6 @@ class RingSpec:
         got = self._std_cache.get(d)
         if got is None:
             leads = [m for (_c, m) in self.ci_gb.leads]
-            from .arith import mono_div
-
             got = tuple(
                 m
                 for m in self.ring.monomials_of_degree(d)
@@ -185,7 +184,7 @@ class ModulePresentation:
         free module's surjection onto the module.  Normal forms against it
         give canonical representatives of module elements."""
         if self._sub_gb is None:
-            ext = list(self.relations) + quotient_elements(self.rs.ci, self.rank, self.gens)
+            ext = list(self.relations) + quotient_elements(self.rs.ci_gb, self.rank, self.gens)
             self._sub_gb = groebner_basis(ext)
         return self._sub_gb
 
@@ -290,8 +289,6 @@ def prune_units(pres: ModulePresentation) -> ModulePresentation:
         entries = [mat[i][j] for i in live_rows]
         if all(e.is_zero() for e in entries):
             continue
-        if not entries:
-            continue
         cols.append(FreeElt.from_polys(entries, new_gens))
     return ModulePresentation(rs, new_gens, cols)
 
@@ -384,7 +381,7 @@ class Resolution:
                 self.degs.append(())
                 self.diffs.append([])
                 continue
-            syz = syzygies(cols, quotient=list(self.rs.ci))
+            syz = syzygies(cols, quotient=self.rs.ci_gb)
             nxt = minimal_columns(self.rs, syz, self.degs[i])
             self.degs.append(tuple(c.degree() for c in nxt))
             self.diffs.append(nxt)
@@ -471,7 +468,7 @@ def is_mcm(pres: ModulePresentation) -> bool:
         dual_shifts = tuple(-d for d in res.degs[i])
         up = res.diffs[i + 1]
         if up:
-            ker = syzygies(_transpose_columns(up, bi, res.degs[i], ring), quotient=list(rs.ci))
+            ker = syzygies(_transpose_columns(up, bi, res.degs[i], ring), quotient=rs.ci_gb)
         else:
             ker = [
                 FreeElt(ring, bi, {(r, ring._one_mono): 1}, dual_shifts)
@@ -482,7 +479,7 @@ def is_mcm(pres: ModulePresentation) -> bool:
         down_rows = _transpose_columns(res.diffs[i], len(res.degs[i - 1]), res.degs[i - 1], ring)
         # rows of d_i live in the same dual free module as the kernel
         down = [FreeElt(ring, bi, dict(w.terms), dual_shifts) for w in down_rows]
-        oracle = SubmoduleOracle(down, quotient=list(rs.ci))
+        oracle = SubmoduleOracle(down, quotient=rs.ci_gb)
         for w in ker:
             w2 = FreeElt(ring, bi, dict(w.terms), dual_shifts)
             if not oracle.contains(w2):
@@ -534,8 +531,6 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
         return vm
     gb = pres.relation_submodule_gb()
     leads = gb.leads
-    from .arith import mono_div, mono_one
-
     one = mono_one(ring.nvars)
     bound = [[0] * ring.nvars for _ in range(rank)]
     for c in range(rank):
@@ -557,7 +552,7 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
         comp_leads = [m for (cc, m) in leads if cc == c]
         if one in comp_leads:
             continue
-        for m in _exponent_box(bound[c]):
+        for m in product(*(range(b) for b in bound[c])):
             if all(mono_div(m, l) is None for l in comp_leads):
                 basis.append((c, m))
     basis.sort(key=lambda k: (mono_deg(k[1]) + pres.gens[k[0]], k[0], ring.order.key(k[1])))
@@ -565,8 +560,6 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
     dim = len(basis)
     degs = np.array([mono_deg(m) + pres.gens[c] for (c, m) in basis], dtype=np.int64)
     actions = []
-    from .arith import mono_mul
-
     for v in range(ring.nvars):
         mat = np.zeros((dim, dim), dtype=np.int64)
         xv = ring.gen(v)
@@ -581,28 +574,12 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
     return vm
 
 
-def _exponent_box(bounds):
-    """All exponent tuples with e_v < bounds[v] (bounds[v] >= 1)."""
-    if not bounds:
-        yield ()
-        return
-    def rec(i, acc):
-        if i == len(bounds):
-            yield tuple(acc)
-            return
-        for e in range(bounds[i]):
-            yield from rec(i + 1, acc + [e])
-    yield from rec(0, [])
-
-
 def hilbert_function(pres: ModulePresentation, d: int) -> int:
     """dim_k of the degree-d piece, counted as standard monomials of the
     relation submodule's Groebner basis.  Works whether or not the module has
     finite total dimension."""
     if pres.rank == 0:
         return 0
-    from .arith import mono_div
-
     leads = pres.relation_submodule_gb().leads
     count = 0
     for c, s in enumerate(pres.gens):
@@ -622,8 +599,6 @@ def present_from_vector_model(rs: RingSpec, degs, actions) -> ModulePresentation
     generators are coordinate vectors outside (maximal ideal)*M degree by
     degree; relations come from nullspaces of the evaluation map in each
     degree up to top+1, where the kernel is generated."""
-    from .arith import matmul, nullspace
-
     degs = np.asarray(degs, dtype=np.int64)
     dim = int(degs.shape[0])
     p = rs.p

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from civar.arith import matmul
-from civar.errors import InputError
+from civar.errors import InputError, StabilizationError
 from civar.groebner import normal_form
 from civar.cohomology import (
     VarietyIdeal,
@@ -220,6 +220,20 @@ def test_support_variety_reuses_the_wider_window(r3, monkeypatch):
     assert windows == [4, 6, 8]
     assert v.gens == ()
     assert v.meta == {"stabilized_at": 6, "steps_used": 8, "complexity": 3}
+
+
+def test_stabilization_error_names_the_rejecting_test(r1, monkeypatch):
+    """R1 k's candidates agree (the whole plane), so a complexity estimate
+    that never matches is what rejects them, and the error says so."""
+    import civar.cohomology as cohomology
+
+    monkeypatch.setattr(cohomology, "complexity", lambda pres, steps=12: 1)
+    with pytest.raises(StabilizationError) as exc:
+        support_variety(residue_field(r1), max_steps=10)
+    details = exc.value.details
+    assert details["rejected"] == "complexity"
+    assert (details["dim_lo"], details["dim_hi"], details["complexity"]) == (2, 2, 1)
+    assert "complexity estimate is 1" in str(exc.value)
 
 
 def test_support_variety_hypersurface_modules(r1):

@@ -4,6 +4,8 @@ Oracles live in helpers.py and use their own division loop with different
 tie-breaking, so agreement is evidence rather than tautology.
 """
 
+import threading
+
 import pytest
 
 from civar.arith import DEGREVLEX, Poly, PolyRing
@@ -154,12 +156,13 @@ def test_koszul_syzygy(pxy):
 
 def test_syzygy_over_quotient():
     ring = PolyRing(101, ("x",), DEGREVLEX)
-    syz = syzygies([ring.parse("x")], quotient=[ring.parse("x^2")])
+    syz = syzygies([ring.parse("x")], quotient=groebner_basis([ring.parse("x^2")]))
     assert [str(s) for s in syz] == ["(x)"]
 
 
 def test_unit_generator_has_no_syzygies(pxy):
-    assert syzygies([pxy.one()], quotient=[pxy.parse("x^2"), pxy.parse("y^2")]) == []
+    quotient = groebner_basis([pxy.parse("x^2"), pxy.parse("y^2")])
+    assert syzygies([pxy.one()], quotient=quotient) == []
 
 
 def test_syzygies_kill_generators(pxy):
@@ -175,11 +178,10 @@ def test_syzygies_kill_generators(pxy):
 
 def test_quotient_syzygies_kill_mod_f(pxy):
     rng = seeded("syz-quotient")
-    quotient = [pxy.parse("x^2"), pxy.parse("y^2")]
-    qgb = groebner_basis(quotient)
+    qgb = groebner_basis([pxy.parse("x^2"), pxy.parse("y^2")])
     for _ in range(6):
         gens = [random_homogeneous(pxy, rng.randrange(1, 3), rng) for _ in range(2)]
-        for s in syzygies(gens, quotient=quotient):
+        for s in syzygies(gens, quotient=qgb):
             acc = pxy.zero()
             for i in range(2):
                 acc = acc + s.component(i) * gens[i]
@@ -269,6 +271,35 @@ def test_configure_budgets_scopes_defaults(pxy):
     finally:
         configure_budgets(prev)
     groebner_basis(gens)  # restored
+
+
+def test_configured_budgets_stay_in_their_thread(pxy):
+    gens = [pxy.parse("x^2 - y^2"), pxy.parse("x*y")]
+    sizes = []
+    prev = configure_budgets(Budgets(max_pairs=50_000, max_degree=1))
+    try:
+        worker = threading.Thread(target=lambda: sizes.append(len(groebner_basis(gens))))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        with pytest.raises(ResourceBudgetError):
+            groebner_basis(gens)
+    finally:
+        configure_budgets(prev)
+    assert sizes == [3]  # the other thread ran under the defaults
+
+
+def test_quotient_must_be_an_ideal_basis(pxy):
+    x, f = pxy.parse("x"), pxy.parse("x^2")
+    with pytest.raises(InputError):
+        syzygies([x], quotient=[f])
+    with pytest.raises(InputError):
+        SubmoduleOracle([x], quotient=[f])
+    module_basis = groebner_basis([FreeElt.from_polys([f, pxy.zero()])])
+    with pytest.raises(InputError):
+        syzygies([x], quotient=module_basis)
+    with pytest.raises(InputError):  # a basis over another ring
+        syzygies([x], quotient=groebner_basis([PolyRing(103, ("x", "y"), DEGREVLEX).parse("x^2")]))
 
 
 def test_inhomogeneous_generator_reported(pxy):

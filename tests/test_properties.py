@@ -7,10 +7,12 @@ table could still pass the corpus.  Here the table of `RingSpec.ci_gb` is
 checked against full division (`normal_form`) and against the
 last-match reducer of `helpers.naive_reduce`, on
 R5 = F_101[x,y,z]/(x^2+yz, y^2+xz, z^2), on the one-dimensional
-F_101[x,y,z]/(x^2+yz, y^2+xz), and on a one-dimensional ring with
-trinomial relations.  Tate's formula is checked on drawn regular
-sequences.  Hypothesis runs derandomized with few examples, so these stay
-fast and reproducible.
+F_101[x,y,z]/(x^2+yz, y^2+xz), on a one-dimensional ring with trinomial
+relations, and on F_101[x,y]/(x^2+y^2, xy), whose reduced basis of (f) has
+three elements for two relations.  Tate's formula is checked on drawn
+regular sequences, and two properties of support varieties (Avramov 1989)
+on that last ring.  Hypothesis runs derandomized with few examples, so these
+stay fast and reproducible.
 """
 
 import random
@@ -19,9 +21,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from civar.arith import Poly, PolyRing
+from civar.cohomology import support_variety
 from civar.errors import InputError
 from civar.groebner import FreeElt, normal_form, syzygies
-from civar.resolve import RingSpec, apply_columns, residue_field, resolve_min
+from civar.resolve import (
+    RingSpec,
+    apply_columns,
+    direct_sum,
+    present_module,
+    residue_field,
+    resolve_min,
+    syzygy_module,
+)
 
 from helpers import naive_reduce, random_column
 
@@ -32,7 +43,9 @@ DIM1 = RingSpec(101, ["x", "y", "z"], ["x^2 + y*z", "y^2 + x*z"])
 # binomial relations still give one-term normal forms of monomials; these
 # trinomials give many-term ones (60 monomials of degree <= 6)
 DENSE = RingSpec(101, ["x", "y", "z"], ["x^2 + 2*y*z + 3*z^2", "y^2 + 5*x*z + 7*x*y"])
-RINGS = pytest.mark.parametrize("rs", [R5, DIM1, DENSE], ids=["R5", "dim1", "dense"])
+# reduced basis y^3, x^2 + y^2, xy: larger than the regular sequence
+WIDE = RingSpec(101, ["x", "y"], ["x^2 + y^2", "x*y"])
+RINGS = pytest.mark.parametrize("rs", [R5, DIM1, DENSE, WIDE], ids=["R5", "dim1", "dense", "wide"])
 
 
 @st.composite
@@ -98,7 +111,7 @@ def test_syzygies_vanish_modulo_f(rs, seed, ncols):
     rng = random.Random(seed)
     shifts = (0, 1)
     cols = [random_column(rs.ring, shifts, rng.randint(1, 2), rng) for _ in range(ncols)]
-    for s in syzygies(cols, quotient=list(rs.ci)):
+    for s in syzygies(cols, quotient=rs.ci_gb):
         combo = apply_columns(cols, s, len(shifts), shifts)
         for comp in combo.components():
             assert oracle_nf(rs, comp).is_zero()
@@ -124,6 +137,7 @@ def tate_coefficients(n: int, c: int, steps: int):
     [
         (["x", "y", "z"], ["x^2 + y*z", "y^2 + x*z"], [1, 3, 5, 7, 9, 11]),
         (["x", "y", "z", "w"], ["x^2 + y*z", "y^2 + z*w"], [1, 4, 8, 12, 16, 20]),
+        (["x", "y"], ["x^2 + y^2", "x*y"], [1, 2, 3, 4, 5, 6]),
     ],
 )
 def test_tate_pinned(variables, ci, want):
@@ -143,3 +157,19 @@ def test_tate_on_drawn_regular_sequences(data):
     except InputError:
         assume(False)
     assert resolve_min(residue_field(rs), 5).betti_sequence(5) == tate_coefficients(3, c, 5)
+
+
+# ---------------------------------------------------------------------------
+# support varieties: V(M (+) N) = V(M) u V(N) and V(syz M) = V(M)
+
+
+def test_variety_of_a_direct_sum_is_the_union():
+    m = present_module(WIDE, (0,), [["x + 2*y"]])
+    n = present_module(WIDE, (0,), [["x + 3*y"]])
+    union = support_variety(m).union(support_variety(n))
+    assert support_variety(direct_sum(m, n)).equals(union)
+
+
+def test_variety_of_the_first_syzygy_is_unchanged():
+    m = present_module(WIDE, (0,), [["x + 2*y"]])
+    assert support_variety(syzygy_module(m, 1)).equals(support_variety(m))
