@@ -1,14 +1,16 @@
 """Cohomology operators, the module E(M,k) over H = k[chi_1..chi_c], and
 support varieties.
 
-The operators come out of the resolution the classical way: differentials
-over Q already carry normal-form entries, so read them over the ambient ring
-P, compose two consecutive ones, and divide the composite by the Groebner
-basis of (f) with cofactor tracking.  The remainder must vanish identically;
-the cofactors, pushed through the basis's own expression in f_1..f_c, give
-an exact identity d~ d~ = sum_j f_j t~_j.  Reducing t~_j modulo (f) yields
-chain maps of degree -2, and their constant-term matrices (transposed) are
-the chi_j action on E.
+The operators come out of the resolution the classical way (Eisenbud,
+Trans. AMS 260, 1980): differentials over Q already carry normal-form
+entries, so read them over the ambient ring P and compose two consecutive
+ones.  The composite d~ d~ must reduce to zero modulo (f), and the ring's
+normal-form table, which records x^m - NF(x^m) = sum_j c_{m,j} f_j for every
+monomial it holds, lifts it term by term to an exact identity
+d~ d~ = sum_j f_j t~_j.  The t~_j depend on the lift only up to a syzygy of
+f_1..f_c; those are Koszul, with entries in (f), so reducing t~_j modulo (f)
+gives well-defined chain maps of degree -2.  Their constant-term matrices
+(transposed) are the chi_j action on E.
 
 The annihilator is approximated by window linear algebra: for each degree d
 collect every homogeneous h with h-action zero on all composable windows
@@ -26,10 +28,10 @@ from .arith import Poly, matmul, nullspace
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
     FreeElt,
+    _sub_shifted,
     groebner_basis,
     ideal_dimension,
     ideal_ops,
-    normal_form,
     radical_membership,
 )
 from .resolve import ModulePresentation, Resolution, apply_columns, resolve_min
@@ -47,65 +49,45 @@ class CiOperators:
 
 
 def lift_and_operators(res: Resolution, upto: int) -> Resolution:
-    """Extract the operators at middle indices 1..upto: express each
-    composite d~_i d~_{i+1} (read over the ambient ring) exactly as
-    sum_j f_j t~_j, storing t_j reduced mod (f).  A nonzero remainder in the
-    division means the resolution is broken, which is an internal invariant
-    violation, never user error."""
+    """Extract the operators at middle indices 1..upto: express each column
+    w of the composite d~_i d~_{i+1} (read over the ambient ring) exactly as
+    sum_j f_j u_j, with the u_j read from the normal-form table of `ci_gb`,
+    and store t_j = NF(u_j).  A nonzero normal form of w means the resolution
+    is broken, and a lift that fails to reproduce w means the table is;
+    both are internal invariant violations, never user error."""
     rs = res.rs
     res.extend(upto + 1)
     if res.ops is None:
         res.ops = CiOperators(rs.codim)
     ops = res.ops
-    ring = rs.ring
     gb = rs.ci_gb
-    cofs_to_f = gb.cofactors  # element_e = sum_g cofs_to_f[e][g] f_g
     for i in range(ops.upto + 1, upto + 1):
         lo_rank = len(res.degs[i - 1])
         lo_shifts = res.degs[i - 1]
         t_cols = [[] for _ in range(rs.codim)]
         for c_idx, v in enumerate(res.diffs[i + 1]):
             w = apply_columns(res.diffs[i], v, lo_rank, lo_shifts)
-            u = [dict() for _ in range(rs.codim)]
-            for r in range(lo_rank):
-                wr = w.component(r)
-                if wr.is_zero():
-                    continue
-                rem, div_cofs = normal_form(wr, gb)
-                if not rem.is_zero():
-                    raise InternalError(
-                        "composite differential does not vanish modulo the "
-                        "defining relations (broken resolution)",
-                        step=i,
-                        column=c_idx,
-                        row=r,
-                    )
-                for e, q in enumerate(div_cofs):
-                    if q.is_zero():
-                        continue
-                    for j in range(rs.codim):
-                        piece = q * cofs_to_f[e][j]
-                        if not piece.is_zero():
-                            cur = u[j].get(r)
-                            u[j][r] = piece if cur is None else cur + piece
+            rem = gb.reduce_terms(w.terms)
+            if rem:
+                raise InternalError(
+                    "composite differential does not vanish modulo the "
+                    "defining relations (broken resolution)",
+                    step=i,
+                    column=c_idx,
+                    row=min(r for (r, _m) in rem),
+                )
+            u = gb.lift_terms(w.terms)
             # exactness audit: sum_j f_j u_j must reproduce w identically
-            check = FreeElt(ring, lo_rank, {}, lo_shifts)
-            for j in range(rs.codim):
-                for r, f in u[j].items():
-                    check = check + FreeElt(
-                        ring, lo_rank, {(r, m): c for m, c in (f * rs.ci[j]).terms.items()}, lo_shifts
-                    )
-            if check != w:
+            check = {}
+            for f, uj in zip(rs.ci, u):
+                for m, cf in f.terms.items():
+                    _sub_shifted(check, uj, -cf, m, rs.p)
+            if check != w.terms:
                 raise InternalError(
                     "operator extraction lost exactness", step=i, column=c_idx
                 )
-            for j in range(rs.codim):
-                entries = {}
-                for r, f in u[j].items():
-                    f = rs.qnf(f)
-                    for m, cf in f.terms.items():
-                        entries[(r, m)] = cf
-                t_cols[j].append(FreeElt(ring, lo_rank, entries, lo_shifts))
+            for j, uj in enumerate(u):
+                t_cols[j].append(FreeElt(rs.ring, lo_rank, gb.reduce_terms(uj), lo_shifts))
         for j in range(rs.codim):
             ops.cols[j][i] = t_cols[j]
     ops.upto = max(ops.upto, upto)
@@ -292,15 +274,7 @@ def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIde
             terms = {m: int(cf) for m, cf in zip(monos, vec) if cf}
             if terms:
                 found.append(Poly(h_ring, terms))
-    # drop generators already inside the ideal of the earlier ones
-    kept = []
-    for g in found:
-        if kept:
-            gb = groebner_basis(kept)
-            if normal_form(g, gb)[0].is_zero():
-                continue
-        kept.append(g)
-    return VarietyIdeal(h_ring, kept)
+    return VarietyIdeal(h_ring, found)
 
 
 def complexity(pres: ModulePresentation, steps: int = 12) -> int:

@@ -237,30 +237,23 @@ def _graded_endo_basis(degs, actions, p):
         s = len(idx[d])
         offs[d] = total
         total += s * s
-    rows = []
+    # X Z_d - Z_{d+1} X = 0 for each action X: Z_d -> Z_{d+1} block, on the
+    # row-major entries of the Z blocks: vec(X Z) = (X kron I) vec(Z) and
+    # vec(Z X) = (I kron X^T) vec(Z)
+    blocks = []
     for mat in actions:
         for d in uniq:
-            src = idx[d]
-            dst = idx.get(d + 1, np.zeros(0, dtype=np.int64))
-            if len(src) == 0:
-                continue
-            x_loc = mat[np.ix_(dst, src)] if len(dst) else np.zeros((0, len(src)), dtype=np.int64)
+            src, dst = idx[d], idx.get(d + 1, ())
             s, t = len(src), len(dst)
-            for a in range(t):
-                for b in range(s):
-                    row = np.zeros(total, dtype=np.int64)
-                    # (X Z_d)[a,b]: coefficients X[a,k] on Z_d[k,b]
-                    for k in range(s):
-                        row[offs[d] + k * s + b] = x_loc[a, k]
-                    # -(Z_{d+1} X)[a,b]: coefficients -X[k,b] on Z_{d+1}[a,k]
-                    if (d + 1) in offs:
-                        t2 = len(idx[d + 1])
-                        for k in range(t2):
-                            row[offs[d + 1] + a * t2 + k] = (row[offs[d + 1] + a * t2 + k] - x_loc[k, b]) % p
-                    if row.any():
-                        rows.append(row)
-    if rows:
-        kernel = nullspace(np.stack(rows, axis=0), p)
+            if s == 0 or t == 0:
+                continue
+            x_loc = mat[np.ix_(dst, src)]
+            eqs = np.zeros((t * s, total), dtype=np.int64)
+            eqs[:, offs[d] : offs[d] + s * s] = np.kron(x_loc, np.eye(s, dtype=np.int64))
+            eqs[:, offs[d + 1] : offs[d + 1] + t * t] = -np.kron(np.eye(t, dtype=np.int64), x_loc.T) % p
+            blocks.append(eqs[eqs.any(axis=1)])
+    if blocks:
+        kernel = nullspace(np.concatenate(blocks, axis=0), p)
     else:
         kernel = [[1 if i == j else 0 for i in range(total)] for j in range(total)]
     basis = []

@@ -23,17 +23,25 @@ passes the ring's reduced Groebner basis of (f), `RingSpec.ci_gb`, as
 module.  `quotient_elements` adjoins its elements g_j * e_i to the
 generators, and `syzygies` reduces the harvested tails modulo it.
 
-Reduction modulo an ideal, where no cofactors are wanted, goes through
-`GroebnerBasis.reduce_terms` instead of a division.  A rank-1 basis keeps a
-table from monomial to the terms of its normal form, each entry filled by
-`normal_form` the first time that monomial is met.  A polynomial, or any
-dict keyed by (slot, monomial) such as a module element or a syzygy tail,
-is then reduced term by term, slot by slot, by table lookups.  This is
-exact: the remainder modulo a Groebner basis is the unique combination of
-standard monomials congruent to the input, so it does not depend on the
-division path, and it is linear, so NF(sum c_m x^m) = sum c_m NF(x^m).
-Divisions whose cofactors matter stay on `normal_form`, because cofactors
-do depend on the path.  The table lives on the basis and dies with it.
+Reduction modulo an ideal goes through one table instead of a division.  A
+rank-1 basis keeps a table from monomial to the terms of its normal form,
+each entry filled by `normal_form` the first time that monomial is met.  A
+polynomial, or any dict keyed by (slot, monomial) such as a module element
+or a syzygy tail, is then reduced term by term, slot by slot, by table
+lookups (`GroebnerBasis.reduce_terms`).  This is exact: the remainder modulo
+a Groebner basis is the unique combination of standard monomials congruent
+to the input, so it does not depend on the division path, and it is linear,
+so NF(sum c_m x^m) = sum c_m NF(x^m).
+
+On a basis built with cofactors, the same `normal_form` call also records in
+the entry the quotients c_{m,j} with x^m - NF(x^m) = sum_j c_{m,j} f_j over
+the input generators f_j, and `GroebnerBasis.lift_terms` reads them the
+same way: for w with NF(w) = 0 it returns u_j with w = sum_j f_j u_j.  The
+quotients depend on the division path, but only up to a syzygy of the f_j.
+When the f_j form a regular sequence, as the relations of a complete
+intersection do, every syzygy is Koszul (Eisenbud, Trans. AMS 260, 1980),
+so its entries lie in (f) and NF(u_j) does not depend on the path either.
+The table lives on the basis and dies with it.
 """
 
 from __future__ import annotations
@@ -64,11 +72,12 @@ _current_budgets: ContextVar[Budgets] = ContextVar("civar_budgets", default=DEFA
 
 
 def configure_budgets(budgets: Budgets | None) -> Budgets:
-    """Set the fallback budgets of the current context and return the
+    """Set the budgets of the current context and return the
     previous value.  None restores the shipped defaults.  The setting is a
     context variable, so it never reaches another thread (a new thread
-    starts from the defaults) and concurrent callers cannot race.  Callers
-    that need a one-off override pass `budgets` explicitly."""
+    starts from the defaults) and concurrent callers cannot race.  It is the
+    only way to set budgets: every completion run reads it when it starts,
+    so a one-off override sets it and restores the returned value after."""
     prev = _current_budgets.get()
     _current_budgets.set(DEFAULT_BUDGETS if budgets is None else budgets)
     return prev
@@ -233,32 +242,22 @@ def _divide(terms: dict, tail, reducers: dict, termkey, p: int, rest: dict = Non
 
 
 class _Completion:
-    """One Buchberger run.  Basis elements are monic; each carries an inert
-    tail (its expression in the input generators) when tracking is on.  Tails
-    never produce pairs and are never reduced against, so cofactor identities
-    are exact by construction."""
+    """One Buchberger run under the budgets of the current context.  Basis
+    elements are monic; each carries an inert tail (its expression in the
+    input generators) when tracking is on.  Tails never produce pairs and are
+    never reduced against, so cofactor identities are exact by construction.
+    With `harvest` on, the tails of elements that die are collected and every
+    pair is treated: the harvested set must be the full Schreyer generating
+    set, and criteria pruning would drop members."""
 
-    def __init__(
-        self,
-        ring: PolyRing,
-        rank: int,
-        shifts,
-        *,
-        track: bool,
-        collect: bool,
-        use_criteria: bool,
-        budgets: Budgets,
-        graded: bool,
-    ):
+    def __init__(self, ring: PolyRing, rank: int, shifts, *, track: bool, harvest: bool):
         self.ring = ring
         self.p = ring.p
         self.rank = rank
         self.shifts = shifts
         self.track = track
-        self.collect = collect
-        self.use_criteria = use_criteria
-        self.budgets = budgets
-        self.graded = graded
+        self.harvest = harvest
+        self.budgets = _current_budgets.get()
         self.monokey = ring.order.key
         # parallel arrays for the basis
         self.leads = []  # (comp, mono)
@@ -283,7 +282,7 @@ class _Completion:
         terms = dict(terms)
         lead = _divide(terms, tail, self.reducers, self.termkey, self.p)
         if lead is None:
-            if self.collect and tail:
+            if self.harvest and tail:
                 self.harvested.append(tail)
             return
         lc = terms[lead]
@@ -296,7 +295,7 @@ class _Completion:
         comp = lead[0]
         for other in self.by_comp.get(comp, ()):
             lcm = mono_lcm(self.leads[other][1], lead[1])
-            deg = mono_deg(lcm) + (self.shifts[comp] if self.graded else 0)
+            deg = mono_deg(lcm) + self.shifts[comp]
             heapq.heappush(
                 self.queue, (deg, self.monokey(lcm), comp, other, idx)
             )
@@ -328,7 +327,7 @@ class _Completion:
                 )
             mi, mj = self.leads[i][1], self.leads[j][1]
             lcm = mono_lcm(mi, mj)
-            if self.use_criteria and self._criteria_skip(i, j, comp, lcm, mi, mj):
+            if not self.harvest and self._criteria_skip(i, j, comp, lcm, mi, mj):
                 self.treated.add((i, j))
                 continue
             self.treated.add((i, j))
@@ -390,7 +389,9 @@ class GroebnerBasis:
         for k, ((c, m), e) in enumerate(zip(self.leads, elements)):
             minus_one = {(k, ring._one_mono): ring.p - 1}
             self._reducers.setdefault(c, []).append((m, e.terms, minus_one))
-        self._nf_table: dict[tuple, tuple] = {}  # monomial -> ((monomial, coeff), ...)
+        # monomial -> (normal-form terms, quotients by the input generators
+        # or None), each a tuple of (monomial, coeff) pairs; see `_fill_entry`
+        self._nf_table: dict[tuple, tuple] = {}
 
     def __len__(self):
         return len(self.elements)
@@ -402,11 +403,31 @@ class GroebnerBasis:
         rem, _ = normal_form(v, self)
         return rem.is_zero()
 
+    def _fill_entry(self, m: tuple) -> tuple:
+        """Fill the table entry of x^m, the first time the monomial is met,
+        from one `normal_form` call: NF(x^m) and, on a basis built with
+        cofactors, the quotients c_j with x^m - NF(x^m) = sum_j c_j f_j over
+        the input generators f_j (the division's cofactors pushed through
+        `cofactors`)."""
+        rem, cofs = normal_form(Poly(self.ring, {m: 1}), self)
+        nf = tuple((mm, c) for (_c, mm), c in rem.terms.items())
+        quots = None
+        if self.cofactors is not None:
+            quots = []
+            for j in range(len(self.cofactors[0])):
+                cj = Poly(self.ring, {})
+                for q, row in zip(cofs, self.cofactors):
+                    if q.terms and row[j].terms:
+                        cj = cj + q * row[j]
+                quots.append(tuple(cj.terms.items()))
+            quots = tuple(quots)
+        entry = self._nf_table[m] = (nf, quots)
+        return entry
+
     def reduce_terms(self, terms: dict, q: tuple = None) -> dict:
         """Normal form of x^q * terms modulo this ideal basis, slot by slot:
         `terms` maps (slot, monomial) to a residue, and so does the result.
-        Each monomial is looked up in the basis's normal-form table, which
-        `normal_form` fills the first time the monomial is met."""
+        Each monomial is looked up in the basis's normal-form table."""
         if self.rank != 1:
             raise InputError("reduce_terms needs the basis of an ideal")
         table = self._nf_table
@@ -415,14 +436,27 @@ class GroebnerBasis:
         for (s, m), v in terms.items():
             if q is not None:
                 m = mono_mul(m, q)
-            nf = table.get(m)
-            if nf is None:
-                rem, _ = normal_form(Poly(self.ring, {m: 1}), self)
-                nf = table[m] = tuple((mm, c) for (_c, mm), c in rem.terms.items())
-            for mm, c in nf:
+            for mm, c in (table.get(m) or self._fill_entry(m))[0]:
                 k = (s, mm)
                 acc[k] = acc.get(k, 0) + v * c
         return {k: r for k, a in acc.items() if (r := a % p)}
+
+    def lift_terms(self, terms: dict) -> list[dict]:
+        """Quotients of `terms` by the input generators f_1..f_c, slot by
+        slot, read from the normal-form table: dicts u_j keyed like `terms`
+        with terms - NF(terms) = sum_j f_j u_j in every slot.  Needs the basis
+        of an ideal built with cofactors, such as `RingSpec.ci_gb`."""
+        if self.rank != 1 or self.cofactors is None:
+            raise InputError("lift_terms needs the basis of an ideal built with cofactors")
+        table = self._nf_table
+        p = self.ring.p
+        accs = [{} for _ in self.cofactors[0]]
+        for (s, m), v in terms.items():
+            for acc, quot in zip(accs, (table.get(m) or self._fill_entry(m))[1]):
+                for mm, c in quot:
+                    k = (s, mm)
+                    acc[k] = acc.get(k, 0) + v * c
+        return [{k: r for k, a in acc.items() if (r := a % p)} for acc in accs]
 
     def scalar_elements(self) -> list[Poly]:
         if self.rank != 1:
@@ -467,31 +501,14 @@ def quotient_elements(quotient: GroebnerBasis, rank: int, shifts) -> list[FreeEl
     ]
 
 
-def groebner_basis(
-    gens,
-    *,
-    cofactors: bool = False,
-    budgets: Budgets | None = None,
-    _allow_inhomogeneous: bool = False,
-) -> GroebnerBasis:
+def groebner_basis(gens, *, cofactors: bool = False, _allow_inhomogeneous: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by `gens` (Poly or
     FreeElt).  Deterministic: normal selection strategy, first-match
-    reduction, element order fixed by sorting on lead terms."""
-    if budgets is None:
-        budgets = _current_budgets.get()
-    raw = list(gens)
-    gens, ring, rank, shifts = _prepare(raw, not _allow_inhomogeneous)
-    graded = all(g.is_homogeneous() for g in gens)
-    eng = _Completion(
-        ring,
-        rank,
-        shifts,
-        track=cofactors,
-        collect=False,
-        use_criteria=True,
-        budgets=budgets,
-        graded=graded,
-    )
+    reduction, element order fixed by sorting on lead terms.  Inhomogeneous
+    input is allowed only for ideals, whose one shift is 0, so the pair
+    degree is the degree of the lcm either way."""
+    gens, ring, rank, shifts = _prepare(list(gens), not _allow_inhomogeneous)
+    eng = _Completion(ring, rank, shifts, track=cofactors, harvest=False)
     for idx, g in enumerate(gens):
         tail = {(idx, ring._one_mono): 1} if cofactors else None
         eng.add_generator(g.terms, tail)
@@ -555,12 +572,7 @@ def normal_form(v, gb: GroebnerBasis):
     return rem, [Poly(gb.ring, d) for d in cofs]
 
 
-def syzygies(
-    gens,
-    *,
-    quotient=None,
-    budgets: Budgets | None = None,
-) -> list[FreeElt]:
+def syzygies(gens, *, quotient=None) -> list[FreeElt]:
     """Generators of the syzygy module of `gens` (rank-m column vectors of
     relations among them), via one tracked completion run.
 
@@ -569,24 +581,13 @@ def syzygies(
     are adjoined as untracked generators and harvested tails are reduced
     modulo it.  Criteria pruning is off here: the harvested set must be the
     full Schreyer generating set, and skipping pairs would drop members."""
-    if budgets is None:
-        budgets = _current_budgets.get()
     raw = list(gens)
     if not raw:
         return []
     gens, ring, rank, shifts = _prepare(raw, True)
     _check_quotient(quotient, ring)
     m = len(gens)
-    eng = _Completion(
-        ring,
-        rank,
-        shifts,
-        track=True,
-        collect=True,
-        use_criteria=False,
-        budgets=budgets,
-        graded=True,
-    )
+    eng = _Completion(ring, rank, shifts, track=True, harvest=True)
     for idx, g in enumerate(gens):
         eng.add_generator(g.terms, {(idx, ring._one_mono): 1})
     if quotient is not None:
@@ -614,7 +615,7 @@ class SubmoduleOracle:
     quotient by an ideal given by its Groebner basis, such as
     `RingSpec.ci_gb`.  Builds one Groebner basis up front and reuses it."""
 
-    def __init__(self, gens, *, quotient=None, budgets: Budgets | None = None):
+    def __init__(self, gens, *, quotient=None):
         gens = [_wrap(g) for g in gens]
         _check_quotient(quotient, gens[0].ring if gens else None)
         self.quotient = quotient
@@ -622,7 +623,7 @@ class SubmoduleOracle:
         if gens:
             if quotient is not None:
                 gens += quotient_elements(quotient, gens[0].rank, gens[0].shifts)
-            self.gb = groebner_basis(gens, budgets=budgets)
+            self.gb = groebner_basis(gens)
 
     def reduce(self, v):
         if self.gb is not None:
@@ -639,7 +640,7 @@ class SubmoduleOracle:
 # ideal-level operations
 
 
-def ideal_dimension(gens, ring: PolyRing = None, *, budgets: Budgets | None = None) -> int:
+def ideal_dimension(gens, ring: PolyRing = None) -> int:
     """Krull dimension of P/I by the independent-set method: the dimension is
     the largest number of variables S such that no leading monomial of the
     Groebner basis lies entirely in k[S].  Returns -1 for the unit ideal."""
@@ -651,7 +652,7 @@ def ideal_dimension(gens, ring: PolyRing = None, *, budgets: Budgets | None = No
     n = ring.nvars
     if not gens:
         return n
-    gb = groebner_basis(gens, budgets=budgets, _allow_inhomogeneous=True)
+    gb = groebner_basis(gens, _allow_inhomogeneous=True)
     return _leads_dimension(gb, n)
 
 
@@ -679,7 +680,7 @@ def _fresh_name(taken, base="t"):
     return f"{base}{i}"
 
 
-def radical_membership(g: Poly, gens, ring: PolyRing = None, *, budgets: Budgets | None = None) -> bool:
+def radical_membership(g: Poly, gens, ring: PolyRing = None) -> bool:
     """Is g in the radical of (gens)?  Standard trick: g is in sqrt(I) iff
     1 lies in I + (1 - t g) in the extended ring P[t]."""
     if ring is None:
@@ -691,11 +692,11 @@ def radical_membership(g: Poly, gens, ring: PolyRing = None, *, budgets: Budgets
     lifted = [f.map_to(ext, idx) for f in gens if not f.is_zero()]
     t = ext.gen(ext.nvars - 1)
     lifted.append(ext.one() - t * g.map_to(ext, idx))
-    gb = groebner_basis(lifted, budgets=budgets, _allow_inhomogeneous=True)
+    gb = groebner_basis(lifted, _allow_inhomogeneous=True)
     return any(m == ext._one_mono for (_c, m) in gb.leads)
 
 
-def ideal_ops(a, b, op: str, ring: PolyRing = None, *, budgets: Budgets | None = None) -> list[Poly]:
+def ideal_ops(a, b, op: str, ring: PolyRing = None) -> list[Poly]:
     """Sum, product, or intersection of two ideals, returned as the reduced
     Groebner basis in the original ring (deterministic generators)."""
     a = [f for f in a if not f.is_zero()]
@@ -710,16 +711,16 @@ def ideal_ops(a, b, op: str, ring: PolyRing = None, *, budgets: Budgets | None =
     elif op == "product":
         gens = [f * g for f in a for g in b]
     elif op == "intersection":
-        return _ideal_intersection(a, b, ring, budgets)
+        return _ideal_intersection(a, b, ring)
     else:
         raise InputError(f"unknown ideal operation {op!r}")
     if not gens:
         return []
-    gb = groebner_basis(gens, budgets=budgets, _allow_inhomogeneous=True)
+    gb = groebner_basis(gens, _allow_inhomogeneous=True)
     return gb.scalar_elements()
 
 
-def _ideal_intersection(a, b, ring, budgets):
+def _ideal_intersection(a, b, ring):
     if not a or not b:
         return []
     tname = _fresh_name(set(ring.vars))
@@ -729,7 +730,7 @@ def _ideal_intersection(a, b, ring, budgets):
     one_minus_t = ext.one() - t
     gens = [t * f.map_to(ext, idx) for f in a]
     gens += [one_minus_t * g.map_to(ext, idx) for g in b]
-    gb = groebner_basis(gens, budgets=budgets, _allow_inhomogeneous=True)
+    gb = groebner_basis(gens, _allow_inhomogeneous=True)
     kept = []
     back = list(range(ring.nvars))
     for e in gb.elements:
@@ -738,5 +739,5 @@ def _ideal_intersection(a, b, ring, budgets):
             kept.append(Poly(ring, {m[1:]: c for m, c in f.terms.items()}))
     if not kept:
         return []
-    gb2 = groebner_basis(kept, budgets=budgets, _allow_inhomogeneous=True)
+    gb2 = groebner_basis(kept, _allow_inhomogeneous=True)
     return gb2.scalar_elements()

@@ -17,12 +17,15 @@ it.
 `RingSpec` builds the reduced Groebner basis of (f), `ci_gb`, once, when it
 validates the ring, and every computation over Q passes that one basis down
 (`syzygies`, `SubmoduleOracle`, the relation submodule's basis).  So its
-monomial normal-form table is the only one for (f): every reduction modulo
-(f) without cofactors (`RingSpec.qnf`, `RingSpec.qnf_elt`, the products
-g * x^m that `minimal_columns` spans, the tails `syzygies` harvests) reads it
-through `GroebnerBasis.reduce_terms`.  The remainder modulo a Groebner basis
-is unique and linear, so reducing term by term from the table gives exactly
-what a full division would.  The table fills lazily, one `normal_form` per
+monomial normal-form table is the only one for (f), and every reduction
+modulo (f) reads it: through `GroebnerBasis.reduce_terms` for normal forms
+(`RingSpec.qnf`, `RingSpec.qnf_elt`, the products g * x^m that
+`minimal_columns` spans, the tails `syzygies` harvests), and through
+`GroebnerBasis.lift_terms` for the quotients by f_1..f_c that the operator
+lift needs.  The remainder modulo a Groebner basis is unique and linear, so
+reducing term by term from the table gives exactly what a full division
+would; the quotients are unique modulo (f) because the syzygies of a
+regular sequence are Koszul.  The table fills lazily, one `normal_form` per
 distinct monomial, and lives as long as the ring.
 """
 
@@ -42,6 +45,7 @@ from .groebner import (
     GroebnerBasis,
     SubmoduleOracle,
     _leads_dimension,
+    _sub_shifted,
     groebner_basis,
     normal_form,
     quotient_elements,
@@ -55,9 +59,12 @@ class RingSpec:
     (f_1..f_c) of codimension c (checked through the dimension of the ideal
     they generate, which certifies the regular-sequence property for
     homogeneous ideals).  That check reads the leads of `ci_gb`, the reduced
-    Groebner basis of (f), which then serves every computation over Q.  Its
-    cofactors (element_e = sum_g T[e][g] f_g) let a reduction to zero be
-    rewritten as an exact combination of the f_j themselves."""
+    Groebner basis of (f), which then serves every computation over Q from
+    its one normal-form table.  It is built with cofactors (element_e =
+    sum_g T[e][g] f_g), so each table entry also holds x^m - NF(x^m) as a
+    combination of the f_j themselves, and anything that reduces to zero
+    lifts to sum_j f_j u_j; NF(u_j) is unique, because the f_j form a regular
+    sequence and their syzygies are Koszul, with entries in (f)."""
 
     __slots__ = (
         "ring",
@@ -426,13 +433,11 @@ def syzygy_module(pres: ModulePresentation, n: int) -> ModulePresentation:
 
 def apply_columns(cols, v: FreeElt, target_rank: int, target_shifts) -> FreeElt:
     """Image of v under the map whose matrix has the given columns: each
-    component of v multiplies the corresponding column."""
-    ring = v.ring
-    out = FreeElt(ring, target_rank, {}, target_shifts)
-    for c, f in enumerate(v.components()):
-        if not f.is_zero():
-            out = out + cols[c].poly_mul(f)
-    return out
+    term a x^m e_c of v adds a x^m times column c."""
+    acc = {}
+    for (c, m), a in v.terms.items():
+        _sub_shifted(acc, cols[c].terms, -a, m, v.ring.p)
+    return FreeElt(v.ring, target_rank, acc, target_shifts)
 
 
 def _transpose_columns(cols, src_rank: int, src_degs, ring):

@@ -1,8 +1,10 @@
 """Ext elements, hypersurface cuts, realization, idempotent splitting, and
 the disjoint-split check."""
 
+import numpy as np
 import pytest
 
+from civar.arith import nullspace
 from civar.errors import (
     InputError,
     PremiseError,
@@ -10,6 +12,7 @@ from civar.errors import (
 )
 from civar.cohomology import VarietyIdeal, support_variety
 from civar.construct import (
+    _graded_endo_basis,
     check_carlson,
     decompose,
     phi,
@@ -223,6 +226,58 @@ def test_decompose_deterministic(r1):
     assert [str(s.relations) for s in one.summands] == [
         str(s.relations) for s in two.summands
     ]
+
+
+def endo_basis_by_loop(degs, actions, p):
+    """The commutant equations X Z_d = Z_{d+1} X written out entry by
+    entry, as the reference for `_graded_endo_basis`."""
+    uniq = sorted(set(int(x) for x in degs))
+    idx = {d: np.flatnonzero(degs == d) for d in uniq}
+    offs, total = {}, 0
+    for d in uniq:
+        offs[d] = total
+        total += len(idx[d]) ** 2
+    rows = []
+    for mat in actions:
+        for d in uniq:
+            src, dst = idx[d], idx.get(d + 1, ())
+            s, t = len(src), len(dst)
+            for a in range(t):
+                for b in range(s):
+                    row = np.zeros(total, dtype=np.int64)
+                    for k in range(s):
+                        row[offs[d] + k * s + b] = mat[dst[a], src[k]]
+                    for k in range(t):
+                        row[offs[d + 1] + a * t + k] = -mat[dst[k], src[b]] % p
+                    if row.any():
+                        rows.append(row)
+    if not rows:
+        return None
+    return [[int(x) for x in vec] for vec in nullspace(np.stack(rows, axis=0), p)]
+
+
+def test_endomorphism_equations_match_the_loop(r1, corpus):
+    mods = [m for _name, m in corpus] + [
+        direct_sum(present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]])),
+        direct_sum(residue_field(r1), residue_field(r1)),
+    ]
+    checked = 0
+    for m in mods:
+        try:
+            vm = vector_model(m)
+        except InputError:
+            continue
+        want = endo_basis_by_loop(vm.degs, vm.actions, m.rs.p)
+        if want is None:
+            continue
+        blocks = [np.flatnonzero(vm.degs == d) for d in sorted(set(int(x) for x in vm.degs))]
+        got = [
+            [int(x) for idx in blocks for x in z[np.ix_(idx, idx)].reshape(-1)]
+            for z in _graded_endo_basis(vm.degs, vm.actions, m.rs.p)
+        ]
+        assert got == want
+        checked += 1
+    assert checked >= 5
 
 
 def test_decompose_needs_finite_length(r4):

@@ -11,7 +11,10 @@ F_101[x,y,z]/(x^2+yz, y^2+xz), on a one-dimensional ring with trinomial
 relations, and on F_101[x,y]/(x^2+y^2, xy), whose reduced basis of (f) has
 three elements for two relations.  Tate's formula is checked on drawn
 regular sequences, and two properties of support varieties (Avramov 1989)
-on that last ring.  Hypothesis runs derandomized with few examples, so these
+on that last ring.  The operators t_j = NF(u_j), from the lift
+d~d~ = sum_j f_j u_j, are checked to be chain maps over Q on these rings and
+on F_101[x,y,z]/(z^2, 3y^2, x^2+yz), whose relations are not their own
+reduced basis.  Hypothesis runs derandomized with few examples, so these
 stay fast and reproducible.
 """
 
@@ -21,9 +24,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from civar.arith import Poly, PolyRing
-from civar.cohomology import support_variety
-from civar.errors import InputError
-from civar.groebner import FreeElt, normal_form, syzygies
+from civar.cohomology import lift_and_operators, support_variety
+from civar.errors import InputError, InternalError
+from civar.groebner import FreeElt, GroebnerBasis, groebner_basis, normal_form, syzygies
 from civar.resolve import (
     RingSpec,
     apply_columns,
@@ -46,6 +49,8 @@ DENSE = RingSpec(101, ["x", "y", "z"], ["x^2 + 2*y*z + 3*z^2", "y^2 + 5*x*z + 7*
 # reduced basis y^3, x^2 + y^2, xy: larger than the regular sequence
 WIDE = RingSpec(101, ["x", "y"], ["x^2 + y^2", "x*y"])
 RINGS = pytest.mark.parametrize("rs", [R5, DIM1, DENSE, WIDE], ids=["R5", "dim1", "dense", "wide"])
+# reduced basis z^2, y^2, x^2 + yz: not the relations themselves
+UNREDUCED = RingSpec(101, ["x", "y", "z"], ["z^2", "3*y^2", "x^2 + y*z"])
 
 
 @st.composite
@@ -102,6 +107,24 @@ def test_qnf_elt_is_componentwise(rs, data):
     got = rs.qnf_elt(v)
     assert got == want
     assert got.shifts == v.shifts
+
+
+@RINGS
+@PROPS
+@given(data=st.data())
+def test_lift_terms_reproduces_the_input(rs, data):
+    f = data.draw(homogeneous(rs.ring))
+    u = rs.ci_gb.lift_terms({(0, m): c for m, c in f.terms.items()})
+    combo = rs.qnf(f)
+    for fj, uj in zip(rs.ci, u):
+        combo = combo + fj * Poly(rs.ring, {m: c for (_s, m), c in uj.items()})
+    assert combo == f
+
+
+def test_lift_terms_needs_cofactors():
+    gb = groebner_basis(list(R5.ci))
+    with pytest.raises(InputError):
+        gb.lift_terms({(0, (2, 0, 0)): 1})
 
 
 @RINGS
@@ -173,3 +196,65 @@ def test_variety_of_a_direct_sum_is_the_union():
 def test_variety_of_the_first_syzygy_is_unchanged():
     m = present_module(WIDE, (0,), [["x + 2*y"]])
     assert support_variety(syzygy_module(m, 1)).equals(support_variety(m))
+
+
+# ---------------------------------------------------------------------------
+# the operators t_j: chain maps over Q, pinned columns, and the lift's audits
+
+
+def compose(cols, v, rank, shifts):
+    """cols applied to v, entry by entry through Poly arithmetic."""
+    ring = v.ring
+    rows = []
+    for r in range(rank):
+        acc = Poly(ring, {})
+        for c, f in enumerate(v.components()):
+            acc = acc + cols[c].component(r) * f
+        rows.append(acc)
+    return FreeElt.from_polys(rows, shifts) if rank else FreeElt(ring, 0, {}, ())
+
+
+@pytest.mark.parametrize(
+    "rs", [R5, DIM1, DENSE, WIDE, UNREDUCED], ids=["R5", "dim1", "dense", "wide", "unreduced"]
+)
+@pytest.mark.parametrize("module", ["k", "x + y", "x^3"])
+def test_operators_are_chain_maps(rs, module):
+    # over R5, dim1 and unreduced, some lifts u_j for Q/(x^3) are not
+    # normal forms, so the stored t_j = NF(u_j) differ from them
+    pres = residue_field(rs) if module == "k" else present_module(rs, (0,), [[module]])
+    res = lift_and_operators(resolve_min(pres, 6), 5)
+    for j, t in enumerate(res.ops.cols):
+        assert all(rs.qnf_elt(col) == col for i in range(1, 6) for col in t[i])
+        for i in range(2, 6):
+            rank, shifts = len(res.degs[i - 2]), res.degs[i - 2]
+            for c, v in enumerate(res.diffs[i + 1]):
+                down = compose(res.diffs[i - 1], t[i][c], rank, shifts)
+                up = compose(t[i - 1], v, rank, shifts)
+                assert rs.qnf_elt(down) == rs.qnf_elt(up), (j, i, c)
+
+
+def test_operator_columns_pinned_on_wide():
+    res = lift_and_operators(resolve_min(residue_field(WIDE), 3), 2)
+    got = [[[str(col) for col in res.ops.cols[j][i]] for i in (1, 2)] for j in range(2)]
+    assert got == [
+        [["(1)", "(0)", "(0)"], ["(1, 0)", "(0, 1)", "(0, 0)", "(0, 1)"]],
+        [["(0)", "(1)", "(0)"], ["(0, 0)", "(1, 0)", "(0, 1)", "(0, 0)"]],
+    ]
+
+
+def test_broken_resolution_is_an_internal_error():
+    res = resolve_min(residue_field(R5), 3)
+    x = R5.ring.gen(0).lead()[0]
+    col = res.diffs[2][0]
+    # x e_x maps to x^2 = -yz modulo (f): d_1 d_2 no longer vanishes
+    res.diffs[2][0] = FreeElt(R5.ring, col.rank, {(0, x): 1}, col.shifts)
+    with pytest.raises(InternalError, match="broken resolution") as err:
+        lift_and_operators(res, 1)
+    assert err.value.details == {"step": 1, "column": 0, "row": 0}
+
+
+def test_lost_exactness_is_an_internal_error(monkeypatch):
+    res = resolve_min(residue_field(UNREDUCED), 3)
+    monkeypatch.setattr(GroebnerBasis, "lift_terms", lambda self, terms: [{} for _ in self.cofactors[0]])
+    with pytest.raises(InternalError, match="lost exactness"):
+        lift_and_operators(res, 1)
