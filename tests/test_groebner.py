@@ -256,7 +256,7 @@ def test_intersection_respects_containment(pxy):
             assert gba.contains(f) and gbb.contains(f)
 
 
-def test_configure_budgets_scopes_defaults(pxy):
+def test_budget_exhaustion_raises(pxy):
     gens = [pxy.parse("x^2 - y^2"), pxy.parse("x*y")]
     for budgets in (Budgets(max_pairs=50_000, max_degree=1), Budgets(max_pairs=0, max_degree=40)):
         prev = configure_budgets(budgets)
@@ -265,6 +265,16 @@ def test_configure_budgets_scopes_defaults(pxy):
                 groebner_basis(gens)
         finally:
             configure_budgets(prev)
+
+
+def test_configure_budgets_scopes_defaults(pxy):
+    gens = [pxy.parse("x^2 - y^2"), pxy.parse("x*y")]
+    prev = configure_budgets(Budgets(max_pairs=50_000, max_degree=1))
+    try:
+        with pytest.raises(ResourceBudgetError):
+            groebner_basis(gens)
+    finally:
+        configure_budgets(prev)
     groebner_basis(gens)  # restored
 
 
