@@ -4,9 +4,10 @@ linear algebra, and univariate factorization.
 Scalars are integer residues modulo an odd prime p.  A polynomial is a
 dictionary mapping exponent tuples to nonzero residues, so equality of
 polynomials is equality of dictionaries and there is no coefficient swell to
-manage.  Dense matrices are numpy int64 arrays reduced modulo p after every
-operation; with p < 2^31 a single product never overflows, and longer
-accumulations are chunked.  Nothing in this module (or anywhere downstream)
+manage.  Dense matrices are numpy int64 arrays whose results come out
+reduced modulo p; with p < 2^31 a single product never overflows, longer
+accumulations are chunked, and row reduction reduces only as often as the
+int64 range requires.  Nothing in this module (or anywhere downstream)
 touches floating point.
 """
 
@@ -514,30 +515,90 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p.  Pivoting is deterministic: columns
-    left to right, pivot row = first row with a nonzero entry.  Returns
-    (matrix, pivot column list)."""
-    a = np.mod(np.array(a, dtype=np.int64, copy=True), p)
+# up to this many rows, rref updates every row at a pivot: picking out the
+# rows with a nonzero entry costs more than it saves on small matrices
+_DENSE_UPDATE_ROWS = 64
+# up to this many entries, rref runs on Python integers: numpy's per-call
+# cost exceeds the arithmetic there
+_SMALL_CELLS = 64
+
+
+def _rref_small(a: np.ndarray, p: int):
+    """`rref` on Python integers, for matrices of at most `_SMALL_CELLS`
+    entries: the same pivot rule, the same output."""
     rows, cols = a.shape
+    m = np.mod(a, p).tolist()
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        i = next((i for i in range(r, rows) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = fp_inv(m[r][c], p)
+        row = m[r] = [x * inv % p for x in m[r]]
+        for k in range(rows):
+            f = m[k][c]
+            if f and k != r:
+                m[k] = [(x - f * y) % p for x, y in zip(m[k], row)]
+        pivots.append(c)
+        r += 1
+    return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
+
+
+def rref(a: np.ndarray, p: int):
+    """Reduced row echelon form mod p.  Pivoting is deterministic: columns
+    left to right, pivot row = first row with a nonzero entry.  Returns
+    (matrix, pivot column list).
+
+    Reduction mod p is delayed.  The pivot row is zero mod p left of its
+    pivot, so a pivot updates only its column and those to its right, and
+    on matrices of more than `_DENSE_UPDATE_ROWS` rows only the rows with a
+    nonzero entry in the pivot column.  The pivot column and the pivot row
+    are reduced before use, so one update moves an entry by less than
+    (p-1)^2, and the whole matrix is reduced once every
+    floor(2^62 / (p-1)^2) - 1 pivots (every pivot for p near 2^31), which
+    keeps each entry below 2^63 in absolute value.  The output is the
+    reduced one, equal to reducing at every pivot.  Matrices of at most
+    `_SMALL_CELLS` entries are reduced on Python integers instead."""
+    a = np.asarray(a, dtype=np.int64)
+    rows, cols = a.shape
+    if rows * cols <= _SMALL_CELLS:
+        return _rref_small(a, p)
+    a = np.array(a, copy=True)
+    np.mod(a, p, out=a)
+    delay = max(1, (1 << 62) // ((p - 1) * (p - 1)) - 1)
+    pending = 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        col = a[:, c] % p
+        nz = col[r:].nonzero()[0]
+        if not len(nz):
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = np.mod(a[r] * fp_inv(int(a[r, c]), p), p)
-        col = a[:, c].copy()
+            col[[r, i]] = col[[i, r]]
+        row = a[r, c:] % p * fp_inv(int(col[r]), p) % p
+        a[r, c:] = row
         col[r] = 0
-        a -= np.outer(col, a[r])
-        np.mod(a, p, out=a)
+        if rows > _DENSE_UPDATE_ROWS:
+            hit = col.nonzero()[0]
+            a[hit, c:] -= col[hit, None] * row
+        else:
+            a[:, c:] -= col[:, None] * row
+        pending += 1
+        if pending >= delay:
+            np.mod(a, p, out=a)
+            pending = 0
         pivots.append(c)
         r += 1
+    np.mod(a, p, out=a)
     return a, pivots
 
 

@@ -294,6 +294,7 @@ def cmd_variety(args):
         "annihilator": [str(g) for g in v.gens],
         "dimension": v.dimension(),
         "complexity": v.meta["complexity"],
+        "generator_degree": v.meta["generator_degree"],
         "stabilized_at": v.meta["stabilized_at"],
         "steps_used": used,
         "betti": [len(res.degs[i]) for i in range(used + 1)],
@@ -441,13 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--steps", type=int, default=None, help="resolution window size N")
     common.add_argument(
         "--cap", dest="max_op_degree", metavar="CAP", type=int, default=None,
-        help="operator degree cap D",
+        help="upper bound on the operator degree of the annihilator window",
     )
     common.add_argument(
-        "--max-pairs", type=int, default=DEFAULT_BUDGETS.max_pairs, help="S-pair budget"
+        "--max-pairs", type=int, default=DEFAULT_BUDGETS.max_pairs,
+        help="S-pair budget of a completion run, product budget of a resolution step",
     )
     common.add_argument(
-        "--max-degree", type=int, default=DEFAULT_BUDGETS.max_degree, help="degree budget"
+        "--max-degree", type=int, default=DEFAULT_BUDGETS.max_degree,
+        help="degree budget of a completion run and of a resolution step",
     )
     common.add_argument(
         "--attempts", type=int, default=DEFAULT_ATTEMPTS, help="idempotent search budget"

@@ -14,17 +14,23 @@ gives well-defined chain maps of degree -2.  Their constant-term matrices
 
 The annihilator is approximated by window linear algebra: for each degree d
 collect every homogeneous h with h-action zero on all composable windows
-E^i -> E^{i+2d} inside the computed range.  That over-approximates the true
-annihilator and shrinks as the range grows, so stabilization is detected by
-comparing two window sizes up to radical, with the Betti-growth complexity
-estimate as an independent guard on the dimension.
+E^i -> E^{i+2d} inside the computed range.  A degree-d candidate is tested
+only on E^i with i <= N - 2d, so it is tested on every H-generator of E that
+the window 0..N sees only when 2d <= N - g_N, g_N the top degree of a
+minimal H-generator of E in 0..N (counted as dim E^i minus the rank of
+[chi_1 E^{i-2} | ... | chi_c E^{i-2}]).  `support_variety` therefore builds
+a_N over d <= (N - g_N) / 2 only.  E is finitely generated over H
+(Gulliksen 1974), so g_N settles; a pair of windows is compared only once
+g_N = g_{N+2} with at least two generator-free degrees above it.  The two
+candidates are then compared up to radical, with the Betti-growth
+complexity estimate as an independent guard on the dimension.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .arith import Poly, matmul, nullspace
+from .arith import Poly, matmul, nullspace, rref
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
     FreeElt,
@@ -240,11 +246,14 @@ class VarietyIdeal:
 
 
 def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIdeal:
-    """Candidate annihilator a_N: for each degree d <= D, all homogeneous h
-    of degree d in the chi's whose action matrix E^i -> E^{i+2d} vanishes for
-    every window inside the computed range.  One nullspace per degree, over
-    the coefficients of the degree-d monomials.  Always contains the true
-    annihilator; monotone shrinking in N."""
+    """Candidate annihilator a_N: for each degree d <= D (default N/2), all
+    homogeneous h of degree d in the chi's whose action matrix
+    E^i -> E^{i+2d} vanishes for every window inside the computed range.  One
+    nullspace per degree, over the coefficients of the degree-d monomials.
+    Always contains the true annihilator.  A degree-d candidate is tested on
+    E^0..E^{N-2d} only, so it can pass while failing on an H-generator of E
+    above degree N - 2d; `support_variety` keeps D <= (N - g_N) / 2, where
+    that cannot happen (see `generator_degree`)."""
     rs = ext.rs
     h_ring = rs.h_ring
     D = ext.steps // 2 if max_op_degree is None else max_op_degree
@@ -277,6 +286,26 @@ def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIde
     return VarietyIdeal(h_ring, found)
 
 
+def generator_counts(ext: ExtKModule) -> list[int]:
+    """Number of minimal H-generators of E in each degree 0..N: dim E^i minus
+    the rank of [chi_1 E^{i-2} | ... | chi_c E^{i-2}], the part of E^i that
+    the operators reach from below."""
+    counts = []
+    for i in range(ext.steps + 1):
+        reached = 0
+        if i >= 2 and ext.dims[i] and ext.dims[i - 2]:
+            stacked = np.concatenate([act[i - 2] for act in ext.act], axis=1)
+            reached = len(rref(stacked, ext.rs.p)[1])
+        counts.append(ext.dims[i] - reached)
+    return counts
+
+
+def generator_degree(ext: ExtKModule) -> int:
+    """g_N: the top degree in 0..N with a minimal H-generator of E (0 when E
+    vanishes there)."""
+    return max((i for i, n in enumerate(generator_counts(ext)) if n), default=0)
+
+
 def complexity(pres: ModulePresentation, steps: int = 12) -> int:
     """Betti-growth estimate: the least r with b_i growing like i^{r-1},
     from successive finite differences of the tail (last half) of the
@@ -307,45 +336,71 @@ def support_variety(
 ) -> VarietyIdeal:
     """The support variety of M, as the stabilized window annihilator.
 
-    Candidates a_N and a_{N+2} are computed; they are accepted when mutually
+    For windows N and N+2 the top generator degrees g_N and g_{N+2} are read
+    off E (`generator_degree`), and a_N is built over operator degrees
+    d <= (N - g_N) / 2, with `max_op_degree` as a further upper bound.  The
+    pair is rejected unless g_N = g_{N+2} with at least two generator-free
+    degrees above g_N; otherwise a_N and a_{N+2} are accepted when mutually
     radical-contained with equal dimension, and when that dimension matches
     the Betti-growth complexity estimate (an independent oracle for
-    under-resolution).  Otherwise the window widens by 2, a_{N+2} becoming
-    the next a_N, until the cap, where a stabilization error reports both
-    candidates and which test rejected the last pair: their dimensions
-    differ, their radicals differ, or the complexity does not match.  The
-    accepted ideal's meta records stabilized_at (N), steps_used (N+2) and
-    the complexity value the guard accepted."""
+    under-resolution).  A rejected pair widens the window by 2, a_{N+2}
+    becoming the next a_N, until the cap, where a stabilization error reports
+    both candidates, g and which test rejected the last pair: the generator
+    degree has not settled, the dimensions differ, the radicals differ, or
+    the complexity does not match.  The accepted ideal's meta records
+    stabilized_at (N), steps_used (N+2), the complexity value the guard
+    accepted and generator_degree (g)."""
     rs = pres.rs
     n0 = steps if steps is not None else max(8, 2 * rs.codim + 4)
     if n0 < 4:
         raise InputError("window of at least 4 steps required", steps=n0)
     cap = max_steps if max_steps is not None else n0 + 8
     res = resolve_min(pres, n0 + 3)
+
+    def window(n):
+        ext = ext_k_module(res, n)
+        g = generator_degree(ext)
+        top = (n - g) // 2
+        if max_op_degree is not None:
+            top = min(top, max_op_degree)
+        return g, (annihilator_window(ext, top) if top >= 1 else None)
+
     n = n0
-    a_lo = annihilator_window(ext_k_module(res, n), max_op_degree)
+    g_lo, a_lo = window(n)
     while True:
-        a_hi = annihilator_window(ext_k_module(res, n + 2), max_op_degree)
-        dims = (a_lo.dimension(), a_hi.dimension())
+        g_hi, a_hi = window(n + 2)
+        dims = (None, None)
         cx = None
-        if dims[0] != dims[1]:
-            rejected, why = "dimension", "the candidates differ in dimension"
-        elif not (a_lo.contains_variety(a_hi) and a_hi.contains_variety(a_lo)):
-            rejected, why = "radical", "the candidates differ up to radical"
+        if g_lo != g_hi or n - g_lo < 2:
+            rejected = "generators"
+            why = f"the top generator degree is {g_lo} at N = {n} and {g_hi} at N = {n + 2}"
         else:
-            cx = complexity(pres, n + 2)
-            if cx == dims[1]:
-                a_hi.meta = {"stabilized_at": n, "steps_used": n + 2, "complexity": cx}
-                return a_hi
-            rejected, why = "complexity", f"the candidates agree, the complexity estimate is {cx}"
+            dims = (a_lo.dimension(), a_hi.dimension())
+            if dims[0] != dims[1]:
+                rejected, why = "dimension", "the candidates differ in dimension"
+            elif not (a_lo.contains_variety(a_hi) and a_hi.contains_variety(a_lo)):
+                rejected, why = "radical", "the candidates differ up to radical"
+            else:
+                cx = complexity(pres, n + 2)
+                if cx == dims[1]:
+                    a_hi.meta = {
+                        "stabilized_at": n,
+                        "steps_used": n + 2,
+                        "complexity": cx,
+                        "generator_degree": g_hi,
+                    }
+                    return a_hi
+                rejected, why = "complexity", f"the candidates agree, the complexity estimate is {cx}"
         n += 2
         if n + 2 > cap:
+            if dims[0] is not None:
+                why += f" (candidate dimensions {dims[0]} and {dims[1]})"
             raise StabilizationError(
-                f"window annihilator not accepted by N = {cap}: {why} "
-                f"(candidate dimensions {dims[0]} and {dims[1]})",
-                candidate_lo=[str(g) for g in a_lo.gens],
-                candidate_hi=[str(g) for g in a_hi.gens],
+                f"window annihilator not accepted by N = {cap}: {why}",
+                candidate_lo=[str(g) for g in a_lo.gens] if a_lo else [],
+                candidate_hi=[str(g) for g in a_hi.gens] if a_hi else [],
                 steps=cap,
                 rejected=rejected, dim_lo=dims[0], dim_hi=dims[1], complexity=cx,
+                generator_degree_lo=g_lo, generator_degree_hi=g_hi,
             )
-        a_lo = a_hi
+        g_lo, a_lo = g_hi, a_hi

@@ -41,8 +41,9 @@ class ResourceBudgetError(CivarError):
 class StabilizationError(ResourceBudgetError):
     """No window annihilator was accepted up to the step budget.  Carries
     both candidate generator lists in ``details``, with the test that
-    rejected the last pair (``rejected``: dimension, radical or complexity),
-    both dimensions and the complexity estimate."""
+    rejected the last pair (``rejected``: generators, dimension, radical or
+    complexity), both dimensions, the complexity estimate and the top
+    H-generator degree of E in both windows."""
 
     reason = "stabilization"
 

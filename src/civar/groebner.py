@@ -59,7 +59,10 @@ from .errors import InputError, ResourceBudgetError
 
 @dataclass(frozen=True)
 class Budgets:
-    """Hard resource limits for a completion run.  Exceeding one raises
+    """Hard resource limits.  A completion run counts S-pairs against
+    max_pairs and stops at pair degree max_degree; a degreewise resolution
+    step over an artinian ring counts its products x^m * column against
+    max_pairs and stops at degree max_degree.  Exceeding one raises
     ResourceBudgetError; there is no silent truncation."""
 
     max_pairs: int = 50_000
@@ -158,12 +161,6 @@ class FreeElt:
     def __sub__(self, other):
         self._check(other)
         t = add_terms(self.terms, other.terms, -1, self.ring.p)
-        return FreeElt(self.ring, self.rank, t, self.shifts)
-
-    def poly_mul(self, f: Poly) -> "FreeElt":
-        t = {}
-        for fm, fv in f.terms.items():
-            _sub_shifted(t, self.terms, -fv, fm, self.ring.p)
         return FreeElt(self.ring, self.rank, t, self.shifts)
 
     def _check(self, other):

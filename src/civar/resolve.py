@@ -2,31 +2,48 @@
 
 A module is a cokernel presentation: generator degrees plus homogeneous
 relation columns in the corresponding graded free module.  Resolutions are
-built step by step (syzygies over Q, then a minimal generating set of each
-kernel), so every differential has entries in the graded maximal ideal and
-Betti numbers can be read off as ranks.
+built step by step, each step a minimal generating set of the kernel of the
+differential before it, so every differential has entries in the graded
+maximal ideal and Betti numbers can be read off as ranks.
 
-Minimality of each kernel's generating set is decided by linear algebra over
-k, degree by degree: a candidate column is kept exactly when it falls outside
-the span of (maximal ideal) times the columns already kept.  Unit-pivot
-pruning alone cannot do this job; a column can be redundant without any unit
-entry appearing anywhere (v3 = v1 + x v2 leaves every entry in the maximal
-ideal), and keeping such a column silently inflates every Betti number after
-it.
+Over an artinian Q (dim Q = 0) a step is graded linear algebra
+(`kernel_generators`).  Q_t vanishes above the socle degree
+s = sum(deg f_j - 1), so the kernel of d_i: F_i -> F_{i-1} lives in
+degrees min e + 1 .. max e + s, e the degrees of F_i's generators.  There
+it is computed one degree t at a time: the span of x_v * K_{t-1} first,
+and, where that falls short of dim K_t, the nullspace of the matrix
+(F_i)_t -> (F_{i-1})_t whose columns are the products x^m * column reduced
+from the table of `ci_gb`.  The kernel vectors outside the span are the new
+minimal generators.  Exactness gives dim K_t = dim (F_i)_t - dim K'_t, K'
+the kernel of the step before, so from the second step on the nullspace is
+needed only in the lowest degree and wherever new generators appear.
+
+Every other Q takes the Groebner path: `syzygies` over Q, then a minimal
+generating set of them (`minimal_columns`).  Minimality is decided by
+linear algebra over k, degree by degree: a candidate column is kept exactly
+when it falls outside the span of (maximal ideal) times the columns already
+kept.  Unit-pivot pruning alone cannot do this job; a column can be
+redundant without any unit entry appearing anywhere (v3 = v1 + x v2 leaves
+every entry in the maximal ideal), and keeping such a column silently
+inflates every Betti number after it.  The first differential, a minimal
+generating set of the given relations, comes out of `minimal_columns` on
+both paths.
 
 `RingSpec` builds the reduced Groebner basis of (f), `ci_gb`, once, when it
 validates the ring, and every computation over Q passes that one basis down
 (`syzygies`, `SubmoduleOracle`, the relation submodule's basis).  So its
 monomial normal-form table is the only one for (f), and every reduction
 modulo (f) reads it: through `GroebnerBasis.reduce_terms` for normal forms
-(`RingSpec.qnf`, `RingSpec.qnf_elt`, the products g * x^m that
-`minimal_columns` spans, the tails `syzygies` harvests), and through
-`GroebnerBasis.lift_terms` for the quotients by f_1..f_c that the operator
-lift needs.  The remainder modulo a Groebner basis is unique and linear, so
-reducing term by term from the table gives exactly what a full division
-would; the quotients are unique modulo (f) because the syzygies of a
-regular sequence are Koszul.  The table fills lazily, one `normal_form` per
-distinct monomial, and lives as long as the ring.
+(`RingSpec.qnf`, `RingSpec.qnf_elt`, the products x^m * column of the
+degreewise kernel and the multiplication by the variables on Q, the
+products g * x^m that `minimal_columns` spans, the tails `syzygies`
+harvests), and through `GroebnerBasis.lift_terms` for the quotients by
+f_1..f_c that the operator lift needs.  The remainder modulo a Groebner
+basis is unique and linear, so reducing term by term from the table gives
+exactly what a full division would; the quotients are unique modulo (f)
+because the syzygies of a regular sequence are Koszul.  The table fills
+lazily, one `normal_form` per distinct monomial, and lives as long as the
+ring.
 """
 
 from __future__ import annotations
@@ -37,13 +54,14 @@ import numpy as np
 
 from .arith import (
     DEGREVLEX, IncrementalSpan, Poly, PolyRing, fp_inv, matmul, mono_deg, mono_div, mono_mul,
-    mono_one, nullspace,
+    mono_one, nullspace, rref,
 )
-from .errors import InputError
+from .errors import InputError, InternalError, ResourceBudgetError
 from .groebner import (
     FreeElt,
     GroebnerBasis,
     SubmoduleOracle,
+    _current_budgets,
     _leads_dimension,
     _sub_shifted,
     groebner_basis,
@@ -73,6 +91,8 @@ class RingSpec:
         "h_ring",
         "ci_gb",
         "_std_cache",
+        "_pos_cache",
+        "_action_cache",
     )
 
     def __init__(self, p: int, variables, ci):
@@ -105,6 +125,8 @@ class RingSpec:
         self.ci_degs = tuple(f.homogeneous_degree() for f in polys)
         self.h_ring = PolyRing(p, tuple(f"chi{j+1}" for j in range(len(polys))), DEGREVLEX)
         self._std_cache = {}
+        self._pos_cache = {}
+        self._action_cache = {}
 
     @property
     def p(self) -> int:
@@ -121,6 +143,11 @@ class RingSpec:
     @property
     def is_artinian(self) -> bool:
         return self.dim == 0
+
+    @property
+    def socle_degree(self) -> int:
+        """sum(deg f_j - 1): on an artinian Q, the top degree with Q_d != 0."""
+        return sum(d - 1 for d in self.ci_degs)
 
     def qnf(self, f: Poly) -> Poly:
         """Normal form of f modulo (f_1..f_c): the canonical representative
@@ -146,6 +173,35 @@ class RingSpec:
                 if all(mono_div(m, l) is None for l in leads)
             )
             self._std_cache[d] = got
+        return got
+
+    def standard_positions(self, d: int) -> dict:
+        """Position of each standard monomial of degree d in
+        `standard_monomials(d)`."""
+        got = self._pos_cache.get(d)
+        if got is None:
+            got = self._pos_cache[d] = {m: n for n, m in enumerate(self.standard_monomials(d))}
+        return got
+
+    def variable_action(self, d: int):
+        """Multiplication by the variables from Q_d to Q_{d+1}, on the bases
+        `standard_monomials`, read from the normal-form table of `ci_gb`:
+        arrays (source position, variable, target position, coefficient) of
+        the nonzero entries."""
+        got = self._action_cache.get(d)
+        if got is None:
+            target = self.standard_positions(d + 1)
+            n = self.ring.nvars
+            entries = [
+                (k, v, target[mm], cf)
+                for v in range(n)
+                for k, m in enumerate(self.standard_monomials(d))
+                for (_s, mm), cf in self.ci_gb.reduce_terms(
+                    {(0, m): 1}, tuple(int(i == v) for i in range(n))
+                ).items()
+            ]
+            got = np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy()
+            self._action_cache[d] = got
         return got
 
     def __eq__(self, other):
@@ -357,6 +413,133 @@ def minimal_columns(rs: RingSpec, columns, shifts):
     return kept
 
 
+def _offsets(rs: RingSpec, shifts, t: int):
+    """First position of each summand Q(-shift) in the degree-t basis of
+    the free module, and the total dimension."""
+    out, size = [], 0
+    for e in shifts:
+        out.append(size)
+        size += len(rs.standard_monomials(t - e))
+    return out, size
+
+
+def _times_variables(rs: RingSpec, basis, shifts, t: int, below_at, at, width: int):
+    """The rows x_v * w, for w a row of `basis` (vectors of the degree-(t-1)
+    part of sum Q(-shifts), with summand offsets `below_at`), as vectors of
+    the degree-t part (offsets `at`, dimension `width`): one row per (w, v)."""
+    parts = [rs.variable_action(t - 1 - e) for e in shifts]
+    if len(parts) == 1:
+        src, var, pos, cf = parts[0]
+        dst = var * width + pos
+    else:
+        src = np.concatenate([act[0] + below_at[j] for j, act in enumerate(parts)])
+        dst = np.concatenate([act[1] * width + act[2] + at[j] for j, act in enumerate(parts)])
+        cf = np.concatenate([act[3] for act in parts])
+    rows = np.zeros((basis.shape[0], rs.ring.nvars * width), dtype=np.int64)
+    np.add.at(rows, (slice(None), dst), basis[:, src] * cf)
+    return rows.reshape(-1, width)
+
+
+def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_dims=None):
+    """Minimal generators of the kernel K of the map F -> G whose columns
+    `cols`, of degrees `degs`, live in G = sum Q(-target_shifts[k]), over an
+    artinian Q, read off one degree t at a time; returns them with
+    {t: dim K_t}.
+
+    (F)_t has the basis x^m e_j, x^m a standard monomial of degree
+    t - degs[j].  t runs from min(degs) + 1 (the columns are minimal, so K
+    is zero in degree min(degs)) to max(degs) + socle degree, past which F
+    vanishes.  In each degree the span of the rows x_v * K_{t-1} is
+    eliminated first.  When `image_dims` gives dim (im)_t, the rank of the
+    map in every degree (for a resolution, the kernel dimensions of the step
+    before), dim K_t = dim (F)_t - dim (im)_t is known, and a span of that
+    dimension is K_t itself, with nothing new.  Otherwise each x^m * column,
+    reduced from the table of `ci_gb`, becomes a column of the map
+    (F)_t -> (G)_t, whose nullspace is K_t.  A kernel vector is determined by
+    its entries at the nullspace's free columns, so the new generators are
+    the basis vectors at the free columns where the span of x_v * K_{t-1},
+    read at those entries, has no pivot.  They come out monic and, within a
+    degree, ordered by lead, largest first.  Every degree counts against the
+    degree budget and every product x^m * column against the pair budget;
+    either raises ResourceBudgetError naming the budget, `step` and the
+    degree reached."""
+    ring = rs.ring
+    p = rs.p
+    gb = rs.ci_gb
+    budgets = _current_budgets.get()
+    rank = len(degs)
+    order = ring.order.key
+    kernel_dims = {}
+    gens = []
+    products = 0
+    below = None  # (basis of K_{t-1}, its summand offsets), None when K_{t-1} = 0
+    for t in range(min(degs) + 1, max(degs) + rs.socle_degree + 1):
+        if t > budgets.max_degree:
+            raise ResourceBudgetError(
+                f"resolution step {step} reaches degree {t}, past the degree budget "
+                f"{budgets.max_degree}",
+                budget="max_degree", limit=budgets.max_degree, step=step, degree=t,
+            )
+        at, width = _offsets(rs, degs, t)
+        known = None if image_dims is None else width - image_dims.get(t, 0)
+        if width == 0 or known == 0:
+            below = None
+            continue
+        span = None
+        if below is not None:
+            image = _times_variables(rs, below[0], degs, t, below[1], at, width)
+            echelon, span = rref(image, p)
+            if known == len(span):
+                kernel_dims[t] = known
+                below = (echelon[: len(span)], at)
+                continue
+        keys = [(j, m) for j, e in enumerate(degs) for m in rs.standard_monomials(t - e)]
+        products += width
+        if products > budgets.max_pairs:
+            raise ResourceBudgetError(
+                f"resolution step {step} forms {products} products x^m * column by "
+                f"degree {t}, past the pair budget {budgets.max_pairs}",
+                budget="max_pairs", limit=budgets.max_pairs, step=step, degree=t,
+                products=products,
+            )
+        row_at, nrows = _offsets(rs, target_shifts, t)
+        a = np.zeros((nrows, width), dtype=np.int64)
+        for c, (j, m) in enumerate(keys):
+            for (k, mm), v in gb.reduce_terms(cols[j].terms, m).items():
+                a[row_at[k] + rs.standard_positions(t - target_shifts[k])[mm], c] = v
+        r, pivots = rref(a, p)
+        del a
+        is_pivot = set(pivots)
+        free = [c for c in range(width) if c not in is_pivot]
+        if known is not None and len(free) != known:
+            raise InternalError(
+                "kernel dimension differs from the one the previous step implies",
+                step=step, degree=t, found=len(free), expected=known,
+            )
+        kernel_dims[t] = len(free)
+        if not free:
+            below = None
+            continue
+        basis = np.zeros((len(free), width), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        if pivots:
+            basis[:, pivots] = (-r[: len(pivots), free].T) % p
+        del r
+        fresh = range(len(free))
+        if span is not None:
+            covered = set(rref(image[:, free], p)[1])
+            fresh = [n for n in fresh if n not in covered]
+        new = []
+        for n in fresh:
+            g = FreeElt(ring, rank, {keys[c]: v for c, v in enumerate(basis[n].tolist()) if v}, degs)
+            (c, m), lc = g.lead()
+            new.append(((-c, order(m)), g.scale(fp_inv(lc, p)) if lc != 1 else g))
+        new.sort(key=lambda lead_g: lead_g[0], reverse=True)
+        gens += [g for _lead, g in new]
+        below = (basis, at)
+    return gens, kernel_dims
+
+
 # ---------------------------------------------------------------------------
 # resolutions
 
@@ -367,9 +550,11 @@ class Resolution:
     columns of d_i: F_i -> F_{i-1} (diffs[0] is a placeholder).  Because each
     step takes a minimal generating set of the kernel, entries of every
     differential lie in the maximal ideal and len(degs[i]) is the i-th Betti
-    number."""
+    number.  Over an artinian Q each step is `kernel_generators`, degree by
+    degree, fed the kernel dimensions of the step before; over any other Q
+    it is `syzygies` followed by `minimal_columns`."""
 
-    __slots__ = ("rs", "pres", "pruned", "degs", "diffs", "ops")
+    __slots__ = ("rs", "pres", "pruned", "degs", "diffs", "ops", "_kernel_dims")
 
     def __init__(self, pres: ModulePresentation):
         self.rs = pres.rs
@@ -379,6 +564,7 @@ class Resolution:
         self.degs = [tuple(self.pruned.gens), tuple(c.degree() for c in d1)]
         self.diffs = [None, d1]
         self.ops = None  # filled by the operator-extraction layer
+        self._kernel_dims = None  # {t: dim (ker d_i)_t} of the last degreewise step
 
     def extend(self, n: int):
         while len(self.degs) <= n:
@@ -388,8 +574,13 @@ class Resolution:
                 self.degs.append(())
                 self.diffs.append([])
                 continue
-            syz = syzygies(cols, quotient=self.rs.ci_gb)
-            nxt = minimal_columns(self.rs, syz, self.degs[i])
+            if self.rs.is_artinian:
+                nxt, self._kernel_dims = kernel_generators(
+                    self.rs, cols, self.degs[i], self.degs[i - 1], i + 1, self._kernel_dims
+                )
+            else:
+                syz = syzygies(cols, quotient=self.rs.ci_gb)
+                nxt = minimal_columns(self.rs, syz, self.degs[i])
             self.degs.append(tuple(c.degree() for c in nxt))
             self.diffs.append(nxt)
         return self

@@ -8,7 +8,9 @@ bug would have to be shared logic, not shared code paths.
 
 import random
 
-from civar.arith import Poly, mono_div, mono_lcm, mono_mul
+import numpy as np
+
+from civar.arith import Poly, fp_inv, mono_div, mono_lcm, mono_mul
 from civar.groebner import FreeElt, groebner_basis
 
 
@@ -49,6 +51,12 @@ def naive_reduce(v, elements):
     return FreeElt(ring, v.rank, out, v.shifts)
 
 
+def times(v, f):
+    """The free-module element v times the polynomial f, one component at a
+    time on Poly arithmetic."""
+    return FreeElt.from_polys([c * f for c in v.components()], v.shifts)
+
+
 def s_element(a, b):
     """The S-vector of two monic FreeElts with leads in one component, or
     None when the leads live in different components."""
@@ -60,7 +68,7 @@ def s_element(a, b):
     ua = mono_div(lcm, ma)
     ub = mono_div(lcm, mb)
     ring = a.ring
-    return a.poly_mul(Poly(ring, {ua: 1})) - b.poly_mul(Poly(ring, {ub: 1}))
+    return times(a, Poly(ring, {ua: 1})) - times(b, Poly(ring, {ub: 1}))
 
 
 def buchberger_holds(gb) -> bool:
@@ -128,3 +136,31 @@ def random_column(ring, shifts, degree, rng):
 def seeded(tag: str) -> random.Random:
     """One rng per test, reproducible, distinct streams per tag."""
     return random.Random(f"civar:{tag}")
+
+
+def rref_reference(a, p: int):
+    """Reduced row echelon form mod p the plain way, reducing the whole
+    matrix at every pivot; the same pivot rule as `arith.rref` (columns left
+    to right, pivot row = first row with a nonzero entry), whose output must
+    match it bit for bit."""
+    a = np.mod(np.array(a, dtype=np.int64, copy=True), p)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = np.mod(a[r] * fp_inv(int(a[r, c]), p), p)
+        col = a[:, c].copy()
+        col[r] = 0
+        a -= np.outer(col, a[r])
+        np.mod(a, p, out=a)
+        pivots.append(c)
+        r += 1
+    return a, pivots

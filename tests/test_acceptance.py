@@ -29,7 +29,7 @@ from civar.resolve import (
     vector_model,
 )
 
-from helpers import brute_radical, buchberger_holds, random_homogeneous, seeded
+from helpers import brute_radical, buchberger_holds, random_homogeneous, seeded, times
 
 
 @pytest.fixture
@@ -105,11 +105,11 @@ def test_criterion_2_operator_identities(corpus, deep, report):
                 for r, f in enumerate(col.components()):
                     if f.is_zero():
                         continue
-                    for key, v in lo[r].poly_mul(f).terms.items():
+                    for key, v in times(lo[r], f).terms.items():
                         acc[key] = (acc.get(key, 0) + v) % rs.p
                 expect = {}
                 for j, fj in enumerate(rs.ci):
-                    for key, v in t[j][c].poly_mul(fj).terms.items():
+                    for key, v in times(t[j][c], fj).terms.items():
                         expect[key] = (expect.get(key, 0) + v) % rs.p
                 acc = {k: v for k, v in acc.items() if v}
                 expect = {k: v for k, v in expect.items() if v}

@@ -31,7 +31,7 @@ from civar.arith import (
 )
 from civar.errors import InputError
 
-from helpers import seeded
+from helpers import rref_reference, seeded
 
 
 @pytest.fixture
@@ -182,6 +182,29 @@ def test_rref_shape_and_idempotence():
         r2, piv2 = rref(r, p)
         assert (r2 == r).all()
         assert list(piv2) == list(piv)
+
+
+@pytest.mark.parametrize("p", [3, 101, 32003, 1073741789, 2147483647])
+def test_rref_matches_the_reference(p):
+    """Delayed reduction must not change a bit of the output: drawn
+    matrices on both sides of the small-matrix and row-selection sizes, with
+    zero columns, repeated rows, negative entries and all-(p-1) blocks (the
+    entries that grow fastest between reductions).  At p = 1073741789 the
+    matrix is reduced every third pivot, at 2147483647 every pivot."""
+    rng = np.random.default_rng(p % 1000)
+    for rows, cols in [(3, 4), (6, 8), (8, 8), (1, 30), (30, 1), (20, 30), (70, 40), (90, 120)]:
+        a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+        a[:, rng.integers(0, cols, size=max(1, cols // 5))] = 0
+        if rows > 2:
+            a[rows // 2] = a[0]
+            a[-1] = 2 * a[1] % p
+        a[: rows // 2 + 1, cols // 3 : cols // 3 + cols // 2 + 1] = p - 1
+        sparse = np.where(rng.random(a.shape) < 0.8, 0, a)
+        for m in (a, sparse, a - p, np.full((rows, cols), p - 1, dtype=np.int64)):
+            got, pivots = rref(m, p)
+            want, want_pivots = rref_reference(m, p)
+            assert pivots == want_pivots
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_nullspace_kills_and_counts():

@@ -282,6 +282,14 @@ def test_budget_exhaustion_exits_2(files, capsys):
     assert "error[budget]" in err
 
 
+def test_degree_budget_of_the_degreewise_resolution_exits_2(files, capsys):
+    ring, mods, _ = files
+    code, _, err = run(capsys, ["variety", ring, mods["k"], "--max-degree", "5"])
+    assert code == 2
+    assert "error[budget]" in err
+    assert "budget: max_degree" in err and "step: 5" in err and "degree: 6" in err
+
+
 def test_verification_failure_exits_3(files, capsys, monkeypatch):
     ring, mods, _ = files
 

@@ -12,11 +12,14 @@ from civar.cohomology import (
     annihilator_window,
     complexity,
     ext_k_module,
+    generator_counts,
     lift_and_operators,
     operator_columns,
     support_variety,
 )
 from civar.resolve import (
+    RingSpec,
+    direct_sum,
     free_module,
     present_module,
     residue_field,
@@ -24,7 +27,7 @@ from civar.resolve import (
     syzygy_module,
 )
 
-from helpers import seeded
+from helpers import seeded, times
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +49,12 @@ def test_operator_identity_recomposed(r1):
             for r, f in enumerate(col.components()):
                 if f.is_zero():
                     continue
-                prod = lo[r].poly_mul(f)
+                prod = times(lo[r], f)
                 for key, v in prod.terms.items():
                     acc[key] = (acc.get(key, 0) + v) % rs.p
             expect = {}
             for j, fj in enumerate(rs.ci):
-                contrib = t[j][c].poly_mul(fj)
+                contrib = times(t[j][c], fj)
                 for key, v in contrib.terms.items():
                     expect[key] = (expect.get(key, 0) + v) % rs.p
             acc = {k: v for k, v in acc.items() if v}
@@ -70,7 +73,7 @@ def test_frozen_operators_residue_field_r1(r1):
     res = resolve_min(residue_field(r1), 4)
     lift_and_operators(res, 3)
     assert [str(c) for c in operator_columns(res, 0, 0)] == ["(1)", "(0)", "(0)"]
-    assert [str(c) for c in operator_columns(res, 1, 0)] == ["(0)", "(1)", "(0)"]
+    assert [str(c) for c in operator_columns(res, 1, 0)] == ["(0)", "(0)", "(1)"]
 
 
 def test_zero_operator_on_annihilated_module(r1):
@@ -217,9 +220,11 @@ def test_support_variety_reuses_the_wider_window(r3, monkeypatch):
 
     monkeypatch.setattr(cohomology, "annihilator_window", counted)
     v = support_variety(residue_field(r3), steps=4)
-    assert windows == [4, 6, 8]
+    # E(k) over R3 has minimal H-generators up to degree 3, so N = 4 leaves
+    # no operator degree to test and its pair is rejected unbuilt
+    assert windows == [6, 8]
     assert v.gens == ()
-    assert v.meta == {"stabilized_at": 6, "steps_used": 8, "complexity": 3}
+    assert v.meta == {"stabilized_at": 6, "steps_used": 8, "complexity": 3, "generator_degree": 3}
 
 
 def test_stabilization_error_names_the_rejecting_test(r1, monkeypatch):
@@ -259,3 +264,50 @@ def test_support_variety_syzygy_invariance_spot(r1):
 def test_support_variety_min_steps_guard(r1):
     with pytest.raises(InputError):
         support_variety(residue_field(r1), steps=2)
+
+
+# ---------------------------------------------------------------------------
+# modules whose E(M, k) needs H-generators above degree 0: a degree-d
+# candidate is tested only up to E^{N-2d}, so the window must keep
+# 2d <= N - g_N
+
+
+def test_generator_counts_of_q_mod_xy(r1):
+    ext = ext_k_module(resolve_min(present_module(r1, (0,), [["x*y"]]), 11), 10)
+    assert generator_counts(ext)[:5] == [1, 1, 2, 1, 0]
+
+
+def test_variety_of_q_mod_xy_is_the_plane(r1):
+    # E has a generator in degree 3: a degree-N/2 candidate tested on E^0
+    # alone passes for every monomial, and no window would be accepted
+    v = support_variety(present_module(r1, (0,), [["x*y"]]))
+    assert v.gens == () and v.dimension() == 2
+    assert v.meta["generator_degree"] == 3
+
+
+def test_variety_of_q_mod_x_over_r5_has_dimension_3():
+    r5 = RingSpec(101, ["x", "y", "z"], ["x^2 + y*z", "y^2 + x*z", "z^2"])
+    v = support_variety(present_module(r5, (0,), [["x"]]))
+    assert v.gens == () and v.dimension() == 3
+    assert v.meta["generator_degree"] == 4
+
+
+def test_variety_of_a_sum_is_the_union_past_degree_0_generators(r3):
+    # V(Q/(xy)) = V(chi3) and V(Q/(y,z)) = V(chi1) by Kunneth; candidates
+    # of degree above (N - 3) / 2 pass on E^0..E^2 and cut V down to V(chi1)
+    m = direct_sum(present_module(r3, (0,), [["x*y"]]), present_module(r3, (0,), [["y"], ["z"]]))
+    v = support_variety(m)
+    assert v.equals(VarietyIdeal(r3.h_ring, ["chi1*chi3"]))
+    assert v.dimension() == 2
+    assert v.meta["generator_degree"] == 3
+
+
+def test_stabilization_error_carries_the_generator_degrees(r3):
+    # E(k) over R3 has H-generators up to degree 3: at N = 4 only one
+    # generator-free degree lies above them, so the pair (4, 6) is rejected
+    with pytest.raises(StabilizationError) as exc:
+        support_variety(residue_field(r3), steps=4, max_steps=6)
+    details = exc.value.details
+    assert details["rejected"] == "generators"
+    assert (details["generator_degree_lo"], details["generator_degree_hi"]) == (3, 3)
+    assert "top generator degree is 3 at N = 4 and 3 at N = 6" in str(exc.value)

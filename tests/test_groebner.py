@@ -30,6 +30,7 @@ from helpers import (
     random_column,
     random_homogeneous,
     seeded,
+    times,
 )
 
 
@@ -137,8 +138,8 @@ def test_module_division_matches_oracle(pxy):
             for r in range(2):
                 assert combine(cof, gens, r) == e.component(r)
         members = [
-            gens[0].poly_mul(random_homogeneous(pxy, 1, rng))
-            + gens[1].poly_mul(random_homogeneous(pxy, 2, rng))
+            times(gens[0], random_homogeneous(pxy, 1, rng))
+            + times(gens[1], random_homogeneous(pxy, 2, rng))
         ]
         samples = [random_column(pxy, shifts, rng.randrange(1, 5), rng) for _ in range(8)]
         for v in samples + members:

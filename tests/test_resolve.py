@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from civar.arith import matmul
-from civar.errors import InputError
-from civar.groebner import FreeElt, groebner_basis, normal_form
+from civar.errors import InputError, ResourceBudgetError
+from civar.groebner import Budgets, FreeElt, configure_budgets, groebner_basis, normal_form
 from civar.resolve import (
     ModulePresentation,
     RingSpec,
@@ -23,7 +23,7 @@ from civar.resolve import (
     vector_model,
 )
 
-from helpers import seeded
+from helpers import seeded, times
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +135,27 @@ def test_differentials_compose_to_zero(r1, r3):
                 acc = FreeElt(rs.ring, len(res.degs[i - 1]), {}, res.degs[i - 1])
                 for r, f in enumerate(col.components()):
                     if not f.is_zero():
-                        acc = acc + lo[r].poly_mul(f)
+                        acc = acc + times(lo[r], f)
                 if acc.terms:
                     acc = rs.qnf_elt(acc)
                 assert acc.is_zero()
+
+
+def test_degreewise_budgets_name_budget_step_and_degree(r1):
+    # k over R1: step 2 forms 4 products x^m * column in degree 2, and
+    # step 5 (F_4 in degree 4) reaches degree 4 + 2 = 6
+    cases = (
+        (Budgets(max_pairs=3), {"budget": "max_pairs", "limit": 3, "step": 2, "degree": 2, "products": 4}),
+        (Budgets(max_degree=5), {"budget": "max_degree", "limit": 5, "step": 5, "degree": 6}),
+    )
+    for budgets, details in cases:
+        prev = configure_budgets(budgets)
+        try:
+            with pytest.raises(ResourceBudgetError) as exc:
+                resolve_min(residue_field(r1), 8)
+        finally:
+            configure_budgets(prev)
+        assert exc.value.details == details
 
 
 def test_resolution_is_minimal(r1, r3):
