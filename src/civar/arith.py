@@ -515,11 +515,10 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-# up to this many rows, rref updates every row at a pivot: picking out the
-# rows with a nonzero entry costs more than it saves on small matrices
-_DENSE_UPDATE_ROWS = 64
-# up to this many entries, rref runs on Python integers: numpy's per-call
-# cost exceeds the arithmetic there
+# up to this many entries, rref runs on Python integers: numpy's per-pivot
+# cost exceeds the arithmetic there.  On the benchmark's matrices of at most
+# 64 entries Python integers take a third of numpy's time; on dense random
+# matrices the two break even at 8 x 8, and numpy pulls ahead beyond it.
 _SMALL_CELLS = 64
 
 
@@ -555,8 +554,8 @@ def rref(a: np.ndarray, p: int):
 
     Reduction mod p is delayed.  The pivot row is zero mod p left of its
     pivot, so a pivot updates only its column and those to its right, and
-    on matrices of more than `_DENSE_UPDATE_ROWS` rows only the rows with a
-    nonzero entry in the pivot column.  The pivot column and the pivot row
+    only the rows with a nonzero entry in the pivot column.  The pivot
+    column and the pivot row
     are reduced before use, so one update moves an entry by less than
     (p-1)^2, and the whole matrix is reduced once every
     floor(2^62 / (p-1)^2) - 1 pivots (every pivot for p near 2^31), which
@@ -587,11 +586,8 @@ def rref(a: np.ndarray, p: int):
         row = a[r, c:] % p * fp_inv(int(col[r]), p) % p
         a[r, c:] = row
         col[r] = 0
-        if rows > _DENSE_UPDATE_ROWS:
-            hit = col.nonzero()[0]
-            a[hit, c:] -= col[hit, None] * row
-        else:
-            a[:, c:] -= col[:, None] * row
+        hit = col.nonzero()[0]
+        a[hit, c:] -= col[hit, None] * row
         pending += 1
         if pending >= delay:
             np.mod(a, p, out=a)

@@ -338,7 +338,8 @@ def support_variety(
 
     For windows N and N+2 the top generator degrees g_N and g_{N+2} are read
     off E (`generator_degree`), and a_N is built over operator degrees
-    d <= (N - g_N) / 2, with `max_op_degree` as a further upper bound.  The
+    d <= (N - g_N) / 2, with `max_op_degree` (at least 1) as a further
+    upper bound.  The
     pair is rejected unless g_N = g_{N+2} with at least two generator-free
     degrees above g_N; otherwise a_N and a_{N+2} are accepted when mutually
     radical-contained with equal dimension, and when that dimension matches
@@ -354,6 +355,8 @@ def support_variety(
     n0 = steps if steps is not None else max(8, 2 * rs.codim + 4)
     if n0 < 4:
         raise InputError("window of at least 4 steps required", steps=n0)
+    if max_op_degree is not None and max_op_degree < 1:
+        raise InputError("operator degree cap must be at least 1", max_op_degree=max_op_degree)
     cap = max_steps if max_steps is not None else n0 + 8
     res = resolve_min(pres, n0 + 3)
 

@@ -426,7 +426,9 @@ def _offsets(rs: RingSpec, shifts, t: int):
 def _times_variables(rs: RingSpec, basis, shifts, t: int, below_at, at, width: int):
     """The rows x_v * w, for w a row of `basis` (vectors of the degree-(t-1)
     part of sum Q(-shifts), with summand offsets `below_at`), as vectors of
-    the degree-t part (offsets `at`, dimension `width`): one row per (w, v)."""
+    the degree-t part (offsets `at`, dimension `width`): one row per (w, v).
+    Each product is reduced mod p before the products that land in one entry
+    are summed, so a sum of k of them stays below k * p."""
     parts = [rs.variable_action(t - 1 - e) for e in shifts]
     if len(parts) == 1:
         src, var, pos, cf = parts[0]
@@ -436,7 +438,7 @@ def _times_variables(rs: RingSpec, basis, shifts, t: int, below_at, at, width: i
         dst = np.concatenate([act[1] * width + act[2] + at[j] for j, act in enumerate(parts)])
         cf = np.concatenate([act[3] for act in parts])
     rows = np.zeros((basis.shape[0], rs.ring.nvars * width), dtype=np.int64)
-    np.add.at(rows, (slice(None), dst), basis[:, src] * cf)
+    np.add.at(rows, (slice(None), dst), basis[:, src] * cf % rs.p)
     return rows.reshape(-1, width)
 
 

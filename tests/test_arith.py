@@ -187,9 +187,10 @@ def test_rref_shape_and_idempotence():
 @pytest.mark.parametrize("p", [3, 101, 32003, 1073741789, 2147483647])
 def test_rref_matches_the_reference(p):
     """Delayed reduction must not change a bit of the output: drawn
-    matrices on both sides of the small-matrix and row-selection sizes, with
-    zero columns, repeated rows, negative entries and all-(p-1) blocks (the
-    entries that grow fastest between reductions).  At p = 1073741789 the
+    matrices on both sides of `arith._SMALL_CELLS`, the size up to which
+    Python integers are used, with zero columns, repeated rows, negative
+    entries and all-(p-1) blocks (the entries that grow fastest between
+    reductions).  At p = 1073741789 the
     matrix is reduced every third pivot, at 2147483647 every pivot."""
     rng = np.random.default_rng(p % 1000)
     for rows, cols in [(3, 4), (6, 8), (8, 8), (1, 30), (30, 1), (20, 30), (70, 40), (90, 120)]:

@@ -266,6 +266,13 @@ def test_support_variety_min_steps_guard(r1):
         support_variety(residue_field(r1), steps=2)
 
 
+def test_support_variety_rejects_an_operator_cap_below_one(r1):
+    # a cap of 0 leaves no operator degree to build the annihilator from
+    for cap in (0, -1):
+        with pytest.raises(InputError):
+            support_variety(residue_field(r1), max_op_degree=cap)
+
+
 # ---------------------------------------------------------------------------
 # modules whose E(M, k) needs H-generators above degree 0: a degree-d
 # candidate is tested only up to E^{N-2d}, so the window must keep

@@ -231,6 +231,20 @@ def test_degreewise_resolution_matches_the_groebner_path(rs, module):
             assert not rs.ci_gb.reduce_terms(w.terms), (i, c)
 
 
+def test_degreewise_resolution_at_the_largest_prime():
+    # p = 2^31 - 1: the products x_v * K_{t-1} near p^2 must be reduced
+    # before three of them meet in one socle entry
+    p = 2147483647
+    rs = RingSpec(p, ["x", "y", "z"], ["x^2 + 2*y*z + 3*z^2", "y^2 + 5*x*z + 7*x*y", "z^2 + x*y"])
+    for pres in (residue_field(rs), present_module(rs, (0,), [["x + y"]])):
+        res = resolve_min(pres, 5)
+        assert res.degs[:6] == groebner_resolution(pres, 5)
+        for i in range(1, 5):
+            for c, v in enumerate(res.diffs[i + 1]):
+                w = apply_columns(res.diffs[i], v, len(res.degs[i - 1]), res.degs[i - 1])
+                assert not rs.ci_gb.reduce_terms(w.terms), (i, c)
+
+
 def test_degreewise_resolution_across_empty_degrees():
     # F_1 sits in degrees 1 and 10, so (F_1)_t = 0 for t = 5..9 between the
     # kernel's pieces near each summand

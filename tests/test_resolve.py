@@ -22,6 +22,7 @@ from civar.resolve import (
     syzygy_module,
     vector_model,
 )
+from civar.resolve import _offsets, _times_variables
 
 from helpers import seeded, times
 
@@ -156,6 +157,25 @@ def test_degreewise_budgets_name_budget_step_and_degree(r1):
         finally:
             configure_budgets(prev)
         assert exc.value.details == details
+
+
+def test_products_by_the_variables_do_not_overflow():
+    # over F_(2^31-1)[x,y,z]/(x^2+2yz+3z^2, y^2+5xz+7xy, z^2+xy) three
+    # products x_v * m of degree 2 reduce onto the one socle monomial, with
+    # coefficients near p; on vectors of all-(p-1) entries each product is
+    # near 2^62, and the sum of the unreduced three passes 2^63
+    p = 2147483647
+    rs = RingSpec(p, ["x", "y", "z"], ["x^2 + 2*y*z + 3*z^2", "y^2 + 5*x*z + 7*x*y", "z^2 + x*y"])
+    for t in range(1, rs.socle_degree + 1):
+        below_at, below_width = _offsets(rs, (0,), t - 1)
+        at, width = _offsets(rs, (0,), t)
+        basis = np.full((2, below_width), p - 1, dtype=np.int64)
+        got = np.mod(_times_variables(rs, basis, (0,), t, below_at, at, width), p)
+        want = [[0] * width for _ in range(2 * rs.ring.nvars)]
+        for src, var, pos, cf in zip(*(x.tolist() for x in rs.variable_action(t - 1))):
+            for w in range(2):
+                want[w * rs.ring.nvars + var][pos] += (p - 1) * cf
+        assert got.tolist() == [[x % p for x in row] for row in want], t
 
 
 def test_resolution_is_minimal(r1, r3):
