@@ -515,16 +515,19 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-# up to this many entries, rref runs on Python integers: numpy's per-pivot
-# cost exceeds the arithmetic there.  On the benchmark's matrices of at most
-# 64 entries Python integers take a third of numpy's time; on dense random
-# matrices the two break even at 8 x 8, and numpy pulls ahead beyond it.
-_SMALL_CELLS = 64
+# rref runs on Python integers for matrices of at most `_SMALL_CELLS` entries
+# of which at most `_SMALL_NONZEROS` are nonzero: numpy's per-pivot cost
+# exceeds the arithmetic there.  The work of a pivot follows the nonzero
+# entries, not the size; on the benchmark's rref inputs Python integers win
+# up to about 128 nonzero entries at any size up to 4,096 entries, and on
+# sparse matrices of 128 x 128 and more the scans over zero rows lose.
+_SMALL_CELLS = 4096
+_SMALL_NONZEROS = 128
 
 
 def _rref_small(a: np.ndarray, p: int):
-    """`rref` on Python integers, for matrices of at most `_SMALL_CELLS`
-    entries: the same pivot rule, the same output."""
+    """`rref` on Python integers, for small or sparse matrices (see
+    `_SMALL_CELLS`): the same pivot rule, the same output."""
     rows, cols = a.shape
     m = np.mod(a, p).tolist()
     pivots = []
@@ -561,10 +564,11 @@ def rref(a: np.ndarray, p: int):
     floor(2^62 / (p-1)^2) - 1 pivots (every pivot for p near 2^31), which
     keeps each entry below 2^63 in absolute value.  The output is the
     reduced one, equal to reducing at every pivot.  Matrices of at most
-    `_SMALL_CELLS` entries are reduced on Python integers instead."""
+    `_SMALL_CELLS` entries with at most `_SMALL_NONZEROS` nonzero ones are
+    reduced on Python integers instead."""
     a = np.asarray(a, dtype=np.int64)
     rows, cols = a.shape
-    if rows * cols <= _SMALL_CELLS:
+    if rows * cols <= _SMALL_CELLS and np.count_nonzero(a) <= _SMALL_NONZEROS:
         return _rref_small(a, p)
     a = np.array(a, copy=True)
     np.mod(a, p, out=a)

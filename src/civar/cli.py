@@ -28,6 +28,7 @@ from .cohomology import VarietyIdeal, lift_and_operators, support_variety
 from .resolve import (
     ModulePresentation,
     RingSpec,
+    artinian_reduction,
     is_mcm,
     present_module,
     resolve_min,
@@ -286,7 +287,8 @@ def cmd_variety(args):
     pres = load_module(rs, args.module)
     v = support_variety(pres, steps=args.steps, max_op_degree=args.max_op_degree)
     used = v.meta["steps_used"]
-    res = resolve_min(pres, used)
+    # the resolution the variety was read on: over Q, or its artinian reduction
+    res = resolve_min(artinian_reduction(pres), used)
     return {
         "command": "variety",
         "ring": _ring_doc(rs),

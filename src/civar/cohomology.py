@@ -24,6 +24,13 @@ a_N over d <= (N - g_N) / 2 only.  E is finitely generated over H
 g_N = g_{N+2} with at least two generator-free degrees above it.  The two
 candidates are then compared up to radical, with the Betti-growth
 complexity estimate as an independent guard on the dimension.
+
+Over a non-artinian Q the variety of a maximal Cohen-Macaulay module M is
+read on M/x_S M over the artinian Q/(x_S) (`resolve.artinian_reduction`):
+x_S is regular on Q and on M, so the minimal resolution of M and its lifted
+differentials reduce mod x_S to those of M/x_S M, and E and its H-action do
+not change (Avramov-Buchweitz, Invent. Math. 2000).  `complexity` reads the
+same reduction.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ from .groebner import (
     ideal_ops,
     radical_membership,
 )
-from .resolve import ModulePresentation, Resolution, apply_columns, resolve_min
+from .resolve import (
+    ModulePresentation, Resolution, apply_columns, artinian_reduction, resolve_min,
+)
 
 
 class CiOperators:
@@ -312,8 +321,10 @@ def complexity(pres: ModulePresentation, steps: int = 12) -> int:
     computed Betti numbers.  Even and odd positions are differenced
     separately and the maximum taken, which also fits tails that are
     quasi-polynomial of period 2; on exactly polynomial tails it agrees with
-    plain differencing."""
-    res = resolve_min(pres, steps)
+    plain differencing.  A maximal Cohen-Macaulay module over a non-artinian
+    Q is resolved through its `artinian_reduction`, which has the same Betti
+    numbers."""
+    res = resolve_min(artinian_reduction(pres), steps)
     seq = [len(res.degs[i]) for i in range(steps + 1)]
     tail = seq[steps // 2 :]
 
@@ -350,14 +361,29 @@ def support_variety(
     degree has not settled, the dimensions differ, the radicals differ, or
     the complexity does not match.  The accepted ideal's meta records
     stabilized_at (N), steps_used (N+2), the complexity value the guard
-    accepted and generator_degree (g)."""
-    rs = pres.rs
-    n0 = steps if steps is not None else max(8, 2 * rs.codim + 4)
+    accepted and generator_degree (g).  `max_steps` must leave room for the
+    first pair (at least N + 2).
+
+    Over a non-artinian Q, a maximal Cohen-Macaulay module M is replaced by
+    its `artinian_reduction` M/x_S M over Q/(x_S), x_S a set of variables
+    regular on Q and on M, which takes the degreewise resolution.  The
+    minimal resolution of M reduces mod x_S to that of M/x_S M, and the
+    lifted differentials with it, so Ext(M, k) and its H-action, the Betti
+    numbers, and every window, g and verdict above are the same.  Other
+    modules (not MCM, or no coordinate subspace gives an artinian quotient)
+    are resolved over Q itself."""
+    n0 = steps if steps is not None else max(8, 2 * pres.rs.codim + 4)
     if n0 < 4:
         raise InputError("window of at least 4 steps required", steps=n0)
     if max_op_degree is not None and max_op_degree < 1:
         raise InputError("operator degree cap must be at least 1", max_op_degree=max_op_degree)
     cap = max_steps if max_steps is not None else n0 + 8
+    if cap < n0 + 2:
+        raise InputError(
+            f"step cap {cap} leaves no room for the window pair ({n0}, {n0 + 2})",
+            steps=n0, max_steps=cap,
+        )
+    pres = artinian_reduction(pres)
     res = resolve_min(pres, n0 + 3)
 
     def window(n):

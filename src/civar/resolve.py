@@ -29,6 +29,19 @@ inflates every Betti number after it.  The first differential, a minimal
 generating set of the given relations, comes out of `minimal_columns` on
 both paths.
 
+Over a non-artinian Q of dimension d, support varieties need only Ext(M, k)
+and its operators, and for a maximal Cohen-Macaulay M these can be read over
+an artinian ring (`artinian_reduction`).  `RingSpec.reduction` finds d
+variables x_S whose vanishing leaves a complete intersection of the same
+codimension c, hence artinian: a system of parameters of Q, regular on Q
+because Q is Cohen-Macaulay, and regular on M because M is MCM.  The
+minimal resolution F of M then reduces to the minimal resolution of
+M/x_S M over Q/(x_S), with the same graded Betti numbers, and the lifted
+differentials reduce with it, so Ext and the H-action on it are the same
+(Avramov-Buchweitz, Invent. Math. 2000).  M/x_S M takes the degreewise
+path.  `is_mcm`, which tests Ext(M, Q), and everything whose output is a
+differential over Q (operators, the pushout cut) still resolve M itself.
+
 `RingSpec` builds the reduced Groebner basis of (f), `ci_gb`, once, when it
 validates the ring, and every computation over Q passes that one basis down
 (`syzygies`, `SubmoduleOracle`, the relation submodule's basis).  So its
@@ -48,7 +61,7 @@ ring.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -69,6 +82,20 @@ from .groebner import (
     quotient_elements,
     syzygies,
 )
+
+
+_UNSET = object()
+
+
+def _on_kept(terms: dict, kept) -> dict:
+    """(component, monomial) terms with every variable outside `kept` set to
+    zero, as monomials in the kept variables."""
+    out = {}
+    for (c, m), v in terms.items():
+        bar = tuple(m[i] for i in kept)
+        if mono_deg(bar) == mono_deg(m):
+            out[(c, bar)] = v
+    return out
 
 
 class RingSpec:
@@ -93,6 +120,7 @@ class RingSpec:
         "_std_cache",
         "_pos_cache",
         "_action_cache",
+        "_reduction",
     )
 
     def __init__(self, p: int, variables, ci):
@@ -127,6 +155,7 @@ class RingSpec:
         self._std_cache = {}
         self._pos_cache = {}
         self._action_cache = {}
+        self._reduction = _UNSET
 
     @property
     def p(self) -> int:
@@ -148,6 +177,37 @@ class RingSpec:
     def socle_degree(self) -> int:
         """sum(deg f_j - 1): on an artinian Q, the top degree with Q_d != 0."""
         return sum(d - 1 for d in self.ci_degs)
+
+    def reduction(self):
+        """(kept, Q/(x_S)) for the first coordinate subset S of size dim Q,
+        last variables first, whose quotient Q/(x_S) = F_p[x_kept]/(f with
+        x_S = 0) is again a complete intersection of codimension c, hence
+        artinian; None when Q is artinian or no such S exists (F_p[x,y]/(xy)).
+        Then x_S is a system of parameters of Q, and a regular sequence on it
+        because Q is Cohen-Macaulay.  Built on first use and kept; the
+        quotient shares this ring's operator ring h_ring."""
+        if self._reduction is _UNSET:
+            self._reduction = self._find_reduction()
+        return self._reduction
+
+    def _find_reduction(self):
+        if self.is_artinian:
+            return None
+        n = self.ring.nvars
+        for cut in combinations(range(n - 1, -1, -1), self.dim):
+            kept = tuple(v for v in range(n) if v not in cut)
+            ring = PolyRing(self.p, tuple(self.ring.vars[v] for v in kept), DEGREVLEX)
+            ci = []
+            for f in self.ci:
+                terms = _on_kept({(0, m): c for m, c in f.terms.items()}, kept)
+                ci.append(Poly(ring, {m: c for (_s, m), c in terms.items()}))
+            try:
+                bar = RingSpec(self.p, ring.vars, ci)
+            except InputError:
+                continue
+            bar.h_ring = self.h_ring
+            return kept, bar
+        return None
 
     def qnf(self, f: Poly) -> Poly:
         """Normal form of f modulo (f_1..f_c): the canonical representative
@@ -222,10 +282,12 @@ class RingSpec:
 class ModulePresentation:
     """Cokernel presentation of a graded Q-module: generator degrees and
     homogeneous relation columns.  Instances are immutable; derived data
-    (resolution, vector model, the relation submodule's Groebner basis) is
-    cached on the instance."""
+    (resolution, vector model, the relation submodule's Groebner basis, the
+    MCM verdict, the artinian reduction) is cached on the instance."""
 
-    __slots__ = ("rs", "gens", "relations", "_resolution", "_model", "_sub_gb")
+    __slots__ = (
+        "rs", "gens", "relations", "_resolution", "_model", "_sub_gb", "_mcm", "_reduced",
+    )
 
     def __init__(self, rs: RingSpec, gens, relations):
         self.rs = rs
@@ -234,6 +296,8 @@ class ModulePresentation:
         self._resolution = None
         self._model = None
         self._sub_gb = None
+        self._mcm = None
+        self._reduced = None
 
     @property
     def rank(self) -> int:
@@ -653,10 +717,14 @@ def is_mcm(pres: ModulePresentation) -> bool:
     """Maximal Cohen-Macaulay test: over an artinian Q every module
     qualifies; otherwise check Ext^i(M, Q) = 0 for i = 1..dim Q by comparing
     the kernel of the transposed differential with the image of the previous
-    one."""
+    one.  The verdict is cached on the presentation."""
+    if pres._mcm is None:
+        pres._mcm = pres.rs.dim == 0 or _ext_into_q_vanishes(pres)
+    return pres._mcm
+
+
+def _ext_into_q_vanishes(pres: ModulePresentation) -> bool:
     rs = pres.rs
-    if rs.dim == 0:
-        return True
     res = resolve_min(pres, rs.dim + 1)
     ring = rs.ring
     for i in range(1, rs.dim + 1):
@@ -683,6 +751,35 @@ def is_mcm(pres: ModulePresentation) -> bool:
             if not oracle.contains(w2):
                 return False
     return True
+
+
+def artinian_reduction(pres: ModulePresentation) -> ModulePresentation:
+    """M/x_S M over the artinian Q/(x_S) of `RingSpec.reduction` when Q is
+    not artinian, the reduction exists and M is maximal Cohen-Macaulay;
+    otherwise M itself.  Cached on the presentation.
+
+    An MCM module is Cohen-Macaulay of dimension dim Q, and M/x_S M has
+    finite length, so x_S is a system of parameters of M and M-regular.  Then
+    Tor^Q_i(M, Q/(x_S)) = 0 for i > 0, so F (x) Q/(x_S) is a minimal free
+    resolution of M/x_S M with the same graded Betti numbers.  Reducing the
+    lifted differentials mod x_S keeps d~ d~ = sum_j f_j t~_j, so the
+    Eisenbud operators reduce too, and Ext_Q(M, k) = Ext_{Q/(x_S)}(M/x_S M, k)
+    as modules over H (Avramov-Buchweitz, Invent. Math. 2000; Eisenbud,
+    Trans. AMS 1980).  Without the MCM premise this fails: Q/(y) over
+    F_p[x,y]/(x^2) has Betti numbers 1, 1, 0, .. over Q and 1, 0, .. after
+    y = 0."""
+    if pres._reduced is None:
+        red = pres.rs.reduction()
+        if red is None or not is_mcm(pres):
+            pres._reduced = pres
+        else:
+            kept, bar = red
+            cols = [
+                FreeElt(bar.ring, pres.rank, _on_kept(col.terms, kept), pres.gens)
+                for col in pres.relations
+            ]
+            pres._reduced = present_module(bar, pres.gens, cols)
+    return pres._reduced
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,21 @@ def test_rref_shape_and_idempotence():
 
 
 @pytest.mark.parametrize("p", [3, 101, 32003, 1073741789, 2147483647])
-def test_rref_matches_the_reference(p):
+def test_rref_matches_the_reference(p, monkeypatch):
     """Delayed reduction must not change a bit of the output: drawn
-    matrices on both sides of `arith._SMALL_CELLS`, the size up to which
-    Python integers are used, with zero columns, repeated rows, negative
-    entries and all-(p-1) blocks (the entries that grow fastest between
-    reductions).  At p = 1073741789 the
+    matrices on both sides of the rule that picks Python integers (at most
+    `arith._SMALL_CELLS` entries, at most `arith._SMALL_NONZEROS` of them
+    nonzero): small dense ones, sparse ones with about 100 nonzero entries
+    below and above the size cap, and dense ones below it.  They carry zero
+    columns, repeated rows, negative entries and all-(p-1) blocks (the
+    entries that grow fastest between reductions).  At p = 1073741789 the
     matrix is reduced every third pivot, at 2147483647 every pivot."""
+    import civar.arith as arith
+
+    small = []
+    inner = arith._rref_small
+    monkeypatch.setattr(arith, "_rref_small", lambda a, q: small.append(a) or inner(a, q))
+    paths = []
     rng = np.random.default_rng(p % 1000)
     for rows, cols in [(3, 4), (6, 8), (8, 8), (1, 30), (30, 1), (20, 30), (70, 40), (90, 120)]:
         a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
@@ -201,11 +209,20 @@ def test_rref_matches_the_reference(p):
             a[-1] = 2 * a[1] % p
         a[: rows // 2 + 1, cols // 3 : cols // 3 + cols // 2 + 1] = p - 1
         sparse = np.where(rng.random(a.shape) < 0.8, 0, a)
-        for m in (a, sparse, a - p, np.full((rows, cols), p - 1, dtype=np.int64)):
+        thin = np.where(rng.random(a.shape) < 100 / a.size, a, 0)
+        for m in (a, sparse, thin, a - p, np.full((rows, cols), p - 1, dtype=np.int64)):
+            before = len(small)
             got, pivots = rref(m, p)
             want, want_pivots = rref_reference(m, p)
             assert pivots == want_pivots
             assert got.dtype == want.dtype and np.array_equal(got, want)
+            paths.append((m.size, np.count_nonzero(m), len(small) > before))
+    # both paths ran on matrices past 64 entries: Python integers on sparse
+    # ones, numpy on dense ones below the size cap and on sparse ones above
+    cells, nonzeros = arith._SMALL_CELLS, arith._SMALL_NONZEROS
+    assert any(on_python and size > 64 for size, _nz, on_python in paths)
+    assert any(not on_python and nz > nonzeros and size <= cells for size, nz, on_python in paths)
+    assert any(not on_python and nz <= nonzeros and size > cells for size, nz, on_python in paths)
 
 
 def test_nullspace_kills_and_counts():

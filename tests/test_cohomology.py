@@ -266,6 +266,15 @@ def test_support_variety_min_steps_guard(r1):
         support_variety(residue_field(r1), steps=2)
 
 
+def test_support_variety_rejects_a_step_cap_below_the_first_pair(r1):
+    # the first pair of windows is (N, N + 2); a cap below N + 2 used to be
+    # ignored, and R1 k came back accepted at N = 8 with steps_used 10
+    with pytest.raises(InputError) as exc:
+        support_variety(residue_field(r1), steps=8, max_steps=6)
+    assert exc.value.details == {"steps": 8, "max_steps": 6}
+    assert support_variety(residue_field(r1), steps=8, max_steps=10).meta["steps_used"] == 10
+
+
 def test_support_variety_rejects_an_operator_cap_below_one(r1):
     # a cap of 0 leaves no operator degree to build the annihilator from
     for cap in (0, -1):

@@ -1,0 +1,217 @@
+"""Support varieties over a non-artinian Q read on an artinian reduction.
+
+For a maximal Cohen-Macaulay module M over Q of dimension d, and variables
+x_S regular on Q and on M, Ext_Q(M, k) = Ext_{Q/(x_S)}(M/x_S M, k) as
+modules over H (Avramov-Buchweitz 2000).  The oracle here is the Q-level
+resolution itself: on drawn modules over four non-artinian rings the Betti
+numbers, degree vectors, top generator degree and window annihilator of E
+must come out the same on Q and on `artinian_reduction`.  Non-MCM modules
+are drawn too, because reducing them would change E (Q/(y) over
+F_101[x,y]/(x^2) has Betti numbers 1, 1, 0, .. over Q and 1, 0, .. mod y);
+they must come back unreduced.  Q/(x) over that ring is MCM without being a
+syzygy, and is reduced.
+"""
+
+import json
+
+import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
+
+import civar.groebner as groebner
+import civar.resolve as resolve
+from civar import cli
+from civar.arith import Poly
+from civar.cohomology import (
+    annihilator_window,
+    complexity,
+    ext_k_module,
+    generator_counts,
+    support_variety,
+)
+from civar.construct import realize
+from civar.resolve import (
+    RingSpec,
+    artinian_reduction,
+    is_mcm,
+    present_module,
+    residue_field,
+    resolve_min,
+    syzygy_module,
+)
+
+# no shrinking: every example resolves over Q, and shrinking a failure would
+# resolve many more; the first falsifying example is reported as drawn
+PROPS = settings(
+    derandomize=True, max_examples=12, deadline=None, phases=[Phase.explicit, Phase.generate]
+)
+
+B = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2", "z^2"])
+DIM2 = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2"])
+MIXED = RingSpec(101, ["x", "y", "z"], ["x^2 + y*z", "y^2"])
+R4 = RingSpec(101, ["x", "y"], ["x^2"])
+WINDOW = 6
+
+
+def assert_same_ext(pres, n=WINDOW):
+    """E(M, k) in degrees 0..n on Q and on the reduction: dimensions,
+    degree vectors, generator counts and the window annihilator."""
+    red = artinian_reduction(pres)
+    res, res_bar = resolve_min(pres, n + 1), resolve_min(red, n + 1)
+    ext, ext_bar = ext_k_module(res, n), ext_k_module(res_bar, n)
+    assert ext_bar.dims == ext.dims
+    assert res_bar.degs[: n + 1] == res.degs[: n + 1]
+    assert generator_counts(ext_bar) == generator_counts(ext)
+    assert annihilator_window(ext_bar).gens == annihilator_window(ext).gens
+    return red
+
+
+@st.composite
+def modules(draw):
+    """A ring and a module over it: k or Q/(g), g a linear or quadratic
+    form, as text."""
+    rs = draw(st.sampled_from([B, DIM2, MIXED, R4]))
+    degree = draw(st.sampled_from([0, 1, 2]))
+    if degree == 0:
+        return rs, "k"
+    monos = rs.ring.monomials_of_degree(degree)
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=len(monos), max_size=len(monos)))
+    g = Poly(rs.ring, {m: c for m, c in zip(monos, coeffs) if c})
+    return rs, str(g) if g.terms else "x"
+
+
+@PROPS
+@given(case=modules(), syzygy=st.booleans())
+@example(case=(R4, "y"), syzygy=False)
+@example(case=(R4, "x"), syzygy=False)
+def test_reduction_keeps_ext_as_an_h_module(case, syzygy):
+    rs, form = case
+    base = residue_field(rs) if form == "k" else present_module(rs, (0,), [[form]])
+    pres = syzygy_module(base, rs.dim) if syzygy else base
+    red = assert_same_ext(pres)
+    # every ring here has a reduction, and a dim Q-th syzygy is MCM
+    assert (red is not pres) == is_mcm(pres)
+    assert is_mcm(pres) or not syzygy
+
+
+def test_reduction_keeps_ext_of_a_realized_module():
+    pres = realize(B, ["chi1 + chi2"], verify=False)
+    assert artinian_reduction(pres).rs.is_artinian
+    assert_same_ext(pres)
+
+
+# ---------------------------------------------------------------------------
+# which reduction, and when
+
+
+def test_b_drops_its_last_variable():
+    kept, bar = B.reduction()
+    assert kept == (0, 1, 2)
+    assert bar.ring.vars == ("x", "y", "z")
+    assert [str(f) for f in bar.ci] == ["x^2", "y^2", "z^2"]
+    assert bar.is_artinian and bar.h_ring is B.h_ring
+
+
+def test_the_first_artinian_coordinate_quotient_wins():
+    # z = 0 leaves (x^2, y^2); in DIM2, w and z go first
+    assert MIXED.reduction()[0] == (0, 1)
+    assert DIM2.reduction()[0] == (0, 1)
+    # z = 0 leaves (xy, y^2) and y = 0 leaves (z^2, z^2), both of
+    # codimension 1; x = 0 leaves (z^2, y^2 + z^2)
+    rs = RingSpec(101, ["x", "y", "z"], ["x*y + z^2", "z^2 + y^2"])
+    kept, bar = rs.reduction()
+    assert kept == (1, 2) and [str(f) for f in bar.ci] == ["z^2", "y^2 + z^2"]
+
+
+def test_no_coordinate_reduction_keeps_the_q_level_path():
+    xy = RingSpec(101, ["x", "y"], ["x*y"])
+    assert xy.reduction() is None
+    pres = syzygy_module(residue_field(xy), 1)
+    assert is_mcm(pres) and artinian_reduction(pres) is pres
+    v = support_variety(pres)
+    assert v.gens == () and v.dimension() == 1
+    assert v.meta == {"stabilized_at": 8, "steps_used": 10, "complexity": 1, "generator_degree": 1}
+
+
+def test_non_mcm_modules_come_back_unchanged():
+    for pres in (residue_field(R4), present_module(R4, (0,), [["y"]])):
+        assert not is_mcm(pres)
+        assert artinian_reduction(pres) is pres
+    k = residue_field(B)
+    assert artinian_reduction(k) is k
+
+
+def test_artinian_rings_have_no_reduction(r1):
+    assert r1.reduction() is None
+    k = residue_field(r1)
+    assert artinian_reduction(k) is k
+
+
+def test_the_reduced_ring_is_built_once_and_not_at_construction(monkeypatch):
+    built = []
+    init = RingSpec.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingSpec, "__init__", counting)
+    rs = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2", "z^2"])
+    assert built == [["x", "y", "z", "w"]]
+    one = artinian_reduction(syzygy_module(residue_field(rs), 1))
+    two = artinian_reduction(syzygy_module(present_module(rs, (0,), [["x + w"]]), 1))
+    assert rs.reduction() is rs.reduction()
+    assert built == [["x", "y", "z", "w"], ("x", "y", "z")]
+    assert one.rs is two.rs is rs.reduction()[1]
+
+
+def test_mcm_verdict_and_reduction_are_cached(monkeypatch):
+    pres = syzygy_module(residue_field(B), 1)
+    red = artinian_reduction(pres)
+    monkeypatch.setattr(resolve, "_ext_into_q_vanishes", lambda p: pytest.fail("asked again"))
+    assert is_mcm(pres)
+    assert artinian_reduction(pres) is red
+
+
+# ---------------------------------------------------------------------------
+# no Groebner syzygies past the MCM check
+
+
+@pytest.fixture
+def syzygy_calls(monkeypatch):
+    calls = []
+    inner = groebner.syzygies
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(resolve, "syzygies", counting)
+    monkeypatch.setattr(groebner, "syzygies", counting)
+    return calls
+
+
+def test_variety_of_a_reducible_mcm_module_takes_no_groebner_syzygies(syzygy_calls):
+    rs = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2", "z^2"])
+    pres = syzygy_module(residue_field(rs), 1)
+    assert is_mcm(pres)
+    assert syzygy_calls
+    syzygy_calls.clear()
+    v = support_variety(pres)
+    assert complexity(pres, v.meta["steps_used"]) == 3
+    assert v.dimension() == 3 and syzygy_calls == []
+
+
+def test_cli_variety_builds_no_second_q_level_resolution(tmp_path, capsys, syzygy_calls):
+    ring = tmp_path / "b.json"
+    ring.write_text(json.dumps({"p": 101, "vars": list(B.ring.vars), "ci": ["x^2", "y^2", "z^2"]}))
+    mod = tmp_path / "m.txt"
+    mod.write_text(cli.format_module_file(realize(B, ["chi1 + chi2"], verify=False)))
+    syzygy_calls.clear()
+    assert is_mcm(cli.load_module(cli.load_ring(str(ring)), str(mod)))
+    mcm_check = len(syzygy_calls)
+    syzygy_calls.clear()
+    assert cli.main(["variety", str(ring), str(mod), "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dimension"] == 2 and doc["annihilator"] == ["chi1 + chi2"]
+    assert doc["betti"][:6] == [9, 12, 16, 20, 24, 28]
+    assert len(syzygy_calls) == mcm_check
