@@ -9,6 +9,13 @@ reduced modulo p; with p < 2^31 a single product never overflows, longer
 accumulations are chunked, and row reduction reduces only as often as the
 int64 range requires.  Nothing in this module (or anywhere downstream)
 touches floating point.
+
+`rref` is the one elimination routine, and every span question downstream
+is asked of its pivot columns.  A column is a pivot exactly when it lies
+outside the span of the columns to its left, so the greedy choice "keep each
+vector that is independent of those before it" is the pivot set of one
+`rref`, and the echelon form expresses each non-pivot column in the pivots
+before it.
 """
 
 from __future__ import annotations
@@ -621,73 +628,6 @@ def nullspace(a: np.ndarray, p: int) -> list[list[int]]:
             v[pc] = (-int(r[i, free])) % p
         basis.append(v)
     return basis
-
-
-def solve_linear(a, b, p: int):
-    """Solve a x = b over F_p.
-
-    Returns (particular solution, nullspace basis) or None when the system is
-    inconsistent.  Both outputs are plain lists; the nullspace basis is the
-    echelonized one from `nullspace`."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2:
-        raise InputError("solve_linear wants a matrix")
-    b = np.asarray(b, dtype=np.int64).reshape(-1)
-    if b.shape[0] != a.shape[0]:
-        raise InputError(
-            f"dimension mismatch: {a.shape[0]} equations, rhs of length {b.shape[0]}"
-        )
-    cols = a.shape[1]
-    aug = np.concatenate([np.mod(a, p), np.mod(b, p).reshape(-1, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    if cols in pivots:
-        return None
-    x = [0] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = int(r[i, cols])
-    return x, nullspace(a, p)
-
-
-class IncrementalSpan:
-    """Grow an F_p row space one vector at a time, reporting whether each new
-    vector enlarged it.  Rows are kept pivot-normalized so membership testing
-    is a single elimination sweep."""
-
-    __slots__ = ("p", "width", "rows", "pivots")
-
-    def __init__(self, p: int, width: int):
-        self.p = p
-        self.width = width
-        self.rows = []
-        self.pivots = []  # pivot column of rows[i], strictly increasing order not required
-
-    def residual(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        for row, pc in zip(self.rows, self.pivots):
-            c = int(v[pc])
-            if c:
-                v = (v - c * row) % self.p
-        return v
-
-    def add(self, vec) -> bool:
-        """Reduce vec against the span; absorb the residual.  True when the
-        vector was independent of what came before."""
-        v = self.residual(vec)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        pc = int(nz[0])
-        v = (v * fp_inv(int(v[pc]), self.p)) % self.p
-        self.rows.append(v)
-        self.pivots.append(pc)
-        return True
-
-    def contains(self, vec) -> bool:
-        return not np.any(self.residual(vec))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,7 @@ def ext_k_module(res: Resolution, steps: int) -> ExtKModule:
     of positive degree, and minimality makes the result independent of the
     lift)."""
     rs = res.rs
+    one = rs.ring._one_mono
     res.extend(steps + 1)
     lift_and_operators(res, steps - 1 if steps >= 2 else 1)
     dims = [len(res.degs[i]) for i in range(steps + 1)]
@@ -166,8 +167,9 @@ def ext_k_module(res: Resolution, steps: int) -> ExtKModule:
             cols = operator_columns(res, j, lo)
             mat = np.zeros((dims[lo + 2], dims[lo]), dtype=np.int64)
             for c_idx, col in enumerate(cols):
-                for r in range(dims[lo]):
-                    mat[c_idx, r] = col.terms.get((r, rs.ring._one_mono), 0)
+                for (r, m), v in col.terms.items():
+                    if m == one:
+                        mat[c_idx, r] = v
             per_i.append(mat)
         act.append(per_i)
     return ExtKModule(rs, steps, dims, act)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (
-    IncrementalSpan,
     factor_univariate,
     matmul,
     nullspace,
@@ -31,7 +30,6 @@ from .arith import (
     poly1_mul,
     poly1_xgcd,
     rref,
-    solve_linear,
 )
 from .errors import (
     InputError,
@@ -269,23 +267,17 @@ def _graded_endo_basis(degs, actions, p):
 
 
 def _min_poly(a: np.ndarray, p: int):
-    """Minimal polynomial of a over F_p, ascending coefficients, monic."""
-    dim = a.shape[0]
-    flat_w = dim * dim
-    mats = [np.eye(dim, dtype=np.int64)]
-    span = IncrementalSpan(p, flat_w)
-    span.add(mats[0].reshape(-1))
+    """Minimal polynomial of a over F_p, ascending coefficients, monic.  The
+    flattened powers I, a, a^2, .. are the columns of one matrix, one more
+    each round, until the newest one, a^k, is not a pivot of its `rref`;
+    that column of the echelon form then holds a^k in the powers below it."""
+    powers = [np.eye(a.shape[0], dtype=np.int64).reshape(-1)]
     while True:
-        nxt = matmul(a, mats[-1], p)
-        v = nxt.reshape(-1)
-        if span.contains(v):
-            stacked = np.stack([m.reshape(-1) for m in mats], axis=1)
-            sol = solve_linear(stacked, v, p)
-            coeffs = [(-c) % p for c in sol[0]]
-            coeffs.append(1)
-            return coeffs
-        span.add(v)
-        mats.append(nxt)
+        powers.append(matmul(a, powers[-1].reshape(a.shape), p).reshape(-1))
+        k = len(powers) - 1
+        r, pivots = rref(np.stack(powers, axis=1), p)
+        if k not in pivots:
+            return [(-int(c)) % p for c in r[:k, k]] + [1]
 
 
 def _eval_matrix(coeffs, a: np.ndarray, p: int) -> np.ndarray:

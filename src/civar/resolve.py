@@ -29,6 +29,15 @@ inflates every Betti number after it.  The first differential, a minimal
 generating set of the given relations, comes out of `minimal_columns` on
 both paths.
 
+Every such question is answered by the pivot columns of one `arith.rref`:
+a column is a pivot exactly when it is independent of the columns to its
+left.  `minimal_columns` puts the products x^m * (kept column) first and
+the candidates of the degree after them, `present_from_vector_model` puts
+the variables' images of the degree below before the unit vectors of the
+degree, and `kernel_generators` reads the new generators off the free
+columns.  `_degree_matrix` writes (summand, monomial) terms into these
+matrices on the bases of `standard_monomials`.
+
 Over a non-artinian Q of dimension d, support varieties need only Ext(M, k)
 and its operators, and for a maximal Cohen-Macaulay M these can be read over
 an artinian ring (`artinian_reduction`).  `RingSpec.reduction` finds d
@@ -47,11 +56,11 @@ validates the ring, and every computation over Q passes that one basis down
 (`syzygies`, `SubmoduleOracle`, the relation submodule's basis).  So its
 monomial normal-form table is the only one for (f), and every reduction
 modulo (f) reads it: through `GroebnerBasis.reduce_terms` for normal forms
-(`RingSpec.qnf`, `RingSpec.qnf_elt`, the products x^m * column of the
-degreewise kernel and the multiplication by the variables on Q, the
-products g * x^m that `minimal_columns` spans, the tails `syzygies`
-harvests), and through `GroebnerBasis.lift_terms` for the quotients by
-f_1..f_c that the operator lift needs.  The remainder modulo a Groebner
+(`RingSpec.qnf_elt`, the products x^m * column of the degreewise kernel and
+the multiplication by the variables on Q, the products g * x^m that
+`minimal_columns` spans, the columns `prune_units` combines, the tails
+`syzygies` harvests), and through `GroebnerBasis.lift_terms` for the
+quotients by f_1..f_c that the operator lift needs.  The remainder modulo a Groebner
 basis is unique and linear, so reducing term by term from the table gives
 exactly what a full division would; the quotients are unique modulo (f)
 because the syzygies of a regular sequence are Koszul.  The table fills
@@ -61,13 +70,13 @@ ring.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import numpy as np
 
 from .arith import (
-    DEGREVLEX, IncrementalSpan, Poly, PolyRing, fp_inv, matmul, mono_deg, mono_div, mono_mul,
-    mono_one, nullspace, rref,
+    DEGREVLEX, Poly, PolyRing, fp_inv, matmul, mono_deg, mono_div, mono_mul, mono_one, nullspace,
+    rref,
 )
 from .errors import InputError, InternalError, ResourceBudgetError
 from .groebner import (
@@ -380,65 +389,46 @@ def prune_units(pres: ModulePresentation) -> ModulePresentation:
     relation ties a generator to the others with a unit coefficient, clear
     that generator's row by column operations and delete both.  This yields
     a presentation whose relation entries all lie in the maximal ideal, so
-    the surviving generators are a minimal generating set."""
+    the surviving generators are a minimal generating set.
+
+    The pivot is the first live column, and in it the first live row, whose
+    entry has a nonzero constant term c.  Every other column with a nonzero
+    entry in that row loses a x^m / c times the pivot column for each term
+    a x^m of that entry, on its (row, monomial) terms, and is then reduced
+    modulo (f) from the table of `ci_gb`."""
     rs = pres.rs
-    gens = list(pres.gens)
-    mat = [[col.component(i) for col in pres.relations] for i in range(pres.rank)]
-    ncols = len(pres.relations)
-    live_rows = list(range(len(gens)))
-    live_cols = list(range(ncols))
+    p = rs.p
+    one = rs.ring._one_mono
+    cols = [dict(col.terms) for col in pres.relations]
+    live_rows = list(range(pres.rank))
+    live_cols = list(range(len(cols)))
     while True:
-        pivot = None
-        for j in live_cols:
-            for i in live_rows:
-                e = mat[i][j]
-                if not e.is_zero() and e.constant_term() != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = next(((i, j) for j in live_cols for i in live_rows if (i, one) in cols[j]), None)
         if pivot is None:
             break
         i, j = pivot
-        u = fp_inv(mat[i][j].constant_term(), rs.p)
+        u = fp_inv(cols[j][i, one], p)
         for j2 in live_cols:
-            if j2 == j or mat[i][j2].is_zero():
+            entry = [(m, a) for (r, m), a in cols[j2].items() if r == i]
+            if j2 == j or not entry:
                 continue
-            q = mat[i][j2].scale(u)
-            for r in live_rows:
-                if not mat[r][j].is_zero():
-                    mat[r][j2] = rs.qnf(mat[r][j2] - q * mat[r][j])
+            for m, a in entry:
+                _sub_shifted(cols[j2], cols[j], a * u, m, p)
+            cols[j2] = rs.ci_gb.reduce_terms(cols[j2])
         live_rows.remove(i)
         live_cols.remove(j)
     new_gens = tuple(pres.gens[i] for i in live_rows)
-    cols = []
+    index = {i: n for n, i in enumerate(live_rows)}
+    out = []
     for j in live_cols:
-        entries = [mat[i][j] for i in live_rows]
-        if all(e.is_zero() for e in entries):
-            continue
-        cols.append(FreeElt.from_polys(entries, new_gens))
-    return ModulePresentation(rs, new_gens, cols)
+        terms = {(index[r], m): a for (r, m), a in cols[j].items() if r in index}
+        if terms:
+            out.append(FreeElt(rs.ring, len(new_gens), terms, new_gens))
+    return ModulePresentation(rs, new_gens, out)
 
 
 # ---------------------------------------------------------------------------
-# degreewise vectorization of free modules over Q
-
-
-def _free_basis_keys(rs: RingSpec, shifts, d: int):
-    """k-basis of degree-d part of the free module sum Q(-shift_i)e_i, as
-    (component, standard monomial) keys in a fixed order."""
-    keys = []
-    for c, s in enumerate(shifts):
-        for m in rs.standard_monomials(d - s):
-            keys.append((c, m))
-    return keys
-
-
-def _vectorize(elt: FreeElt, index: dict, width: int) -> np.ndarray:
-    v = np.zeros(width, dtype=np.int64)
-    for key, coeff in elt.terms.items():
-        v[index[key]] = coeff
-    return v
+# degreewise linear algebra on free modules over Q
 
 
 def minimal_columns(rs: RingSpec, columns, shifts):
@@ -446,7 +436,14 @@ def minimal_columns(rs: RingSpec, columns, shifts):
     ascending degree: a column is kept iff it is independent of (maximal
     ideal) * (columns kept so far) plus earlier same-degree keeps.  The kept
     set generates the same submodule and is minimal by the graded Nakayama
-    argument."""
+    argument.
+
+    Each degree d is one `rref`.  Its columns are the products x^m * g, for
+    g kept in a lower degree and x^m a standard monomial of degree d - deg g,
+    reduced from the table of `ci_gb`, followed by the degree-d candidates
+    in their given order; the kept candidates are its pivots past the
+    products."""
+    shifts = tuple(shifts)
     cols = []
     for c in columns:
         if c.is_zero():
@@ -456,24 +453,18 @@ def minimal_columns(rs: RingSpec, columns, shifts):
             cols.append(c)
     cols.sort(key=lambda c: c.degree())
     kept = []
-    i = 0
-    while i < len(cols):
-        d = cols[i].degree()
-        keys = _free_basis_keys(rs, tuple(shifts), d)
-        index = {k: pos for pos, k in enumerate(keys)}
-        span = IncrementalSpan(rs.p, len(keys))
-        for g in kept:
-            e = g.degree()
-            for m in rs.standard_monomials(d - e):
-                if mono_deg(m) == 0:
-                    continue
-                w = FreeElt(rs.ring, g.rank, rs.ci_gb.reduce_terms(g.terms, m), g.shifts)
-                if not w.is_zero():
-                    span.add(_vectorize(w, index, len(keys)))
-        while i < len(cols) and cols[i].degree() == d:
-            if span.add(_vectorize(cols[i], index, len(keys))):
-                kept.append(cols[i])
-            i += 1
+    for d, group in groupby(cols, key=lambda c: c.degree()):
+        group = list(group)
+        vectors = [
+            w
+            for g in kept
+            for m in rs.standard_monomials(d - g.degree())
+            if (w := rs.ci_gb.reduce_terms(g.terms, m))
+        ]
+        products = len(vectors)
+        vectors += [c.terms for c in group]
+        _, pivots = rref(_degree_matrix(rs, shifts, d, vectors, len(vectors)), rs.p)
+        kept += [group[c - products] for c in pivots if c >= products]
     return kept
 
 
@@ -485,6 +476,20 @@ def _offsets(rs: RingSpec, shifts, t: int):
         out.append(size)
         size += len(rs.standard_monomials(t - e))
     return out, size
+
+
+def _degree_matrix(rs: RingSpec, shifts, t: int, vectors, count: int) -> np.ndarray:
+    """The matrix whose columns are the `count` dicts of (summand,
+    standard monomial) terms in `vectors`, each homogeneous of degree t in
+    sum Q(-shifts), on the basis of the degree-t part that `_offsets`
+    describes."""
+    at, size = _offsets(rs, shifts, t)
+    pos = [rs.standard_positions(t - e) for e in shifts]
+    a = np.zeros((size, count), dtype=np.int64)
+    for c, terms in enumerate(vectors):
+        for (k, m), v in terms.items():
+            a[at[k] + pos[k][m], c] = v
+    return a
 
 
 def _times_variables(rs: RingSpec, basis, shifts, t: int, below_at, at, width: int):
@@ -568,11 +573,9 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
                 budget="max_pairs", limit=budgets.max_pairs, step=step, degree=t,
                 products=products,
             )
-        row_at, nrows = _offsets(rs, target_shifts, t)
-        a = np.zeros((nrows, width), dtype=np.int64)
-        for c, (j, m) in enumerate(keys):
-            for (k, mm), v in gb.reduce_terms(cols[j].terms, m).items():
-                a[row_at[k] + rs.standard_positions(t - target_shifts[k])[mm], c] = v
+        a = _degree_matrix(
+            rs, target_shifts, t, (gb.reduce_terms(cols[j].terms, m) for j, m in keys), width
+        )
         r, pivots = rref(a, p)
         del a
         is_pivot = set(pivots)
@@ -892,8 +895,11 @@ def present_from_vector_model(rs: RingSpec, degs, actions) -> ModulePresentation
     """Reverse direction: from an abstract finite model (basis degrees plus
     commuting action matrices) back to a minimal presentation.  Minimal
     generators are coordinate vectors outside (maximal ideal)*M degree by
-    degree; relations come from nullspaces of the evaluation map in each
-    degree up to top+1, where the kernel is generated."""
+    degree: in degree d, the pivots past the action columns of one `rref`
+    of [every action applied to M_{d-1} | the unit vectors of M_d].
+    Relations come from nullspaces of the evaluation map in each degree up
+    to top+1, where the kernel is generated, and are made minimal by
+    `minimal_columns`."""
     degs = np.asarray(degs, dtype=np.int64)
     dim = int(degs.shape[0])
     p = rs.p
@@ -905,17 +911,11 @@ def present_from_vector_model(rs: RingSpec, degs, actions) -> ModulePresentation
         idx = np.flatnonzero(degs == d)
         if idx.size == 0:
             continue
-        span = IncrementalSpan(p, dim)
         prev = np.flatnonzero(degs == d - 1)
-        if prev.size:
-            for mat in actions:
-                for j in prev:
-                    span.add(mat[:, j])
-        for j in idx:
-            unit = np.zeros(dim, dtype=np.int64)
-            unit[j] = 1
-            if span.add(unit):
-                gens.append((d, int(j)))
+        image = [mat[:, prev] for mat in actions]
+        _, pivots = rref(np.concatenate(image + [np.eye(dim, dtype=np.int64)[:, idx]], axis=1), p)
+        skip = len(actions) * prev.size
+        gens += [(d, int(idx[c - skip])) for c in pivots if c >= skip]
     gen_degs = tuple(d for d, _ in gens)
     r = len(gens)
     ring = rs.ring

@@ -11,7 +11,7 @@ import random
 import numpy as np
 
 from civar.arith import Poly, fp_inv, mono_div, mono_lcm, mono_mul
-from civar.groebner import FreeElt, groebner_basis
+from civar.groebner import FreeElt, groebner_basis, normal_form
 
 
 def naive_reduce(v, elements):
@@ -164,3 +164,67 @@ def rref_reference(a, p: int):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def minimal_columns_reference(rs, columns):
+    """The minimal generating set `resolve.minimal_columns` must return,
+    decided one candidate at a time.  Each column is brought to normal form
+    modulo (f) entry by entry with `normal_form`, zero columns are dropped,
+    and the rest are taken by ascending degree, in their given order within
+    a degree.  A candidate of degree d is kept when `rref_reference` finds it
+    outside the span of every product x^m * g, g kept in a lower degree and
+    x^m any monomial of degree d - deg g (reduced with `normal_form`), and of
+    the degree-d columns kept before it."""
+    ring = rs.ring
+
+    def nf(v):
+        return FreeElt.from_polys(
+            [normal_form(f, rs.ci_gb)[0].component(0) for f in v.components()], v.shifts
+        )
+
+    cols = sorted((w for w in map(nf, columns) if not w.is_zero()), key=lambda w: w.degree())
+    kept = []
+    for v in cols:
+        d = v.degree()
+        span = [
+            nf(times(g, Poly(ring, {m: 1})))
+            for g in kept
+            if g.degree() < d
+            for m in ring.monomials_of_degree(d - g.degree())
+        ]
+        vectors = span + [g for g in kept if g.degree() == d] + [v]
+        keys = sorted({k for w in vectors for k in w.terms})
+        a = np.array([[w.terms.get(k, 0) for w in vectors] for k in keys], dtype=np.int64)
+        if len(vectors) - 1 in rref_reference(a, ring.p)[1]:
+            kept.append(v)
+    return kept
+
+
+def prune_units_reference(pres):
+    """(generator degrees, relations) that `resolve.prune_units` must
+    return, computed on a dense matrix of Poly entries.  The pivot is the
+    first column, and in it the first remaining row, whose entry has a
+    nonzero constant term c; every other column with a nonzero entry a in
+    that row loses a / c times the pivot column, entry by entry through Poly
+    arithmetic and `normal_form`; the pivot row and column then go, and so
+    do zero columns at the end."""
+    rs = pres.rs
+    mat = [[col.component(i) for col in pres.relations] for i in range(pres.rank)]
+    rows = list(range(pres.rank))
+    cols = list(range(len(pres.relations)))
+    while True:
+        pivot = next(((i, j) for j in cols for i in rows if mat[i][j].constant_term()), None)
+        if pivot is None:
+            break
+        i, j = pivot
+        u = fp_inv(mat[i][j].constant_term(), rs.p)
+        for j2 in cols:
+            if j2 != j and not mat[i][j2].is_zero():
+                q = mat[i][j2].scale(u)
+                for r in range(pres.rank):
+                    mat[r][j2] = normal_form(mat[r][j2] - q * mat[r][j], rs.ci_gb)[0].component(0)
+        rows.remove(i)
+        cols.remove(j)
+    gens = tuple(pres.gens[i] for i in rows)
+    out = [FreeElt.from_polys([mat[i][j] for i in rows], gens) for j in cols] if rows else []
+    return gens, [c for c in out if not c.is_zero()]

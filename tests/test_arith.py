@@ -6,7 +6,6 @@ import pytest
 
 from civar.arith import (
     DEGREVLEX,
-    IncrementalSpan,
     PolyRing,
     Poly,
     elimination_order,
@@ -27,7 +26,6 @@ from civar.arith import (
     poly1_powmod,
     poly1_xgcd,
     rref,
-    solve_linear,
 )
 from civar.errors import InputError
 
@@ -236,39 +234,6 @@ def test_nullspace_kills_and_counts():
         assert len(basis) == m - len(piv)
         for v in basis:
             assert not (matmul(a, np.array(v, dtype=np.int64).reshape(-1, 1), p)).any()
-
-
-def test_solve_linear_exact_and_inconsistent():
-    rng = seeded("solve")
-    p = 101
-    for _ in range(20):
-        n, m = rng.randrange(1, 7), rng.randrange(1, 7)
-        a = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(n)], dtype=np.int64)
-        x_true = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
-        b = matmul(a, x_true.reshape(-1, 1), p).reshape(-1)
-        got = solve_linear(a, b, p)
-        assert got is not None
-        x, _null = got
-        assert (matmul(a, np.array(x, dtype=np.int64).reshape(-1, 1), p).reshape(-1) == b).all()
-    # x + y = 1 and x + y = 2 cannot both hold
-    a = np.array([[1, 1], [1, 1]], dtype=np.int64)
-    assert solve_linear(a, np.array([1, 2]), p) is None
-
-
-def test_incremental_span_tracks_rank():
-    rng = seeded("span")
-    p = 101
-    for _ in range(15):
-        w = rng.randrange(1, 8)
-        count = rng.randrange(1, 10)
-        vecs = [[rng.randrange(p) for _ in range(w)] for _ in range(count)]
-        span = IncrementalSpan(p, w)
-        for v in vecs:
-            span.add(v)
-        _, piv = rref(np.array(vecs, dtype=np.int64), p)
-        assert span.dim == len(piv)
-        for v in vecs:
-            assert span.contains(v)
 
 
 def test_poly1_divmod_identity():

@@ -4,7 +4,7 @@ the disjoint-split check."""
 import numpy as np
 import pytest
 
-from civar.arith import nullspace
+from civar.arith import matmul, nullspace
 from civar.errors import (
     InputError,
     PremiseError,
@@ -12,7 +12,9 @@ from civar.errors import (
 )
 from civar.cohomology import VarietyIdeal, support_variety
 from civar.construct import (
+    _eval_matrix,
     _graded_endo_basis,
+    _min_poly,
     check_carlson,
     decompose,
     phi,
@@ -31,6 +33,8 @@ from civar.resolve import (
     syzygy_module,
     vector_model,
 )
+
+from helpers import rref_reference
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +183,39 @@ def test_realize_skip_verification(r1):
 
 # ---------------------------------------------------------------------------
 # decompose
+
+
+@pytest.mark.parametrize(
+    "a, want",
+    [
+        # a Jordan block: (t - 5)^3 = t^3 - 15 t^2 + 75 t - 125
+        ([[5, 1, 0], [0, 5, 1], [0, 0, 5]], [-125 % 101, 75, -15 % 101, 1]),
+        # diag(1, 1, 2): (t - 1)(t - 2), of lower degree than the size
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], [2, -3 % 101, 1]),
+        ([[0, 0], [0, 0]], [0, 1]),
+        ([[1, 0], [0, 1]], [100, 1]),
+    ],
+)
+def test_min_poly_pinned(a, want):
+    assert _min_poly(np.array(a, dtype=np.int64), 101) == want
+
+
+def test_min_poly_kills_the_matrix_in_the_least_degree():
+    rng = np.random.default_rng(11)
+    p = 101
+    for n in (2, 3, 5):
+        for twice in (False, True):
+            a = rng.integers(0, p, (n, n))
+            if twice:  # one block twice: degree at most half the size
+                a = np.kron(np.eye(2, dtype=np.int64), a)
+            mu = _min_poly(a, p)
+            assert mu[-1] == 1
+            assert not _eval_matrix(mu, a, p).any()
+            powers = [np.eye(len(a), dtype=np.int64)]
+            for _ in range(len(a)):
+                powers.append(matmul(a, powers[-1], p))
+            flat = np.stack([m.reshape(-1) for m in powers], axis=1)
+            assert len(mu) - 1 == len(rref_reference(flat, p)[1])
 
 
 def test_decompose_splits_direct_sum(r1):

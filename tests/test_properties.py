@@ -14,23 +14,35 @@ regular sequences, and two properties of support varieties (Avramov 1989)
 on that last ring.  The operators t_j = NF(u_j), from the lift
 d~d~ = sum_j f_j u_j, are checked to be chain maps over Q on these rings and
 on F_101[x,y,z]/(z^2, 3y^2, x^2+yz), whose relations are not their own
-reduced basis.  Hypothesis runs derandomized with few examples, so these
-stay fast and reproducible.
+reduced basis.  `minimal_columns` and `prune_units` are checked against the
+plain references in `helpers` on R5, the one-dimensional ring and
+B = F_101[x,y,z,w]/(x^2, y^2, z^2).  Hypothesis runs derandomized with few
+examples, so these stay fast and reproducible.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from civar.arith import Poly, PolyRing
+from civar import construct
 from civar.cohomology import lift_and_operators, support_variety
 from civar.errors import InputError, InternalError
-from civar.groebner import FreeElt, GroebnerBasis, groebner_basis, normal_form, syzygies
+from civar.groebner import (
+    FreeElt,
+    GroebnerBasis,
+    SubmoduleOracle,
+    groebner_basis,
+    normal_form,
+    syzygies,
+)
 from civar.resolve import (
     RingSpec,
     apply_columns,
     direct_sum,
+    hilbert_function,
     minimal_columns,
     present_module,
     prune_units,
@@ -39,7 +51,14 @@ from civar.resolve import (
     syzygy_module,
 )
 
-from helpers import naive_reduce, random_column
+from helpers import (
+    minimal_columns_reference,
+    naive_reduce,
+    prune_units_reference,
+    random_column,
+    rref_reference,
+    times,
+)
 
 PROPS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -256,6 +275,120 @@ def test_deep_betti_numbers_pinned():
     t_line = resolve_min(present_module(UNREDUCED, (0,), [["x + y"]]), 13)
     assert t_line.betti_sequence(13) == [1, 1, 2, 5, 9, 14, 20, 27, 35, 44, 54, 65, 77, 90]
     assert resolve_min(residue_field(R5), 14).betti_sequence(14) == tate_coefficients(3, 3, 14)
+
+
+# ---------------------------------------------------------------------------
+# minimal generators and unit pruning against plain references
+
+# non-artinian, with monomial relations: the ring of the variety-construct
+# benchmark's second half
+B = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2", "z^2"])
+MINIMAL_RINGS = pytest.mark.parametrize("rs", [R5, B, DIM1], ids=["R5", "B", "dim1"])
+
+
+@st.composite
+def redundant_columns(draw, rs):
+    """Drawn homogeneous columns over sum Q(-shifts), then planted
+    redundancies, all in a drawn order: a duplicate, a scalar multiple,
+    v1 + x v2 with v1 and v2 in the set, and a fresh column in the degree of
+    one already there."""
+    ring = rs.ring
+    shifts = draw(st.sampled_from([(0,), (0, 1), (1, 1)]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    top = max(shifts)
+    count = draw(st.integers(1, 3))
+    cols = [random_column(ring, shifts, rng.randint(top, top + 2), rng) for _ in range(count)]
+    kinds = ["duplicate", "multiple", "combination", "same degree"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        v = rng.choice(cols)
+        if kind == "duplicate":
+            cols.append(v)
+        elif kind == "multiple":
+            cols.append(v.scale(rng.randrange(2, ring.p)))
+        elif kind == "combination":
+            v1 = random_column(ring, shifts, v.degree() + 1, rng)
+            cols += [v1, v1 + times(v, ring.gen(rng.randrange(ring.nvars)))]
+        else:
+            cols.append(random_column(ring, shifts, v.degree(), rng))
+    rng.shuffle(cols)
+    return cols
+
+
+@MINIMAL_RINGS
+@settings(PROPS, max_examples=10)
+@given(data=st.data())
+def test_minimal_columns_matches_the_greedy_reference(rs, data):
+    cols = data.draw(redundant_columns(rs))
+    kept = minimal_columns(rs, cols, cols[0].shifts)
+    assert kept == minimal_columns_reference(rs, cols)
+    kept_span = SubmoduleOracle(kept, quotient=rs.ci_gb)
+    assert all(kept_span.contains(c) for c in cols)
+    given_span = SubmoduleOracle(cols, quotient=rs.ci_gb)
+    assert all(given_span.contains(g) for g in kept)
+
+
+def constant_rank(pres):
+    """Rank of the matrix of constant terms of the relations."""
+    one = pres.rs.ring._one_mono
+    a = [[col.terms.get((r, one), 0) for col in pres.relations] for r in range(pres.rank)]
+    a = np.array(a, dtype=np.int64).reshape(pres.rank, len(pres.relations))
+    return len(rref_reference(a, pres.rs.p)[1])
+
+
+def assert_pruned(pres, pruned):
+    assert (pruned.gens, list(pruned.relations)) == prune_units_reference(pres)
+    one = pres.rs.ring._one_mono
+    assert all(m != one for col in pruned.relations for (_r, m) in col.terms)
+    assert pruned.rank == pres.rank - constant_rank(pres)
+    want = [hilbert_function(pres, d) for d in range(7)]
+    assert [hilbert_function(pruned, d) for d in range(7)] == want
+
+
+@st.composite
+def presentations_with_a_unit(draw, rs):
+    """A presentation whose first relation has a unit c != 1 in a drawn row
+    i, while every other relation has a nonzero entry of positive degree in
+    that row."""
+    ring = rs.ring
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    gens = tuple(draw(st.lists(st.integers(0, 1), min_size=2, max_size=3)))
+    i = draw(st.integers(0, len(gens) - 1))
+    unit = random_column(ring, gens, gens[i], rng).terms
+    unit = {k: v for k, v in unit.items() if k[0] != i}
+    unit[i, ring._one_mono] = draw(st.integers(2, ring.p - 1))
+    cols = [FreeElt(ring, len(gens), unit, gens)]
+    count = draw(st.integers(2, 4))
+    while len(cols) < count:
+        v = rs.qnf_elt(random_column(ring, gens, gens[i] + rng.randint(1, 2), rng))
+        if any(r == i for r, _m in v.terms):
+            cols.append(v)
+    rng.shuffle(cols)
+    return present_module(rs, gens, cols)
+
+
+@MINIMAL_RINGS
+@settings(PROPS, max_examples=8)
+@given(data=st.data())
+def test_prune_units_keeps_the_module(rs, data):
+    pres = data.draw(presentations_with_a_unit(rs))
+    assert constant_rank(pres) > 0
+    assert_pruned(pres, prune_units(pres))
+
+
+@pytest.mark.parametrize("rs, eta", [(R5, "chi1"), (B, "chi1 + chi2")], ids=["R5", "B"])
+def test_prune_units_on_a_pushout_cut(rs, eta, monkeypatch):
+    seen = []
+
+    def spy(pres):
+        seen.append((pres, prune_units(pres)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(construct, "prune_units", spy)
+    m = syzygy_module(residue_field(rs), rs.dim)
+    construct.pushout_cut(m, construct.phi(m, eta))
+    [(raw, pruned)] = seen
+    assert constant_rank(raw) > 0
+    assert_pruned(raw, pruned)
 
 
 # ---------------------------------------------------------------------------
