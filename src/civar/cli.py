@@ -19,6 +19,7 @@ broken invariant: a bug, never the input's fault).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -123,11 +124,10 @@ def load_module(rs: RingSpec, path: str) -> ModulePresentation:
 def module_doc(pres: ModulePresentation) -> dict:
     """The module as data: exactly the file payload, so emitted files
     round-trip through present_module unchanged."""
+    cols = [col.components() for col in pres.relations]
     return {
         "gens": list(pres.gens),
-        "relations": [
-            [str(col.component(r)) for col in pres.relations] for r in range(pres.rank)
-        ],
+        "relations": [[str(col[r]) for col in cols] for r in range(pres.rank)],
     }
 
 
@@ -439,7 +439,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards:
+    building it costs far more than a parse, and `parse_args` keeps no state
+    between calls (each returns a fresh namespace)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--steps", type=int, default=None, help="resolution window size N")
     common.add_argument(

@@ -439,6 +439,13 @@ def check_carlson(
     C1 (+) C2 with V(C_i) = V_i (free summands are variety-neutral and are
     reported separately).
 
+    The pieces are ideals over k = F_p, so this checks the k-rational
+    reading: the variety of an indecomposable summand is connected as a
+    k-scheme, not necessarily over the algebraic closure.  Over
+    F_101[x,y]/(x^2, y^2) the module realizing V(chi1^2 - 2 chi2^2) is
+    indecomposable, yet its projective variety over the closure is two
+    conjugate points, since 2 is not a square mod 101.
+
     Premise violations (not finite length, not MCM, split does not match
     V(M), intersection not trivial) raise PremiseError.  A summand whose
     variety fits in neither or both sides contradicts the statement and

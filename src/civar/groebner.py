@@ -122,7 +122,13 @@ class FreeElt:
         return Poly(self.ring, t)
 
     def components(self):
-        return [self.component(c) for c in range(self.rank)]
+        """Every row as a polynomial, in one pass over the terms: each
+        term is bucketed by its component, so the cost is the number of
+        terms, not rank times terms."""
+        rows = [{} for _ in range(self.rank)]
+        for (c, m), v in self.terms.items():
+            rows[c][m] = v
+        return [Poly(self.ring, t) for t in rows]
 
     def is_zero(self) -> bool:
         return not self.terms

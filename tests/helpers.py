@@ -57,6 +57,12 @@ def times(v, f):
     return FreeElt.from_polys([c * f for c in v.components()], v.shifts)
 
 
+def render_reference(v):
+    """The text of a FreeElt built row by row from `component`, each row a
+    separate filter over all the terms."""
+    return "(" + ", ".join(str(v.component(c)) for c in range(v.rank)) + ")"
+
+
 def s_element(a, b):
     """The S-vector of two monic FreeElts with leads in one component, or
     None when the leads live in different components."""

@@ -145,6 +145,39 @@ def test_realize_repeatable_eta(files, capsys):
     assert doc["is_mcm"] is True
 
 
+def test_cached_parser_keeps_no_state_between_calls(files, capsys):
+    """`main` reuses one parser for the whole process: no call may see what
+    an earlier one parsed, however that call ended."""
+    ring, _, _ = files
+    assert cli.build_parser() is cli.build_parser()
+
+    def realize(*etas):
+        argv = ["realize", ring, "--format", "structured"]
+        for eta in etas:
+            argv += ["--eta", eta]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["etas"] == list(etas)
+        return doc
+
+    assert realize("chi1")["variety"]["gens"] == ["chi1"]
+    assert realize("chi1", "chi2")["variety"]["gens"] == ["chi1", "chi2"]
+    expected = realize("chi2")
+    assert expected["variety"]["gens"] == ["chi2"]
+    for argv, status in (
+        (["realize", ring], 1),
+        (["realize", ring, "--eta", "chi1", "--no-such-flag"], 1),
+        (["--help"], 0),
+        (["realize", "--help"], 0),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == status
+        capsys.readouterr()
+        assert realize("chi2") == expected
+
+
 def test_decompose_writes_summand_files(files, capsys):
     ring, mods, tmp = files
     prefix = tmp / "dec"

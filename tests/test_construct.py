@@ -235,6 +235,31 @@ def test_decompose_indecomposable_stays_whole(r1):
     assert dec.possibly_decomposable == [False]
 
 
+@pytest.mark.parametrize(
+    "eta, dims, varieties",
+    [
+        ("chi1^2 - 2*chi2^2", [8], [["chi1^2 + 99*chi2^2"]]),
+        ("chi1^2 - 4*chi2^2", [4, 4], [["chi1 + 99*chi2"], ["chi1 + 2*chi2"]]),
+    ],
+)
+def test_decompose_flags_summands_whose_endomorphisms_exceed_k(r1, eta, dims, varieties):
+    """Pins today's behaviour: `decompose` certifies a summand only when its
+    degree-0 endomorphism ring is k, and both modules here have a
+    4-dimensional one.  2 is not a square mod 101, so the first module stays
+    one summand although its variety is two conjugate lines over the
+    algebraic closure; chi1^2 - 4 chi2^2 = (chi1 - 2 chi2)(chi1 + 2 chi2), so
+    the second splits into its two lines.  Every summand is flagged.  ROADMAP
+    item 2 (a certified local test on End_0) is to turn these flags into
+    certificates."""
+    m = realize(r1, [eta])
+    vm = vector_model(m)
+    assert len(_graded_endo_basis(vm.degs, vm.actions, r1.p)) == 4
+    dec = decompose(m)
+    assert [len(model[0]) for model in dec.models] == dims
+    assert dec.possibly_decomposable == [True] * len(dims)
+    assert [[str(g) for g in support_variety(s).gens] for s in dec.summands] == varieties
+
+
 def test_decompose_two_copies_of_k(r1):
     kk = direct_sum(residue_field(r1), residue_field(r1))
     dec = decompose(kk)

@@ -7,6 +7,7 @@ tie-breaking, so agreement is evidence rather than tautology.
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from civar.arith import DEGREVLEX, Poly, PolyRing
 from civar.errors import InputError, ResourceBudgetError
@@ -29,6 +30,7 @@ from helpers import (
     naive_reduce,
     random_column,
     random_homogeneous,
+    render_reference,
     seeded,
     times,
 )
@@ -327,3 +329,30 @@ def test_determinism_across_runs(pxy):
     one = groebner_basis(gens)
     two = groebner_basis(list(gens))
     assert [str(e) for e in one.elements] == [str(e) for e in two.elements]
+
+
+PXYZ = PolyRing(101, ("x", "y", "z"), DEGREVLEX)
+
+
+@st.composite
+def free_elts(draw):
+    """A FreeElt of rank 1..4 over F_101[x,y,z], terms in drawn order, so
+    rows interleave and some stay empty."""
+    rank = draw(st.integers(1, 4))
+    key = st.tuples(st.integers(0, rank - 1), st.tuples(*[st.integers(0, 2)] * 3))
+    items = draw(
+        st.lists(st.tuples(key, st.integers(1, 100)), max_size=12, unique_by=lambda kv: kv[0])
+    )
+    return FreeElt(PXYZ, rank, dict(items))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(free_elts())
+@example(FreeElt(PXYZ, 4, {}))
+@example(FreeElt(PXYZ, 4, {(2, (0, 1, 0)): 3, (0, (1, 0, 0)): 1, (2, (2, 0, 0)): 5}))
+def test_components_in_one_pass_match_the_row_by_row_reference(v):
+    rows = v.components()
+    assert rows == [v.component(c) for c in range(v.rank)]
+    # same term order inside each row, not only the same dicts
+    assert [list(f.terms) for f in rows] == [list(v.component(c).terms) for c in range(v.rank)]
+    assert str(v) == render_reference(v)
