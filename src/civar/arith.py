@@ -1,14 +1,17 @@
-"""Exact arithmetic over a prime field: polynomials, monomial orders, dense
-linear algebra, and univariate factorization.
+"""Exact arithmetic over a prime field: polynomials and free-module elements,
+monomial orders, dense linear algebra, and univariate factorization.
 
-Scalars are integer residues modulo an odd prime p.  A polynomial is a
-dictionary mapping exponent tuples to nonzero residues, so equality of
-polynomials is equality of dictionaries and there is no coefficient swell to
-manage.  Dense matrices are numpy int64 arrays whose results come out
-reduced modulo p; with p < 2^31 a single product never overflows, longer
-accumulations are chunked, and row reduction reduces only as often as the
-int64 range requires.  Nothing in this module (or anywhere downstream)
-touches floating point.
+Scalars are integer residues modulo an odd prime p.  Polynomials and
+free-module elements are one class, `FreeElt`, whose terms form one
+dictionary mapping (slot, monomial) to a nonzero residue, a monomial being
+an exponent tuple; a `Poly` is the rank-1 element with shift 0, every slot
+0.  Equality of elements is equality of dictionaries and there is no
+coefficient swell to manage.  Every product, and every division step
+downstream, runs on one kernel, `_sub_shifted`.  Dense matrices are numpy
+int64 arrays whose results come out reduced modulo p; with p < 2^31 a
+single product never overflows, longer accumulations are chunked, and row
+reduction reduces only as often as the int64 range requires.  Nothing in
+this module (or anywhere downstream) touches floating point.
 
 `rref` is the one elimination routine, and every span question downstream
 is asked of its pivot columns.  A column is a pivot exactly when it lies
@@ -47,9 +50,8 @@ def fp_inv(a: int, p: int) -> int:
 
 
 def add_terms(a: dict, b: dict, c: int, p: int) -> dict:
-    """a + c*b as a new term dict, zero coefficients dropped.  Any key format
-    works: monomials for polynomials, (component, monomial) for module
-    elements."""
+    """a + c*b as a new term dict on (slot, monomial) keys, zero
+    coefficients dropped."""
     out = dict(a)
     for k, v in b.items():
         s = (out.get(k, 0) + c * v) % p
@@ -58,6 +60,19 @@ def add_terms(a: dict, b: dict, c: int, p: int) -> dict:
         else:
             out.pop(k, None)
     return out
+
+
+def _sub_shifted(acc: dict, src: dict, coeff: int, q: tuple, p: int) -> None:
+    """acc -= coeff * x^q * src, in place, on (slot, monomial) keys; the slot
+    is a component for module parts and a generator index for tails.  The
+    one multiplication kernel: products and every division step run on it."""
+    for (s, m), v in src.items():
+        k = (s, mono_mul(m, q))
+        r = (acc.get(k, 0) - coeff * v) % p
+        if r:
+            acc[k] = r
+        else:
+            acc.pop(k, None)
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +209,21 @@ class PolyRing:
                 raise InputError(f"bad exponent tuple {m} for {self.nvars} variables")
             c %= self.p
             if c:
-                clean[m] = c
+                clean[0, m] = c
         return Poly(self, clean)
 
     def zero(self) -> "Poly":
         return Poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {self._one_mono: 1})
+        return Poly(self, {(0, self._one_mono): 1})
 
     def gen(self, i) -> "Poly":
         if isinstance(i, str):
             i = self._index[i]
         e = [0] * self.nvars
         e[i] = 1
-        return Poly(self, {tuple(e): 1})
+        return Poly(self, {(0, tuple(e)): 1})
 
     def gens(self):
         return [self.gen(i) for i in range(self.nvars)]
@@ -256,86 +271,157 @@ class PolyRing:
         return f"F_{self.p}[{vs}]/{self.order.name}"
 
 
-class Poly:
-    """Element of a PolyRing.  Treat as immutable."""
+class FreeElt:
+    """Element of a graded free module F = sum P(-shift_i) e_i over a
+    polynomial ring P: one dict maps (slot, monomial) to a nonzero residue,
+    the slot being the component.  Treat as immutable; the constructor
+    trusts its terms to be normalized."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "rank", "shifts", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict):
-        # trusted constructor: PolyRing.poly validates, internal callers
-        # promise normalized dicts.
+    def __init__(self, ring: PolyRing, rank: int, terms: dict, shifts=None):
         self.ring = ring
+        self.rank = rank
         self.terms = terms
+        self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
+
+    @classmethod
+    def from_polys(cls, polys, shifts=None) -> "FreeElt":
+        polys = list(polys)
+        if not polys:
+            raise InputError("a free module element needs at least one component")
+        ring = polys[0].ring
+        terms = {}
+        for c, f in enumerate(polys):
+            if f.ring != ring:
+                raise InputError("components from different rings")
+            for (_slot, m), v in f.terms.items():
+                terms[(c, m)] = v
+        return cls(ring, len(polys), terms, shifts)
+
+    def _like(self, terms: dict) -> "FreeElt":
+        """An element of the same class and free module with these terms."""
+        out = object.__new__(type(self))
+        out.ring, out.rank, out.shifts, out.terms = self.ring, self.rank, self.shifts, terms
+        return out
+
+    def components(self):
+        """Every row as a polynomial, in one pass over the terms: each
+        term is bucketed by its component, so the cost is the number of
+        terms, not rank times terms."""
+        rows = [{} for _ in range(self.rank)]
+        for (c, m), v in self.terms.items():
+            rows[c][0, m] = v
+        return [Poly(self.ring, t) for t in rows]
 
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((mono_deg(m) for m in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {mono_deg(m) for m in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_degree(self):
-        """The common degree of all terms, None if inhomogeneous or zero."""
-        degs = {mono_deg(m) for m in self.terms}
+    def degree(self):
+        """Common degree of all terms counting shifts; None if mixed, -1 if
+        zero."""
+        if not self.terms:
+            return -1
+        degs = {mono_deg(m) + self.shifts[c] for (c, m) in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
 
-    def constant_term(self) -> int:
-        return self.terms.get(self.ring._one_mono, 0)
+    def is_homogeneous(self) -> bool:
+        return self.degree() is not None
 
     def lead(self):
-        """(monomial, coefficient) of the leading term, None for zero."""
+        """((component, monomial), coefficient) of the leading term under
+        position-over-term; None for zero."""
         if not self.terms:
             return None
-        m = max(self.terms, key=self.ring.order.key)
-        return m, self.terms[m]
+        key = self.ring.order.key
+        cm = max(self.terms, key=lambda t: (-t[0], key(t[1])))
+        return cm, self.terms[cm]
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _assert_same(self, other):
-        if self.ring != other.ring:
-            raise InputError("mixing polynomials from different rings")
+    def _check(self, other):
+        if self.ring != other.ring or self.rank != other.rank or self.shifts != other.shifts:
+            raise InputError("mixing elements of different free modules")
 
     def __add__(self, other):
-        self._assert_same(other)
-        return Poly(self.ring, add_terms(self.terms, other.terms, 1, self.ring.p))
+        self._check(other)
+        return self._like(add_terms(self.terms, other.terms, 1, self.ring.p))
 
     def __sub__(self, other):
-        self._assert_same(other)
-        return Poly(self.ring, add_terms(self.terms, other.terms, -1, self.ring.p))
+        self._check(other)
+        return self._like(add_terms(self.terms, other.terms, -1, self.ring.p))
 
     def __neg__(self):
         return self.scale(-1)
 
+    def scale(self, c: int) -> "FreeElt":
+        if c % self.ring.p == 1:
+            return self
+        return self._like(add_terms({}, self.terms, c, self.ring.p))
+
     def __mul__(self, other):
+        """Scaling by an integer, or the product of a polynomial with a
+        polynomial or a free-module element, term by term on `_sub_shifted`."""
         if isinstance(other, int):
             return self.scale(other)
-        self._assert_same(other)
-        p = self.ring.p
-        t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = (t.get(m, 0) + c1 * c2) % p
-                if s:
-                    t[m] = s
-                else:
-                    t.pop(m, None)
-        return Poly(self.ring, t)
+        if not isinstance(other, FreeElt):
+            return NotImplemented
+        f, v = (self, other) if isinstance(self, Poly) else (other, self)
+        if not isinstance(f, Poly):
+            raise InputError("a product needs a polynomial factor")
+        if f.ring != v.ring:
+            raise InputError("mixing elements over different rings")
+        acc = {}
+        for (_slot, q), c in f.terms.items():
+            _sub_shifted(acc, v.terms, -c, q, v.ring.p)
+        return v._like(acc)
 
     __rmul__ = __mul__
 
-    def scale(self, c: int) -> "Poly":
-        if c % self.ring.p == 1:
-            return self
-        return Poly(self.ring, add_terms({}, self.terms, c, self.ring.p))
+    # -- comparison / display -------------------------------------------------
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FreeElt)
+            and self.ring == other.ring
+            and self.rank == other.rank
+            and self.shifts == other.shifts
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.rank, frozenset(self.terms.items())))
+
+    def __str__(self):
+        return "(" + ", ".join(str(f) for f in self.components()) + ")"
+
+    def __repr__(self):
+        return f"<{self}>"
+
+
+class Poly(FreeElt):
+    """Element of a PolyRing: the rank-1 free module with shift 0, printed
+    bare.  `Poly(ring, terms)` trusts `terms` to map (0, monomial) to
+    nonzero residues; `PolyRing.poly` validates."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: PolyRing, terms: dict):
+        self.ring = ring
+        self.rank = 1
+        self.shifts = (0,)
+        self.terms = terms
+
+    def homogeneous_degree(self):
+        """The common degree of all terms, None if inhomogeneous or zero."""
+        return self.degree() if self.terms else None
+
+    def constant_term(self) -> int:
+        return self.terms.get((0, self.ring._one_mono), 0)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -355,34 +441,23 @@ class Poly:
         if ring.p != self.ring.p:
             raise InputError("cannot map between different characteristics")
         t = {}
-        for m, c in self.terms.items():
+        for (_slot, m), c in self.terms.items():
             e = [0] * ring.nvars
             for i, ei in enumerate(m):
                 e[var_map[i]] += ei
-            t[tuple(e)] = (t.get(tuple(e), 0) + c) % ring.p
-        return Poly(ring, {m: c for m, c in t.items() if c})
-
-    # -- comparison / display -------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+            k = (0, tuple(e))
+            t[k] = (t.get(k, 0) + c) % ring.p
+        return Poly(ring, {k: c for k, c in t.items() if c})
 
     def __str__(self):
         if not self.terms:
             return "0"
-        order = self.ring.order
+        key = self.ring.order.key
         parts = []
-        for m in sorted(self.terms, key=order.key, reverse=True):
-            c = self.terms[m]
+        for k in sorted(self.terms, key=lambda k: key(k[1]), reverse=True):
+            c = self.terms[k]
             factors = []
-            for v, e in zip(self.ring.vars, m):
+            for v, e in zip(self.ring.vars, k[1]):
                 if e == 1:
                     factors.append(v)
                 elif e > 1:
@@ -394,9 +469,6 @@ class Poly:
             else:
                 parts.append("*".join([str(c)] + factors))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<{self}>"
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +559,7 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
                 break
         if not saw_anything:
             fail("expected a term")
-        m = tuple(exps)
+        m = (0, tuple(exps))
         c = (terms.get(m, 0) + sign * coeff) % ring.p
         if c:
             terms[m] = c

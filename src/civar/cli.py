@@ -68,6 +68,8 @@ def load_ring(path: str) -> RingSpec:
         raise InputError(f"ring file is not valid JSON: {exc}", path=path) from exc
     if not isinstance(doc, dict) or not {"p", "vars", "ci"} <= set(doc):
         raise InputError("ring file needs the fields p, vars, ci", path=path)
+    if not isinstance(doc["vars"], list) or not isinstance(doc["ci"], list):
+        raise InputError("vars and ci must be JSON lists", path=path)
     return RingSpec(doc["p"], [str(v) for v in doc["vars"]], [str(f) for f in doc["ci"]])
 
 
@@ -93,7 +95,9 @@ def parse_module_text(rs: RingSpec, text: str, source: str = "<string>") -> Modu
     gens = payload("gens")
     if gens is None:
         raise InputError("module file is missing 'gens:'", path=source)
-    if not isinstance(gens, list) or not all(isinstance(d, int) for d in gens):
+    if not isinstance(gens, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in gens
+    ):
         raise InputError("gens must be a list of integers", path=source)
     rows = payload("relations")
     if rows is None:

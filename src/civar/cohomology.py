@@ -37,11 +37,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arith import Poly, matmul, nullspace, rref
+from .arith import FreeElt, _sub_shifted, matmul, nullspace, rref
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
-    FreeElt,
-    _sub_shifted,
     groebner_basis,
     ideal_dimension,
     ideal_ops,
@@ -95,7 +93,7 @@ def lift_and_operators(res: Resolution, upto: int) -> Resolution:
             # exactness audit: sum_j f_j u_j must reproduce w identically
             check = {}
             for f, uj in zip(rs.ci, u):
-                for m, cf in f.terms.items():
+                for (_slot, m), cf in f.terms.items():
                     _sub_shifted(check, uj, -cf, m, rs.p)
             if check != w.terms:
                 raise InternalError(
@@ -291,9 +289,9 @@ def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIde
             # no composable window constrains degree d at all
             kernel = [[1 if k == col else 0 for k in range(len(monos))] for col in range(len(monos))]
         for vec in kernel:
-            terms = {m: int(cf) for m, cf in zip(monos, vec) if cf}
+            terms = {m: cf for m, cf in zip(monos, vec) if cf}
             if terms:
-                found.append(Poly(h_ring, terms))
+                found.append(h_ring.poly(terms))
     return VarietyIdeal(h_ring, found)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (
+    FreeElt,
     factor_univariate,
     matmul,
     nullspace,
@@ -38,7 +39,7 @@ from .errors import (
     ResourceBudgetError,
     VerificationError,
 )
-from .groebner import FreeElt, SubmoduleOracle
+from .groebner import SubmoduleOracle
 from .cohomology import VarietyIdeal, lift_and_operators, support_variety
 from .resolve import (
     ModulePresentation,
@@ -107,7 +108,7 @@ def phi(pres: ModulePresentation, h, res=None) -> ExtElement:
     if d < 1:
         raise InputError("operator polynomial must have positive degree")
     internal = {
-        sum(a * rs.ci_degs[j] for j, a in enumerate(m)) for m in h.terms
+        sum(a * rs.ci_degs[j] for j, a in enumerate(m)) for _slot, m in h.terms
     }
     if len(internal) != 1:
         raise InputError(
@@ -124,7 +125,8 @@ def phi(pres: ModulePresentation, h, res=None) -> ExtElement:
     b0 = len(res.degs[0])
     shifts0 = res.degs[0]
     total = [FreeElt(rs.ring, b0, {}, shifts0) for _ in range(len(res.degs[n]))]
-    for m, coeff in sorted(h.terms.items(), key=lambda t: rs.h_ring.order.key(t[0]), reverse=True):
+    key = rs.h_ring.order.key
+    for (_slot, m), coeff in sorted(h.terms.items(), key=lambda t: key(t[0][1]), reverse=True):
         # factors ascending variable index from level 0 upward; composition
         # is built from the top level downward
         js = [j for j in range(rs.codim) for _ in range(m[j])]

@@ -1,7 +1,8 @@
 """Groebner machinery for submodules of graded free modules over F_p[x].
 
-An element of a rank-r free module is stored as one dictionary mapping
-(component, exponent tuple) to a nonzero residue.  The module order is
+Generators are `arith.FreeElt`s, whose terms map (component, exponent tuple)
+to a nonzero residue; the generators of an ideal are `Poly`s, the rank-1
+elements, so ideals and submodules take the same paths.  The module order is
 position-over-term: a term in a lower component beats any term in a higher
 one, ties within a component broken by the ring's monomial order.  Because
 the leading components form an elimination block under this order, syzygies
@@ -13,9 +14,10 @@ reduces to zero).
 
 Every division, whether top reduction during completion, interreduction of
 the finished basis or a normal form against it, runs through one loop,
-`_divide`, over one in-place kernel, `_sub_shifted`.  The reducer is always
-the first basis element, in a fixed order, whose lead divides the current
-leading term, so every output is deterministic.
+`_divide`, over the in-place kernel `arith._sub_shifted` that every product
+of elements runs on too.  The reducer is always the first basis element, in a
+fixed order, whose lead divides the current leading term, so every output is
+deterministic.
 
 Quotient rings never appear explicitly.  To work over Q = P/(f) a caller
 passes the ring's reduced Groebner basis of (f), `RingSpec.ci_gb`, as
@@ -25,13 +27,13 @@ generators, and `syzygies` reduces the harvested tails modulo it.
 
 Reduction modulo an ideal goes through one table instead of a division.  A
 rank-1 basis keeps a table from monomial to the terms of its normal form,
-each entry filled by `normal_form` the first time that monomial is met.  A
-polynomial, or any dict keyed by (slot, monomial) such as a module element
-or a syzygy tail, is then reduced term by term, slot by slot, by table
-lookups (`GroebnerBasis.reduce_terms`).  This is exact: the remainder modulo
-a Groebner basis is the unique combination of standard monomials congruent
-to the input, so it does not depend on the division path, and it is linear,
-so NF(sum c_m x^m) = sum c_m NF(x^m).
+each entry filled by `normal_form` the first time that monomial is met.  Any
+dict keyed by (slot, monomial), the terms of a polynomial or a module
+element or a syzygy tail, is then reduced term by term, slot by slot, by
+table lookups (`GroebnerBasis.reduce_terms`).  This is exact: the remainder
+modulo a Groebner basis is the unique combination of standard monomials
+congruent to the input, so it does not depend on the division path, and it
+is linear, so NF(sum c_m x^m) = sum c_m NF(x^m).
 
 On a basis built with cofactors, the same `normal_form` call also records in
 the entry the quotients c_{m,j} with x^m - NF(x^m) = sum_j c_{m,j} f_j over
@@ -52,7 +54,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import (
-    Poly, PolyRing, add_terms, elimination_order, fp_inv, mono_deg, mono_div, mono_lcm, mono_mul,
+    FreeElt, Poly, PolyRing, _sub_shifted, add_terms, elimination_order, fp_inv, mono_deg, mono_div,
+    mono_lcm, mono_mul,
 )
 from .errors import InputError, ResourceBudgetError
 
@@ -87,132 +90,7 @@ def configure_budgets(budgets: Budgets | None) -> Budgets:
 
 
 # ---------------------------------------------------------------------------
-# free module elements
-
-
-class FreeElt:
-    """Element of a free module F = sum Q(-shift_i) e_i, over the ambient
-    polynomial ring.  Terms live in a single dict keyed by (component,
-    monomial); degree shifts ride along so homogeneity is checkable."""
-
-    __slots__ = ("ring", "rank", "shifts", "terms")
-
-    def __init__(self, ring: PolyRing, rank: int, terms: dict, shifts=None):
-        self.ring = ring
-        self.rank = rank
-        self.terms = terms
-        self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
-
-    @classmethod
-    def from_polys(cls, polys, shifts=None) -> "FreeElt":
-        polys = list(polys)
-        if not polys:
-            raise InputError("a free module element needs at least one component")
-        ring = polys[0].ring
-        terms = {}
-        for c, f in enumerate(polys):
-            if f.ring != ring:
-                raise InputError("components from different rings")
-            for m, v in f.terms.items():
-                terms[(c, m)] = v
-        return cls(ring, len(polys), terms, shifts)
-
-    def component(self, c: int) -> Poly:
-        t = {m: v for (cc, m), v in self.terms.items() if cc == c}
-        return Poly(self.ring, t)
-
-    def components(self):
-        """Every row as a polynomial, in one pass over the terms: each
-        term is bucketed by its component, so the cost is the number of
-        terms, not rank times terms."""
-        rows = [{} for _ in range(self.rank)]
-        for (c, m), v in self.terms.items():
-            rows[c][m] = v
-        return [Poly(self.ring, t) for t in rows]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self):
-        """Common degree of all terms counting shifts; None if mixed, -1 if
-        zero."""
-        if not self.terms:
-            return -1
-        degs = {mono_deg(m) + self.shifts[c] for (c, m) in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def is_homogeneous(self) -> bool:
-        return self.degree() is not None
-
-    def lead(self):
-        """((component, monomial), coefficient) of the leading term under
-        position-over-term; None for zero."""
-        if not self.terms:
-            return None
-        key = self.ring.order.key
-        cm = max(self.terms, key=lambda t: (-t[0], key(t[1])))
-        return cm, self.terms[cm]
-
-    def scale(self, c: int) -> "FreeElt":
-        t = add_terms({}, self.terms, c, self.ring.p)
-        return FreeElt(self.ring, self.rank, t, self.shifts)
-
-    def __add__(self, other):
-        self._check(other)
-        t = add_terms(self.terms, other.terms, 1, self.ring.p)
-        return FreeElt(self.ring, self.rank, t, self.shifts)
-
-    def __sub__(self, other):
-        self._check(other)
-        t = add_terms(self.terms, other.terms, -1, self.ring.p)
-        return FreeElt(self.ring, self.rank, t, self.shifts)
-
-    def _check(self, other):
-        if self.ring != other.ring or self.rank != other.rank:
-            raise InputError("mixing elements of different free modules")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeElt)
-            and self.ring == other.ring
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.rank, frozenset(self.terms.items())))
-
-    def __str__(self):
-        return "(" + ", ".join(str(f) for f in self.components()) + ")"
-
-    def __repr__(self):
-        return f"<{self}>"
-
-
-def _wrap(g, ring=None):
-    if isinstance(g, FreeElt):
-        return g
-    if isinstance(g, Poly):
-        return FreeElt(g.ring, 1, {(0, m): c for m, c in g.terms.items()}, (0,))
-    raise InputError(f"cannot interpret {type(g).__name__} as a module element")
-
-
-# ---------------------------------------------------------------------------
 # division
-
-
-def _sub_shifted(acc: dict, src: dict, coeff: int, q: tuple, p: int) -> None:
-    """acc -= coeff * x^q * src, in place, on (slot, monomial) keys; the slot
-    is a component for module parts and a generator index for tails."""
-    for (s, m), v in src.items():
-        k = (s, mono_mul(m, q))
-        r = (acc.get(k, 0) - coeff * v) % p
-        if r:
-            acc[k] = r
-        else:
-            acc.pop(k, None)
 
 
 def _divide(terms: dict, tail, reducers: dict, termkey, p: int, rest: dict = None):
@@ -396,12 +274,6 @@ class GroebnerBasis:
         # or None), each a tuple of (monomial, coeff) pairs; see `_fill_entry`
         self._nf_table: dict[tuple, tuple] = {}
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
     def contains(self, v) -> bool:
         rem, _ = normal_form(v, self)
         return rem.is_zero()
@@ -412,17 +284,17 @@ class GroebnerBasis:
         cofactors, the quotients c_j with x^m - NF(x^m) = sum_j c_j f_j over
         the input generators f_j (the division's cofactors pushed through
         `cofactors`)."""
-        rem, cofs = normal_form(Poly(self.ring, {m: 1}), self)
-        nf = tuple((mm, c) for (_c, mm), c in rem.terms.items())
+        rem, cofs = normal_form(self.ring.poly({m: 1}), self)
+        nf = tuple((mm, c) for (_slot, mm), c in rem.terms.items())
         quots = None
         if self.cofactors is not None:
             quots = []
             for j in range(len(self.cofactors[0])):
-                cj = Poly(self.ring, {})
+                cj = self.ring.zero()
                 for q, row in zip(cofs, self.cofactors):
                     if q.terms and row[j].terms:
                         cj = cj + q * row[j]
-                quots.append(tuple(cj.terms.items()))
+                quots.append(tuple((mm, c) for (_slot, mm), c in cj.terms.items()))
             quots = tuple(quots)
         entry = self._nf_table[m] = (nf, quots)
         return entry
@@ -464,13 +336,15 @@ class GroebnerBasis:
     def scalar_elements(self) -> list[Poly]:
         if self.rank != 1:
             raise InputError("scalar_elements on a module basis")
-        return [e.component(0) for e in self.elements]
+        return [Poly(self.ring, e.terms) for e in self.elements]
 
 
 def _prepare(gens, require_homogeneous: bool):
-    gens = [_wrap(g) for g in gens]
     if not gens:
         raise InputError("empty generator list")
+    for i, g in enumerate(gens):
+        if not isinstance(g, FreeElt):
+            raise InputError(f"generator {i} is {type(g).__name__}, not a module element", index=i)
     ring = gens[0].ring
     rank = gens[0].rank
     shifts = gens[0].shifts
@@ -498,8 +372,8 @@ def quotient_elements(quotient: GroebnerBasis, rank: int, shifts) -> list[FreeEl
     `quotient` and each component i of a rank-`rank` free module: adjoined
     to a generating set, they make it generate over P/(g)."""
     return [
-        FreeElt(f.ring, rank, {(r, m): c for m, c in f.terms.items()}, shifts)
-        for f in quotient.scalar_elements()
+        FreeElt(f.ring, rank, {(r, m): c for (_slot, m), c in f.terms.items()}, shifts)
+        for f in quotient.elements
         for r in range(rank)
     ]
 
@@ -519,14 +393,9 @@ def groebner_basis(gens, *, cofactors: bool = False, _allow_inhomogeneous: bool 
     elements, tails = _reduced_form(eng)
     cofs = None
     if cofactors:
-        cofs = [
-            [_tail_component(t, g, ring) for g in range(len(gens))] for t in tails
-        ]
+        # a tail's slots are generator indices: one row per generator
+        cofs = [FreeElt(ring, len(gens), t).components() for t in tails]
     return GroebnerBasis(ring, rank, shifts, elements, cofs)
-
-
-def _tail_component(tail, g, ring):
-    return Poly(ring, {m: c for (gi, m), c in tail.items() if gi == g})
 
 
 def _reduced_form(eng: _Completion):
@@ -560,19 +429,16 @@ def normal_form(v, gb: GroebnerBasis):
     v = remainder + sum cofactors[i] * gb.elements[i] exactly, and no
     remainder term divisible by any basis lead.  The reducer is always the
     first matching basis element, so the output is deterministic."""
-    v = _wrap(v)
-    if v.ring != gb.ring or v.rank != gb.rank:
+    if not isinstance(v, FreeElt) or v.ring != gb.ring or v.rank != gb.rank:
         raise InputError("element does not live in the basis's free module")
     key = gb.ring.order.key
     terms = dict(v.terms)
     tail = {}
     result = {}
     _divide(terms, tail, gb._reducers, lambda t: (-t[0], key(t[1])), gb.ring.p, result)
-    cofs = [{} for _ in gb.elements]
-    for (k, m), c in tail.items():
-        cofs[k][m] = c
     rem = FreeElt(gb.ring, gb.rank, result, gb.shifts)
-    return rem, [Poly(gb.ring, d) for d in cofs]
+    # the tail's slots are basis indices: one cofactor row per element
+    return rem, FreeElt(gb.ring, len(gb.elements), tail).components()
 
 
 def syzygies(gens, *, quotient=None) -> list[FreeElt]:
@@ -619,7 +485,9 @@ class SubmoduleOracle:
     `RingSpec.ci_gb`.  Builds one Groebner basis up front and reuses it."""
 
     def __init__(self, gens, *, quotient=None):
-        gens = [_wrap(g) for g in gens]
+        gens = list(gens)
+        if gens:
+            _prepare(gens, False)  # refuse a non-element before reading its ring
         _check_quotient(quotient, gens[0].ring if gens else None)
         self.quotient = quotient
         self.gb = None
@@ -636,7 +504,7 @@ class SubmoduleOracle:
         return v
 
     def contains(self, v) -> bool:
-        return self.reduce(_wrap(v)).is_zero()
+        return self.reduce(v).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +602,13 @@ def _ideal_intersection(a, b, ring):
     gens = [t * f.map_to(ext, idx) for f in a]
     gens += [one_minus_t * g.map_to(ext, idx) for g in b]
     gb = groebner_basis(gens, _allow_inhomogeneous=True)
-    kept = []
-    back = list(range(ring.nvars))
-    for e in gb.elements:
-        f = e.component(0)
-        if all(m[0] == 0 for m in f.terms):
-            kept.append(Poly(ring, {m[1:]: c for m, c in f.terms.items()}))
+    # t does not occur in the kept elements, so sending it anywhere drops it
+    drop_t = [0] + list(range(ring.nvars))
+    kept = [
+        Poly(ext, e.terms).map_to(ring, drop_t)
+        for e in gb.elements
+        if all(m[0] == 0 for _slot, m in e.terms)
+    ]
     if not kept:
         return []
     gb2 = groebner_basis(kept, _allow_inhomogeneous=True)

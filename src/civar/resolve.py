@@ -75,17 +75,15 @@ from itertools import combinations, groupby, product
 import numpy as np
 
 from .arith import (
-    DEGREVLEX, Poly, PolyRing, fp_inv, matmul, mono_deg, mono_div, mono_mul, mono_one, nullspace,
-    rref,
+    DEGREVLEX, FreeElt, Poly, PolyRing, _sub_shifted, fp_inv, matmul, mono_deg, mono_div, mono_mul,
+    mono_one, nullspace, rref,
 )
 from .errors import InputError, InternalError, ResourceBudgetError
 from .groebner import (
-    FreeElt,
     GroebnerBasis,
     SubmoduleOracle,
     _current_budgets,
     _leads_dimension,
-    _sub_shifted,
     groebner_basis,
     normal_form,
     quotient_elements,
@@ -206,10 +204,7 @@ class RingSpec:
         for cut in combinations(range(n - 1, -1, -1), self.dim):
             kept = tuple(v for v in range(n) if v not in cut)
             ring = PolyRing(self.p, tuple(self.ring.vars[v] for v in kept), DEGREVLEX)
-            ci = []
-            for f in self.ci:
-                terms = _on_kept({(0, m): c for m, c in f.terms.items()}, kept)
-                ci.append(Poly(ring, {m: c for (_s, m), c in terms.items()}))
+            ci = [Poly(ring, _on_kept(f.terms, kept)) for f in self.ci]
             try:
                 bar = RingSpec(self.p, ring.vars, ci)
             except InputError:
@@ -221,8 +216,7 @@ class RingSpec:
     def qnf(self, f: Poly) -> Poly:
         """Normal form of f modulo (f_1..f_c): the canonical representative
         of its class in Q."""
-        rem = self.ci_gb.reduce_terms({(0, m): c for m, c in f.terms.items()})
-        return Poly(self.ring, {m: c for (_s, m), c in rem.items()})
+        return Poly(self.ring, self.ci_gb.reduce_terms(f.terms))
 
     def qnf_elt(self, v: FreeElt) -> FreeElt:
         """Componentwise normal form of a free-module element modulo (f)."""
@@ -260,14 +254,11 @@ class RingSpec:
         got = self._action_cache.get(d)
         if got is None:
             target = self.standard_positions(d + 1)
-            n = self.ring.nvars
             entries = [
                 (k, v, target[mm], cf)
-                for v in range(n)
+                for v, x in enumerate(self.ring.gens())
                 for k, m in enumerate(self.standard_monomials(d))
-                for (_s, mm), cf in self.ci_gb.reduce_terms(
-                    {(0, m): 1}, tuple(int(i == v) for i in range(n))
-                ).items()
+                for (_slot, mm), cf in self.ci_gb.reduce_terms(x.terms, m).items()
             ]
             got = np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy()
             self._action_cache[d] = got
@@ -359,8 +350,8 @@ def residue_field(rs: RingSpec) -> ModulePresentation:
     """k = Q/(x_1..x_n), one generator in degree 0."""
     cols = []
     for v in range(rs.ring.nvars):
-        m = rs.ring.gen(v).lead()[0]
-        cols.append(FreeElt(rs.ring, 1, {(0, m): 1}, (0,)))
+        key = rs.ring.gen(v).lead()[0]
+        cols.append(FreeElt(rs.ring, 1, {key: 1}, (0,)))
     return ModulePresentation(rs, (0,), cols)
 
 
@@ -700,7 +691,7 @@ def apply_columns(cols, v: FreeElt, target_rank: int, target_shifts) -> FreeElt:
     return FreeElt(v.ring, target_rank, acc, target_shifts)
 
 
-def _transpose_columns(cols, src_rank: int, src_degs, ring):
+def _transpose_columns(cols, src_rank: int, ring):
     """Columns of the dual map: row r of the matrix, placed in the free
     module on the original columns' generators with negated degrees."""
     rank = len(cols)
@@ -737,7 +728,7 @@ def _ext_into_q_vanishes(pres: ModulePresentation) -> bool:
         dual_shifts = tuple(-d for d in res.degs[i])
         up = res.diffs[i + 1]
         if up:
-            ker = syzygies(_transpose_columns(up, bi, res.degs[i], ring), quotient=rs.ci_gb)
+            ker = syzygies(_transpose_columns(up, bi, ring), quotient=rs.ci_gb)
         else:
             ker = [
                 FreeElt(ring, bi, {(r, ring._one_mono): 1}, dual_shifts)
@@ -745,7 +736,7 @@ def _ext_into_q_vanishes(pres: ModulePresentation) -> bool:
             ]
         if not ker:
             continue
-        down_rows = _transpose_columns(res.diffs[i], len(res.degs[i - 1]), res.degs[i - 1], ring)
+        down_rows = _transpose_columns(res.diffs[i], len(res.degs[i - 1]), ring)
         # rows of d_i live in the same dual free module as the kernel
         down = [FreeElt(ring, bi, dict(w.terms), dual_shifts) for w in down_rows]
         oracle = SubmoduleOracle(down, quotient=rs.ci_gb)
@@ -860,9 +851,9 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
     actions = []
     for v in range(ring.nvars):
         mat = np.zeros((dim, dim), dtype=np.int64)
-        xv = ring.gen(v)
+        (_slot, xv), _ = ring.gen(v).lead()
         for col, (c, m) in enumerate(basis):
-            image = FreeElt(ring, rank, {(c, mono_mul(m, xv.lead()[0])): 1}, pres.gens)
+            image = FreeElt(ring, rank, {(c, mono_mul(m, xv)): 1}, pres.gens)
             rem, _ = normal_form(image, gb)
             for key, coeff in rem.terms.items():
                 mat[index[key], col] = coeff

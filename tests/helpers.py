@@ -57,10 +57,81 @@ def times(v, f):
     return FreeElt.from_polys([c * f for c in v.components()], v.shifts)
 
 
+def component(v, c):
+    """Row c of a FreeElt as a polynomial, one filter over all the terms: the
+    row-by-row reference for `FreeElt.components`."""
+    return Poly(v.ring, {(0, m): x for (r, m), x in v.terms.items() if r == c})
+
+
 def render_reference(v):
     """The text of a FreeElt built row by row from `component`, each row a
     separate filter over all the terms."""
-    return "(" + ", ".join(str(v.component(c)) for c in range(v.rank)) + ")"
+    return "(" + ", ".join(str(component(v, c)) for c in range(v.rank)) + ")"
+
+
+# References on plain {exponent tuple: residue} dicts, sharing no code with
+# the (slot, monomial) terms and the `_sub_shifted` kernel of `FreeElt`.
+
+
+def monomial_terms(f):
+    """The terms of a polynomial as {exponent tuple: residue}."""
+    return {m: c for (_slot, m), c in f.terms.items()}
+
+
+def mul_reference(a, b, p):
+    """a * b by the double loop over both term dicts."""
+    t = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            s = (t.get(m, 0) + c1 * c2) % p
+            if s:
+                t[m] = s
+            else:
+                t.pop(m, None)
+    return t
+
+
+def add_reference(a, b, p):
+    t = dict(a)
+    for m, c in b.items():
+        s = (t.get(m, 0) + c) % p
+        if s:
+            t[m] = s
+        else:
+            t.pop(m, None)
+    return t
+
+
+def pow_reference(a, e, ring):
+    """a^e as e successive products, starting from 1."""
+    t = {(0,) * ring.nvars: 1}
+    for _ in range(e):
+        t = mul_reference(t, a, ring.p)
+    return t
+
+
+def map_reference(a, ring, var_map):
+    """The image of a under variable i -> ring variable var_map[i]."""
+    t = {}
+    for m, c in a.items():
+        e = [0] * ring.nvars
+        for i, ei in enumerate(m):
+            e[var_map[i]] += ei
+        t[tuple(e)] = (t.get(tuple(e), 0) + c) % ring.p
+    return {m: c for m, c in t.items() if c}
+
+
+def str_reference(ring, a):
+    """The text of a polynomial: terms largest first, coefficient 1 and
+    exponent 1 omitted, "0" for no terms."""
+    parts = []
+    for m in sorted(a, key=ring.order.key, reverse=True):
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(ring.vars, m) if e]
+        if a[m] != 1 or not factors:
+            factors.insert(0, str(a[m]))
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
 
 
 def s_element(a, b):
@@ -74,7 +145,7 @@ def s_element(a, b):
     ua = mono_div(lcm, ma)
     ub = mono_div(lcm, mb)
     ring = a.ring
-    return times(a, Poly(ring, {ua: 1})) - times(b, Poly(ring, {ub: 1}))
+    return times(a, ring.poly({ua: 1})) - times(b, ring.poly({ub: 1}))
 
 
 def buchberger_holds(gb) -> bool:
@@ -118,7 +189,7 @@ def random_homogeneous(ring, degree, rng, allow_zero=False):
             c = rng.randrange(ring.p)
             if c:
                 terms[m] = c
-        poly = Poly(ring, terms)
+        poly = ring.poly(terms)
         if allow_zero or not poly.is_zero():
             return poly
 
@@ -185,7 +256,7 @@ def minimal_columns_reference(rs, columns):
 
     def nf(v):
         return FreeElt.from_polys(
-            [normal_form(f, rs.ci_gb)[0].component(0) for f in v.components()], v.shifts
+            [component(normal_form(f, rs.ci_gb)[0], 0) for f in v.components()], v.shifts
         )
 
     cols = sorted((w for w in map(nf, columns) if not w.is_zero()), key=lambda w: w.degree())
@@ -193,7 +264,7 @@ def minimal_columns_reference(rs, columns):
     for v in cols:
         d = v.degree()
         span = [
-            nf(times(g, Poly(ring, {m: 1})))
+            nf(times(g, ring.poly({m: 1})))
             for g in kept
             if g.degree() < d
             for m in ring.monomials_of_degree(d - g.degree())
@@ -215,7 +286,7 @@ def prune_units_reference(pres):
     arithmetic and `normal_form`; the pivot row and column then go, and so
     do zero columns at the end."""
     rs = pres.rs
-    mat = [[col.component(i) for col in pres.relations] for i in range(pres.rank)]
+    mat = [[component(col, i) for col in pres.relations] for i in range(pres.rank)]
     rows = list(range(pres.rank))
     cols = list(range(len(pres.relations)))
     while True:
@@ -228,7 +299,7 @@ def prune_units_reference(pres):
             if j2 != j and not mat[i][j2].is_zero():
                 q = mat[i][j2].scale(u)
                 for r in range(pres.rank):
-                    mat[r][j2] = normal_form(mat[r][j2] - q * mat[r][j], rs.ci_gb)[0].component(0)
+                    mat[r][j2] = component(normal_form(mat[r][j2] - q * mat[r][j], rs.ci_gb)[0], 0)
         rows.remove(i)
         cols.remove(j)
     gens = tuple(pres.gens[i] for i in rows)

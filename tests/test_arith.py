@@ -3,9 +3,11 @@ polynomial container, and the univariate stack."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from civar.arith import (
     DEGREVLEX,
+    FreeElt,
     PolyRing,
     Poly,
     elimination_order,
@@ -29,7 +31,16 @@ from civar.arith import (
 )
 from civar.errors import InputError
 
-from helpers import rref_reference, seeded
+from helpers import (
+    add_reference,
+    map_reference,
+    monomial_terms,
+    mul_reference,
+    pow_reference,
+    rref_reference,
+    seeded,
+    str_reference,
+)
 
 
 @pytest.fixture
@@ -99,7 +110,7 @@ def test_elimination_order_blocks():
     ring = PolyRing(101, ("t", "x", "y"), elimination_order(1))
     f = ring.parse("t + x^5")
     # anything with t beats anything without
-    assert f.lead()[0] == (1, 0, 0)
+    assert f.lead()[0] == (0, (1, 0, 0))
 
 
 def test_parse_str_round_trip(ring):
@@ -109,7 +120,7 @@ def test_parse_str_round_trip(ring):
         for _k in range(rng.randrange(1, 6)):
             m = tuple(rng.randrange(3) for _ in range(3))
             terms[m] = rng.randrange(1, 101)
-        f = Poly(ring, terms)
+        f = ring.poly(terms)
         assert ring.parse(str(f)) == f
 
 
@@ -315,3 +326,46 @@ def test_factor_x4_minus_1():
     # 101 = 1 mod 4, so x^4 - 1 splits into four linear factors
     assert [poly1_deg(b) for b, _ in got] == [1, 1, 1, 1]
     assert all(m == 1 for _, m in got)
+
+
+P3 = PolyRing(101, ("x", "y", "z"), DEGREVLEX)
+P4 = PolyRing(101, ("u", "v", "w", "t"), DEGREVLEX)
+TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(0, 100), max_size=6)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    a=TERMS,
+    b=TERMS,
+    e=st.integers(0, 3),
+    var_map=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    rows=st.lists(TERMS, min_size=1, max_size=4),
+    low=st.integers(-2, 2),
+)
+def test_poly_matches_the_monomial_dict_reference(a, b, e, var_map, rows, low):
+    """Products (one kernel for Poly * Poly and Poly * FreeElt), sums,
+    powers, ring maps and text of polynomials agree with the double loop
+    over monomial-keyed dicts; rows survive from_polys and components()."""
+    p = P3.p
+    f, g = P3.poly(a), P3.poly(b)
+    fa, ga = monomial_terms(f), monomial_terms(g)
+    fg = mul_reference(fa, ga, p)
+    assert isinstance(f * g, Poly) and isinstance(f + g, Poly)
+    assert monomial_terms(f * g) == fg
+    assert monomial_terms(f + g) == add_reference(fa, ga, p)
+    assert monomial_terms(f ** e) == pow_reference(fa, e, P3)
+    image = f.map_to(P4, var_map)
+    assert monomial_terms(image) == map_reference(fa, P4, var_map)
+    assert str(f) == str_reference(P3, fa)
+    assert str(f * g) == str_reference(P3, fg)
+    assert str(image) == str_reference(P4, monomial_terms(image))
+    polys = [P3.poly(r) for r in rows]
+    shifts = tuple(range(low, low + len(polys)))
+    v = FreeElt.from_polys(polys, shifts)
+    assert (v.rank, v.shifts) == (len(polys), shifts)
+    assert v.components() == polys
+    fv = f * v
+    assert type(fv) is FreeElt and fv.shifts == shifts
+    assert [monomial_terms(h) for h in fv.components()] == [
+        mul_reference(fa, monomial_terms(h), p) for h in polys
+    ]

@@ -240,6 +240,28 @@ def test_invalid_ring_json_exits_1(files, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "doc", [{"vars": "xy", "ci": ["x^2", "y^2"]}, {"vars": ["x"], "ci": "x^2"}], ids=["vars", "ci"]
+)
+def test_ring_fields_that_are_not_lists_exit_1(files, capsys, doc):
+    _, mods, tmp = files
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps({"p": 101, **doc}))
+    for argv in (["validate", str(bad)], ["variety", str(bad), mods["k"]]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "vars and ci must be JSON lists" in err
+
+
+def test_boolean_generator_degree_exits_1(files, capsys):
+    ring, _, tmp = files
+    bad = tmp / "bool.txt"
+    bad.write_text("gens: [true]\nrelations: [[\"x\", \"y\"]]\n")
+    code, out, err = run(capsys, ["validate", ring, str(bad)])
+    assert (code, out) == (1, "")
+    assert "gens must be a list of integers" in err
+
+
 def test_module_without_gens_exits_1(files, capsys):
     ring, _, tmp = files
     bad = tmp / "bad.txt"

@@ -27,6 +27,7 @@ from civar.groebner import (
 from helpers import (
     brute_radical,
     buchberger_holds,
+    component,
     naive_reduce,
     random_column,
     random_homogeneous,
@@ -49,14 +50,14 @@ def test_monomial_ideal_already_reduced(pxy):
 def test_frozen_basis_with_cofactors(pxy):
     gens = [pxy.parse("x^2 - y^2"), pxy.parse("x*y")]
     gb = groebner_basis(gens, cofactors=True)
-    got = {str(e.component(0)) for e in gb.elements}
+    got = {str(component(e, 0)) for e in gb.elements}
     assert got == {"y^3", "x^2 + 100*y^2", "x*y"}
     # cofactor identity: every basis element recombines from the inputs
     for e, cof in zip(gb.elements, gb.cofactors):
         acc = pxy.zero()
         for c, g in zip(cof, gens):
             acc = acc + c * g
-        assert acc == e.component(0)
+        assert acc == component(e, 0)
 
 
 def test_reduced_property(pxy):
@@ -79,7 +80,7 @@ def test_normal_form_frozen_cofactors(pxy):
     assert rem.is_zero()
     assert [str(c) for c in cofs] == ["y^2", "0"]
     low, cofs2 = normal_form(pxy.parse("x + y"), gb)
-    assert str(low.component(0)) == "x + y"
+    assert str(component(low, 0)) == "x + y"
     assert all(c.is_zero() for c in cofs2)
 
 
@@ -89,9 +90,9 @@ def test_normal_form_identity_random(pxy):
     for _ in range(50):
         f = random_homogeneous(pxy, rng.randrange(1, 6), rng)
         rem, cofs = normal_form(f, gb)
-        acc = rem.component(0)
+        acc = component(rem, 0)
         for c, e in zip(cofs, gb.elements):
-            acc = acc + c * e.component(0)
+            acc = acc + c * component(e, 0)
         assert acc == f
 
 
@@ -130,7 +131,7 @@ def test_module_division_matches_oracle(pxy):
     def combine(cofs, elts, r):
         acc = pxy.zero()
         for c, e in zip(cofs, elts):
-            acc = acc + c * e.component(r)
+            acc = acc + c * component(e, r)
         return acc
 
     for _ in range(6):
@@ -138,7 +139,7 @@ def test_module_division_matches_oracle(pxy):
         gb = groebner_basis(gens, cofactors=True)
         for e, cof in zip(gb.elements, gb.cofactors):
             for r in range(2):
-                assert combine(cof, gens, r) == e.component(r)
+                assert combine(cof, gens, r) == component(e, r)
         members = [
             times(gens[0], random_homogeneous(pxy, 1, rng))
             + times(gens[1], random_homogeneous(pxy, 2, rng))
@@ -148,7 +149,7 @@ def test_module_division_matches_oracle(pxy):
             rem, cofs = normal_form(v, gb)
             assert rem == naive_reduce(v, gb.elements)
             for r in range(2):
-                assert rem.component(r) + combine(cofs, gb.elements, r) == v.component(r)
+                assert component(rem, r) + combine(cofs, gb.elements, r) == component(v, r)
         assert all(normal_form(v, gb)[0].is_zero() for v in members)
 
 
@@ -175,7 +176,7 @@ def test_syzygies_kill_generators(pxy):
         for s in syzygies(gens):
             acc = pxy.zero()
             for i in range(3):
-                acc = acc + s.component(i) * gens[i]
+                acc = acc + component(s, i) * gens[i]
             assert acc.is_zero()
 
 
@@ -187,7 +188,7 @@ def test_quotient_syzygies_kill_mod_f(pxy):
         for s in syzygies(gens, quotient=qgb):
             acc = pxy.zero()
             for i in range(2):
-                acc = acc + s.component(i) * gens[i]
+                acc = acc + component(s, i) * gens[i]
             assert normal_form(acc, qgb)[0].is_zero()
 
 
@@ -286,7 +287,7 @@ def test_configured_budgets_stay_in_their_thread(pxy):
     sizes = []
     prev = configure_budgets(Budgets(max_pairs=50_000, max_degree=1))
     try:
-        worker = threading.Thread(target=lambda: sizes.append(len(groebner_basis(gens))))
+        worker = threading.Thread(target=lambda: sizes.append(len(groebner_basis(gens).elements)))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
@@ -323,6 +324,32 @@ def test_free_elt_mixed_shifts_rejected(pxy):
         groebner_basis([a, b])
 
 
+def test_free_elt_arithmetic_rejects_mixed_shifts(pxy):
+    a = FreeElt.from_polys([pxy.parse("x")], (0,))
+    b = FreeElt.from_polys([pxy.parse("y")], (1,))
+    with pytest.raises(InputError):
+        a + b
+    with pytest.raises(InputError):
+        a - b
+    assert a != FreeElt.from_polys([pxy.parse("x")], (1,))
+    same = FreeElt.from_polys([pxy.parse("y")], (0,))
+    assert (a + same).degree() == 1 and str(a - same) == "(x + 100*y)"
+
+
+def test_non_elements_are_input_errors(pxy):
+    gb = groebner_basis([pxy.parse("x^2")])
+    oracle = SubmoduleOracle([pxy.parse("x")])
+    for call in (
+        lambda: groebner_basis(["x"]),
+        lambda: syzygies(["x"]),
+        lambda: normal_form("x", gb),
+        lambda: SubmoduleOracle(["x"]),
+        lambda: oracle.contains("x"),
+    ):
+        with pytest.raises(InputError):
+            call()
+
+
 def test_determinism_across_runs(pxy):
     rng = seeded("determinism")
     gens = [random_homogeneous(pxy, 3, rng) for _ in range(3)]
@@ -352,7 +379,7 @@ def free_elts(draw):
 @example(FreeElt(PXYZ, 4, {(2, (0, 1, 0)): 3, (0, (1, 0, 0)): 1, (2, (2, 0, 0)): 5}))
 def test_components_in_one_pass_match_the_row_by_row_reference(v):
     rows = v.components()
-    assert rows == [v.component(c) for c in range(v.rank)]
+    assert rows == [component(v, c) for c in range(v.rank)]
     # same term order inside each row, not only the same dicts
-    assert [list(f.terms) for f in rows] == [list(v.component(c).terms) for c in range(v.rank)]
+    assert [list(f.terms) for f in rows] == [list(component(v, c).terms) for c in range(v.rank)]
     assert str(v) == render_reference(v)

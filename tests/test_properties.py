@@ -52,6 +52,7 @@ from civar.resolve import (
 )
 
 from helpers import (
+    component,
     minimal_columns_reference,
     naive_reduce,
     prune_units_reference,
@@ -83,11 +84,11 @@ def homogeneous(draw, ring, degree=None, nonzero_coeffs=False):
     monos = ring.monomials_of_degree(degree)
     low = 1 if nonzero_coeffs else 0
     coeffs = draw(st.lists(st.integers(low, ring.p - 1), min_size=len(monos), max_size=len(monos)))
-    return Poly(ring, {m: c for m, c in zip(monos, coeffs) if c})
+    return ring.poly(dict(zip(monos, coeffs)))
 
 
 def oracle_nf(rs, f):
-    return normal_form(f, rs.ci_gb)[0].component(0)
+    return component(normal_form(f, rs.ci_gb)[0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_qnf_matches_division(rs, data):
     f = data.draw(homogeneous(rs.ring))
     got = rs.qnf(f)
     assert got == oracle_nf(rs, f)
-    assert got == naive_reduce(FreeElt.from_polys([f]), rs.ci_gb.elements).component(0)
+    assert got == component(naive_reduce(FreeElt.from_polys([f]), rs.ci_gb.elements), 0)
 
 
 @RINGS
@@ -135,10 +136,10 @@ def test_qnf_elt_is_componentwise(rs, data):
 @given(data=st.data())
 def test_lift_terms_reproduces_the_input(rs, data):
     f = data.draw(homogeneous(rs.ring))
-    u = rs.ci_gb.lift_terms({(0, m): c for m, c in f.terms.items()})
+    u = rs.ci_gb.lift_terms(f.terms)
     combo = rs.qnf(f)
     for fj, uj in zip(rs.ci, u):
-        combo = combo + fj * Poly(rs.ring, {m: c for (_s, m), c in uj.items()})
+        combo = combo + fj * Poly(rs.ring, uj)
     assert combo == f
 
 
@@ -416,9 +417,9 @@ def compose(cols, v, rank, shifts):
     ring = v.ring
     rows = []
     for r in range(rank):
-        acc = Poly(ring, {})
+        acc = ring.zero()
         for c, f in enumerate(v.components()):
-            acc = acc + cols[c].component(r) * f
+            acc = acc + component(cols[c], r) * f
         rows.append(acc)
     return FreeElt.from_polys(rows, shifts) if rank else FreeElt(ring, 0, {}, ())
 
@@ -456,7 +457,7 @@ def test_broken_resolution_is_an_internal_error():
     x = R5.ring.gen(0).lead()[0]
     col = res.diffs[2][0]
     # x e_x maps to x^2 = -yz modulo (f): d_1 d_2 no longer vanishes
-    res.diffs[2][0] = FreeElt(R5.ring, col.rank, {(0, x): 1}, col.shifts)
+    res.diffs[2][0] = FreeElt(R5.ring, col.rank, {x: 1}, col.shifts)
     with pytest.raises(InternalError, match="broken resolution") as err:
         lift_and_operators(res, 1)
     assert err.value.details == {"step": 1, "column": 0, "row": 0}

@@ -20,7 +20,6 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import civar.groebner as groebner
 import civar.resolve as resolve
 from civar import cli
-from civar.arith import Poly
 from civar.cohomology import (
     annihilator_window,
     complexity,
@@ -75,7 +74,7 @@ def modules(draw):
         return rs, "k"
     monos = rs.ring.monomials_of_degree(degree)
     coeffs = draw(st.lists(st.integers(0, 3), min_size=len(monos), max_size=len(monos)))
-    g = Poly(rs.ring, {m: c for m, c in zip(monos, coeffs) if c})
+    g = rs.ring.poly(dict(zip(monos, coeffs)))
     return rs, str(g) if g.terms else "x"
 
 
