@@ -42,6 +42,12 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def is_integer(v) -> bool:
+    """True for Python and numpy integers; False for bool and for anything
+    inexact, which would otherwise be truncated or stored as given."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def fp_inv(a: int, p: int) -> int:
     a %= p
     if a == 0:
@@ -205,9 +211,12 @@ class PolyRing:
         clean = {}
         for m, c in terms.items():
             m = tuple(m)
-            if len(m) != self.nvars or any(e < 0 or not isinstance(e, int) for e in m):
+            # bool is an int subclass: True would be read as exponent 1
+            if len(m) != self.nvars or any(type(e) is not int or e < 0 for e in m):
                 raise InputError(f"bad exponent tuple {m} for {self.nvars} variables")
-            c %= self.p
+            if not is_integer(c):
+                raise InputError(f"coefficient {c!r} of {m} is not an integer")
+            c = int(c) % self.p
             if c:
                 clean[0, m] = c
         return Poly(self, clean)

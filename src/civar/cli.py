@@ -22,7 +22,9 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
+from .arith import is_integer
 from .errors import CivarError, InputError, ResourceBudgetError, VerificationError
 from .groebner import DEFAULT_BUDGETS, Budgets, configure_budgets
 from .cohomology import VarietyIdeal, lift_and_operators, support_variety
@@ -95,9 +97,7 @@ def parse_module_text(rs: RingSpec, text: str, source: str = "<string>") -> Modu
     gens = payload("gens")
     if gens is None:
         raise InputError("module file is missing 'gens:'", path=source)
-    if not isinstance(gens, list) or not all(
-        isinstance(d, int) and not isinstance(d, bool) for d in gens
-    ):
+    if not isinstance(gens, list) or not all(is_integer(d) for d in gens):
         raise InputError("gens must be a list of integers", path=source)
     rows = payload("relations")
     if rows is None:
@@ -231,38 +231,26 @@ def _resolution_doc(res, steps: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments, the ring and the module (None
+# if no module file was given) and returns its report fields, which `main`
+# adds to the head (command, ring, module) that every report shares
 
 
-def cmd_validate(args):
-    rs = load_ring(args.ring)
-    report = {"command": "validate", "ring": _ring_doc(rs), "ok": True}
-    if args.module is not None:
-        pres = load_module(rs, args.module)
-        doc = module_doc(pres)
-        doc["relation_count"] = len(pres.relations)
-        report["module"] = doc
-    return report
+def cmd_validate(args, rs, pres):
+    if pres is None:
+        return {"ok": True}
+    doc = module_doc(pres)
+    doc["relation_count"] = len(pres.relations)
+    return {"ok": True, "module": doc}
 
 
-def cmd_resolve(args):
-    rs = load_ring(args.ring)
-    pres = load_module(rs, args.module)
+def cmd_resolve(args, rs, pres):
     steps = args.steps if args.steps is not None else DEFAULT_STEPS
     res = resolve_min(pres, steps)
-    report = {
-        "command": "resolve",
-        "ring": _ring_doc(rs),
-        "module": module_doc(pres),
-        "steps": steps,
-        "resolution": _resolution_doc(res, steps),
-    }
-    return report
+    return {"steps": steps, "resolution": _resolution_doc(res, steps)}
 
 
-def cmd_operators(args):
-    rs = load_ring(args.ring)
-    pres = load_module(rs, args.module)
+def cmd_operators(args, rs, pres):
     steps = args.steps if args.steps is not None else DEFAULT_STEPS
     if steps < 2:
         raise InputError("operators need at least 2 steps", steps=steps)
@@ -277,26 +265,18 @@ def cmd_operators(args):
             )
         operators.append({"variable": f"chi{j + 1}", "windows": windows})
     return {
-        "command": "operators",
-        "ring": _ring_doc(rs),
-        "module": module_doc(pres),
         "steps": steps,
         "resolution": _resolution_doc(res, steps),
         "operators": operators,
     }
 
 
-def cmd_variety(args):
-    rs = load_ring(args.ring)
-    pres = load_module(rs, args.module)
+def cmd_variety(args, rs, pres):
     v = support_variety(pres, steps=args.steps, max_op_degree=args.max_op_degree)
     used = v.meta["steps_used"]
     # the resolution the variety was read on: over Q, or its artinian reduction
     res = resolve_min(artinian_reduction(pres), used)
     return {
-        "command": "variety",
-        "ring": _ring_doc(rs),
-        "module": module_doc(pres),
         "annihilator": [str(g) for g in v.gens],
         "dimension": v.dimension(),
         "complexity": v.meta["complexity"],
@@ -307,15 +287,10 @@ def cmd_variety(args):
     }
 
 
-def cmd_cut(args):
-    rs = load_ring(args.ring)
-    pres = load_module(rs, args.module)
+def cmd_cut(args, rs, pres):
     theta = phi(pres, args.eta)
     result = pushout_cut(pres, theta)
     report = {
-        "command": "cut",
-        "ring": _ring_doc(rs),
-        "module": module_doc(pres),
         "eta": str(theta.h),
         "ext_degree": theta.n,
         "internal_degree": theta.internal_degree,
@@ -346,13 +321,10 @@ def cmd_cut(args):
     return report
 
 
-def cmd_realize(args):
-    rs = load_ring(args.ring)
+def cmd_realize(args, rs, pres):
     result = realize(rs, args.eta, verify=not args.no_verify)
     v = support_variety(result, steps=args.steps, max_op_degree=args.max_op_degree)
     report = {
-        "command": "realize",
-        "ring": _ring_doc(rs),
         "etas": [str(rs.h_ring.parse(e)) for e in args.eta],
         "result": module_doc(result),
         "variety": _ideal_doc(v),
@@ -366,9 +338,7 @@ def cmd_realize(args):
     return report
 
 
-def cmd_decompose(args):
-    rs = load_ring(args.ring)
-    pres = load_module(rs, args.module)
+def cmd_decompose(args, rs, pres):
     vm = vector_model(pres)
     dec = decompose(pres, attempts=args.attempts, seed=args.seed)
     summands = []
@@ -381,9 +351,6 @@ def cmd_decompose(args):
             path = f"{args.out}.summand{i}"
             _write_out(path, format_module_file(sub, note=f"summand {i}"))
     report = {
-        "command": "decompose",
-        "ring": _ring_doc(rs),
-        "module": module_doc(pres),
         "model_dimension": vm.dim,
         "summands": summands,
         "seed": args.seed,
@@ -394,16 +361,11 @@ def cmd_decompose(args):
     return report
 
 
-def cmd_check_carlson(args):
-    rs = load_ring(args.ring)
-    pres = load_module(rs, args.module)
+def cmd_check_carlson(args, rs, pres):
     a1 = VarietyIdeal(rs.h_ring, [args.a1])
     a2 = VarietyIdeal(rs.h_ring, [args.a2])
     outcome = check_carlson(pres, a1, a2, attempts=args.attempts, seed=args.seed)
     return {
-        "command": "check-carlson",
-        "ring": _ring_doc(rs),
-        "module": module_doc(pres),
         "a1": _ideal_doc(a1),
         "a2": _ideal_doc(a2),
         "module_variety": _ideal_doc(outcome.m_variety),
@@ -419,20 +381,81 @@ def cmd_check_carlson(args):
     }
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "resolve": cmd_resolve,
-    "operators": cmd_operators,
-    "variety": cmd_variety,
-    "cut": cmd_cut,
-    "realize": cmd_realize,
-    "decompose": cmd_decompose,
-    "check-carlson": cmd_check_carlson,
+# ---------------------------------------------------------------------------
+# the command table and the entry point
+
+# Every flag's add_argument spec, once.  --eta has two: `cut` reads one
+# operator polynomial, `realize` a repeatable list of variety generators.
+FLAGS = {
+    "steps": ("--steps", dict(type=int, help="resolution window size N")),
+    "cap": ("--cap", dict(
+        dest="max_op_degree", metavar="CAP", type=int,
+        help="upper bound on the operator degree of the annihilator window",
+    )),
+    "max_pairs": ("--max-pairs", dict(
+        type=int, default=DEFAULT_BUDGETS.max_pairs,
+        help="S-pair budget of a completion run, product budget of a resolution step",
+    )),
+    "max_degree": ("--max-degree", dict(
+        type=int, default=DEFAULT_BUDGETS.max_degree,
+        help="degree budget of a completion run and of a resolution step",
+    )),
+    "attempts": ("--attempts", dict(
+        type=int, default=DEFAULT_ATTEMPTS, help="idempotent search budget"
+    )),
+    "seed": ("--seed", dict(type=int, default=DEFAULT_SEED, help="idempotent search seed")),
+    "no_verify": ("--no-verify", dict(action="store_true", help="skip theorem-level checks")),
+    "format": ("--format", dict(
+        choices=("text", "structured"), default="text", help="report format"
+    )),
+    "out": ("--out", dict(help="path for emitted module files")),
+    "eta": ("--eta", dict(required=True, help="operator polynomial (chi1..)")),
+    "etas": ("--eta", dict(action="append", required=True, help="variety generator (repeatable)")),
+    "a1": ("--a1", dict(required=True, help="first piece of the split")),
+    "a2": ("--a2", dict(required=True, help="second piece of the split")),
 }
 
+# Read by every subcommand.  The budgets also govern the ring's Groebner
+# basis, computed when the ring file is loaded.
+SHARED_FLAGS = ("format", "max_pairs", "max_degree")
+CUT_FLAGS = ("steps", "cap", "no_verify", "out")
 
-# ---------------------------------------------------------------------------
-# argument parsing and entry point
+MODULE = dict(help="module file")
+OPTIONAL_MODULE = dict(nargs="?", help="optional module file")
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    module: dict | None
+    flags: tuple  # keys of FLAGS, besides SHARED_FLAGS
+
+
+COMMANDS = {
+    "validate": Command(cmd_validate, "parse and validate inputs", OPTIONAL_MODULE, ()),
+    "resolve": Command(
+        cmd_resolve, "minimal free resolution and Betti numbers", MODULE, ("steps",)
+    ),
+    "operators": Command(
+        cmd_operators, "degree-2 operator matrices along the resolution", MODULE, ("steps",)
+    ),
+    "variety": Command(
+        cmd_variety, "support variety: annihilator ideal and dimension", MODULE, ("steps", "cap")
+    ),
+    "cut": Command(
+        cmd_cut, "pushout module cutting the variety by a hypersurface", MODULE,
+        ("eta",) + CUT_FLAGS,
+    ),
+    "realize": Command(cmd_realize, "module with prescribed variety", None, ("etas",) + CUT_FLAGS),
+    "decompose": Command(
+        cmd_decompose, "split into (probable) indecomposable summands", MODULE,
+        ("attempts", "seed", "out"),
+    ),
+    "check-carlson": Command(
+        cmd_check_carlson, "verify the disjoint-variety splitting theorem", MODULE,
+        ("a1", "a2", "attempts", "seed"),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -447,58 +470,18 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared afterwards:
     building it costs far more than a parse, and `parse_args` keeps no state
-    between calls (each returns a fresh namespace)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--steps", type=int, default=None, help="resolution window size N")
-    common.add_argument(
-        "--cap", dest="max_op_degree", metavar="CAP", type=int, default=None,
-        help="upper bound on the operator degree of the annihilator window",
-    )
-    common.add_argument(
-        "--max-pairs", type=int, default=DEFAULT_BUDGETS.max_pairs,
-        help="S-pair budget of a completion run, product budget of a resolution step",
-    )
-    common.add_argument(
-        "--max-degree", type=int, default=DEFAULT_BUDGETS.max_degree,
-        help="degree budget of a completion run and of a resolution step",
-    )
-    common.add_argument(
-        "--attempts", type=int, default=DEFAULT_ATTEMPTS, help="idempotent search budget"
-    )
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="idempotent search seed")
-    common.add_argument("--no-verify", action="store_true", help="skip theorem-level checks")
-    common.add_argument(
-        "--format", choices=("text", "structured"), default="text", help="report format"
-    )
-    common.add_argument("--out", default=None, help="path for emitted module files")
-
+    between calls (each returns a fresh namespace).  Each subcommand gets
+    exactly the flags it reads, so any other flag is a usage error."""
     parser = _Parser(prog="civar", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("ring", help="ring file (JSON)")
-        p.add_argument("module", help="module file")
-        return p
-
-    p = sub.add_parser("validate", parents=[common], help="parse and validate inputs")
-    p.add_argument("ring", help="ring file (JSON)")
-    p.add_argument("module", nargs="?", default=None, help="optional module file")
-
-    add("resolve", "minimal free resolution and Betti numbers")
-    add("operators", "degree-2 operator matrices along the resolution")
-    add("variety", "support variety: annihilator ideal and dimension")
-    p = add("cut", "pushout module cutting the variety by a hypersurface")
-    p.add_argument("--eta", required=True, help="operator polynomial (chi1..)")
-    p = sub.add_parser("realize", parents=[common], help="module with prescribed variety")
-    p.add_argument("ring", help="ring file (JSON)")
-    p.add_argument(
-        "--eta", action="append", required=True, help="variety generator (repeatable)"
-    )
-    add("decompose", "split into (probable) indecomposable summands")
-    p = add("check-carlson", "verify the disjoint-variety splitting theorem")
-    p.add_argument("--a1", required=True, help="first piece of the split")
-    p.add_argument("--a2", required=True, help="second piece of the split")
+        if command.module is not None:
+            p.add_argument("module", **command.module)
+        for key in command.flags + SHARED_FLAGS:
+            option, spec = FLAGS[key]
+            p.add_argument(option, **spec)
     return parser
 
 
@@ -517,12 +500,18 @@ def main(argv=None) -> int:
     fmt = args.format
     try:
         for name in ("steps", "max_op_degree", "max_pairs", "max_degree", "attempts"):
-            value = getattr(args, name)
+            value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise InputError(f"{name} must be positive", value=value)
         prev = configure_budgets(Budgets(max_pairs=args.max_pairs, max_degree=args.max_degree))
         try:
-            report = COMMANDS[args.command](args)
+            rs = load_ring(args.ring)
+            path = getattr(args, "module", None)
+            pres = None if path is None else load_module(rs, path)
+            report = {"command": args.command, "ring": _ring_doc(rs)}
+            if pres is not None:
+                report["module"] = module_doc(pres)
+            report.update(COMMANDS[args.command].handler(args, rs, pres))
         finally:
             configure_budgets(prev)
     except VerificationError as exc:

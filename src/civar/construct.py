@@ -92,7 +92,7 @@ def _compose_down(res, cols_high, level, j):
     return out
 
 
-def phi(pres: ModulePresentation, h, res=None) -> ExtElement:
+def phi(pres: ModulePresentation, h) -> ExtElement:
     """The image of a homogeneous operator polynomial h in Ext^{2d}(M, M):
     for each monomial chi^a, compose the chain maps t_j in ascending variable
     index starting at step 0 (lowest factor acts last in the composite,
@@ -117,10 +117,7 @@ def phi(pres: ModulePresentation, h, res=None) -> ExtElement:
         )
     e = internal.pop()
     n = 2 * d
-    if res is None:
-        res = resolve_min(pres, n + 1)
-    else:
-        res.extend(n + 1)
+    res = resolve_min(pres, n + 1)
     lift_and_operators(res, n - 1)
     b0 = len(res.degs[0])
     shifts0 = res.degs[0]

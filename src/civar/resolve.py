@@ -75,8 +75,8 @@ from itertools import combinations, groupby, product
 import numpy as np
 
 from .arith import (
-    DEGREVLEX, FreeElt, Poly, PolyRing, _sub_shifted, fp_inv, matmul, mono_deg, mono_div, mono_mul,
-    mono_one, nullspace, rref,
+    DEGREVLEX, FreeElt, Poly, PolyRing, _sub_shifted, fp_inv, is_integer, matmul, mono_deg,
+    mono_div, mono_mul, mono_one, nullspace, rref,
 )
 from .errors import InputError, InternalError, ResourceBudgetError
 from .groebner import (
@@ -323,7 +323,11 @@ def present_module(rs: RingSpec, gen_degrees, relations) -> ModulePresentation:
     """Validate and normalize a presentation: every relation column must be
     homogeneous against the generator degrees; entries are reduced modulo
     (f); zero columns are dropped."""
-    gens = tuple(int(d) for d in gen_degrees)
+    gens = tuple(gen_degrees)
+    for i, d in enumerate(gens):
+        if not is_integer(d):
+            raise InputError(f"generator degree {i} is {d!r}, not an integer", index=i)
+    gens = tuple(map(int, gens))
     rank = len(gens)
     cols = []
     for j, col in enumerate(relations):
@@ -356,7 +360,7 @@ def residue_field(rs: RingSpec) -> ModulePresentation:
 
 
 def free_module(rs: RingSpec, degrees) -> ModulePresentation:
-    return ModulePresentation(rs, tuple(int(d) for d in degrees), ())
+    return present_module(rs, degrees, ())
 
 
 def direct_sum(a: ModulePresentation, b: ModulePresentation) -> ModulePresentation:

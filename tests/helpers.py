@@ -215,6 +215,22 @@ def seeded(tag: str) -> random.Random:
     return random.Random(f"civar:{tag}")
 
 
+def betti_growth(betti) -> int:
+    """Complexity read off Betti numbers alone: how many finite differences
+    it takes the second half of the sequence to vanish, even and odd
+    positions apart (the tail may be quasi-polynomial of period 2)."""
+
+    def order(seq):
+        n = 0
+        while any(seq):
+            seq = [b - a for a, b in zip(seq, seq[1:])]
+            n += 1
+        return n
+
+    tail = list(betti[len(betti) // 2 :])
+    return max(order(tail[0::2]), order(tail[1::2]))
+
+
 def rref_reference(a, p: int):
     """Reduced row echelon form mod p the plain way, reducing the whole
     matrix at every pivot; the same pivot rule as `arith.rref` (columns left

@@ -124,6 +124,23 @@ def test_parse_str_round_trip(ring):
         assert ring.parse(str(f)) == f
 
 
+def test_poly_refuses_inexact_exponents_and_coefficients(ring):
+    """bool is an int and 1.5 survives `% p`: both would be stored as given."""
+    for terms in (
+        {(True, 0, 0): 1},
+        {(1.0, 0, 0): 1},
+        {(1, 0, 0): 1.5},
+        {(1, 0, 0): 2.0},
+        {(1, 0, 0): True},
+        {(1, 0, 0): np.float64(3)},
+    ):
+        with pytest.raises(InputError):
+            ring.poly(terms)
+    f = ring.poly({(1, 0, 0): np.int64(103), (0, 1, 0): -1})
+    assert f == ring.parse("2*x + 100*y")
+    assert all(type(c) is int for c in f.terms.values())
+
+
 def test_parse_specifics(ring):
     assert ring.parse("0").is_zero()
     assert ring.parse("x^2*y - 3") == ring.parse("-3 + x^2*y")

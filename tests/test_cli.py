@@ -1,6 +1,7 @@
 """End-to-end command line coverage: file parsing, report shapes, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -299,10 +300,11 @@ def test_prime_beyond_int64_linear_algebra_exits_1(tmp_path, capsys):
 def test_internal_error_exits_4(files, capsys, monkeypatch):
     ring, mods, _ = files
 
-    def broken(args):
+    def broken(args, rs, pres):
         raise InternalError("invariant broke", step=3)
 
-    monkeypatch.setitem(cli.COMMANDS, "resolve", broken)
+    entry = cli.COMMANDS["resolve"]._replace(handler=broken)
+    monkeypatch.setitem(cli.COMMANDS, "resolve", entry)
     code, out, err = run(capsys, ["resolve", ring, mods["k"]])
     assert code == cli.EXIT_INTERNAL == 4
     assert "error[internal]: invariant broke" in err and "step: 3" in err
@@ -311,6 +313,57 @@ def test_internal_error_exits_4(files, capsys, monkeypatch):
     assert json.loads(out) == {
         "error": {"reason": "internal", "message": "invariant broke", "details": {"step": 3}}
     }
+
+
+# the flags each subcommand reads, besides --format, --max-pairs and
+# --max-degree, which every subcommand reads
+READS = {
+    "validate": set(),
+    "resolve": {"--steps"},
+    "operators": {"--steps"},
+    "variety": {"--steps", "--cap"},
+    "cut": {"--eta", "--steps", "--cap", "--no-verify", "--out"},
+    "realize": {"--eta", "--steps", "--cap", "--no-verify", "--out"},
+    "decompose": {"--attempts", "--seed", "--out"},
+    "check-carlson": {"--a1", "--a2", "--attempts", "--seed"},
+}
+SHARED = {"--format", "--max-pairs", "--max-degree"}
+# the 31 (subcommand, flag) pairs, among the nine flags any subcommand
+# accepted before, that the subcommand does not read
+NINE = (
+    "--steps", "--cap", "--max-pairs", "--max-degree", "--attempts", "--seed", "--no-verify",
+    "--format", "--out",
+)
+UNREAD = [(cmd, flag) for cmd in READS for flag in NINE if flag not in READS[cmd] | SHARED]
+
+
+@pytest.mark.parametrize("cmd, flag", UNREAD)
+def test_unread_flag_exits_1(files, capsys, cmd, flag):
+    """A flag the subcommand would ignore is refused before anything runs."""
+    ring, mods, tmp = files
+    argv = {
+        "validate": [ring],
+        "cut": [ring, mods["k"], "--eta", "chi1"],
+        "realize": [ring, "--eta", "chi1"],
+        "check-carlson": [ring, mods["m1m2"], "--a1", "chi2", "--a2", "chi1"],
+    }.get(cmd, [ring, mods["k"]])
+    value = [] if flag == "--no-verify" else [str(tmp / "out.txt") if flag == "--out" else "3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd] + argv + [flag] + value)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error[input]: unrecognized arguments: " + flag in captured.err
+    assert not (tmp / "out.txt").exists()
+
+
+@pytest.mark.parametrize("cmd", sorted(cli.COMMANDS))
+def test_help_lists_exactly_the_flags_read(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == READS[cmd] | SHARED
 
 
 def test_usage_error_exits_1(files, capsys):

@@ -3,6 +3,7 @@ the disjoint-split check."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from civar.arith import matmul, nullspace
 from civar.errors import (
@@ -34,7 +35,7 @@ from civar.resolve import (
     vector_model,
 )
 
-from helpers import rref_reference
+from helpers import betti_growth, rref_reference
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,35 @@ def test_realize_rejects_bad_eta(r1):
 def test_realize_skip_verification(r1):
     got = realize(r1, ["chi2"], verify=False)
     assert support_variety(got).equals(VarietyIdeal(r1.h_ring, ["chi2"]))
+
+
+def _linear_form(rs, coeffs):
+    c = rs.codim
+    return rs.h_ring.poly({tuple(int(i == j) for i in range(c)): a for j, a in enumerate(coeffs)})
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_realize_any_drawn_cone(r1, r3, data):
+    """The realizability theorem as a property: a hyperplane V(l) over R1 or
+    R3, or a union V(l1 l2) of two distinct lines over R1, is the variety
+    of the realized module, and the module's Betti numbers grow with the
+    target's dimension."""
+    shape = data.draw(st.sampled_from(["R1 line", "R3 plane", "R1 two lines"]))
+    rs = r3 if shape == "R3 plane" else r1
+    coeffs = st.lists(st.integers(0, rs.p - 1), min_size=rs.codim, max_size=rs.codim)
+    a = data.draw(coeffs.filter(any))
+    eta = _linear_form(rs, a)
+    if shape == "R1 two lines":
+        b = data.draw(coeffs.filter(any))
+        assume((a[0] * b[1] - a[1] * b[0]) % rs.p)
+        eta = eta * _linear_form(rs, b)
+    dim = rs.codim - 1
+    m = realize(rs, [eta], verify=False)
+    v = support_variety(m)
+    assert v.equals(VarietyIdeal(rs.h_ring, [eta]))
+    assert v.dimension() == dim
+    assert betti_growth(resolve_min(m, 12).betti_sequence(12)) == dim
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,22 @@ def test_present_module_validates(r1):
     assert len(pres.relations) == 0
 
 
+@pytest.mark.parametrize("degrees", [[0.7], [1.9], [True], [0, 2.0]])
+def test_generator_degrees_must_be_integers(r1, degrees):
+    """int() would truncate 0.7 and 1.9 and read True as 1."""
+    bad = len(degrees) - 1
+    for build in (
+        lambda: present_module(r1, degrees, [["x"] * len(degrees)]),
+        lambda: free_module(r1, degrees),
+    ):
+        with pytest.raises(InputError) as exc:
+            build()
+        assert exc.value.details == {"index": bad}
+        assert f"generator degree {bad} " in str(exc.value)
+    gens = free_module(r1, [np.int64(2), 3]).gens
+    assert gens == (2, 3) and all(type(d) is int for d in gens)
+
+
 def test_present_module_mixed_gen_degrees(r1):
     pres = present_module(r1, (1, 2), [["x", "1"], ["y", "0"]])
     assert pres.rank == 2
@@ -97,7 +113,7 @@ def test_prune_units_zero_module(r1):
     pres = present_module(r1, (0,), [["1"]])
     pruned = prune_units(pres)
     assert pruned.rank == 0
-    assert pruned.is_zero_presentation
+    assert pruned.is_zero_presentation()
 
 
 # ---------------------------------------------------------------------------
