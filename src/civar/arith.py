@@ -1,5 +1,6 @@
 """Exact arithmetic over a prime field: polynomials and free-module elements,
-monomial orders, dense linear algebra, and univariate factorization.
+monomial orders, sparse and dense linear algebra, and univariate
+factorization.
 
 Scalars are integer residues modulo an odd prime p.  Polynomials and
 free-module elements are one class, `FreeElt`, whose terms form one
@@ -7,21 +8,29 @@ dictionary mapping (slot, monomial) to a nonzero residue, a monomial being
 an exponent tuple; a `Poly` is the rank-1 element with shift 0, every slot
 0.  Equality of elements is equality of dictionaries and there is no
 coefficient swell to manage.  Every product, and every division step
-downstream, runs on one kernel, `_sub_shifted`.  Dense matrices are numpy
-int64 arrays whose results come out reduced modulo p; with p < 2^31 a
-single product never overflows, longer accumulations are chunked, and row
+downstream, runs on one kernel, `_sub_shifted`.  Matrices are numpy int64
+arrays whose results come out reduced modulo p; with p < 2^31 a single
+product never overflows, longer accumulations are chunked, and dense row
 reduction reduces only as often as the int64 range requires.  Nothing in
 this module (or anywhere downstream) touches floating point.
 
-`rref` is the one elimination routine, and every span question downstream
-is asked of its pivot columns.  A column is a pivot exactly when it lies
-outside the span of the columns to its left, so the greedy choice "keep each
-vector that is independent of those before it" is the pivot set of one
-`rref`, and the echelon form expresses each non-pivot column in the pivots
-before it.
+Row reduction is one sparse kernel, `_eliminate`, forward elimination on
+rows stored as {column: residue} dicts, with two entry points: `rref`, the
+reduced echelon form, and `echelon`, monic pivot rows that span the row
+space without being cleared above their pivots, for the callers that read
+only pivots or a basis of the span.  Both take the dense numpy path on
+dense matrices (`_sparse_limit`), and hand over to it when the fill makes
+the rows dense: there numpy's row operations cost less than the kernel.
+Every span question downstream is asked of the pivot columns.  A column is
+a pivot exactly when it lies outside the span of the columns to its left,
+so the greedy choice "keep each vector that is independent of those before
+it" is the pivot set of one elimination, and the reduced form expresses
+each non-pivot column in the pivots before it.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -583,7 +592,7 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra mod p (numpy int64, exact)
+# linear algebra mod p: numpy int64 matrices, sparse rows, exact
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -603,63 +612,159 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-# rref runs on Python integers for matrices of at most `_SMALL_CELLS` entries
-# of which at most `_SMALL_NONZEROS` are nonzero: numpy's per-pivot cost
-# exceeds the arithmetic there.  The work of a pivot follows the nonzero
-# entries, not the size; on the benchmark's rref inputs Python integers win
-# up to about 128 nonzero entries at any size up to 4,096 entries, and on
-# sparse matrices of 128 x 128 and more the scans over zero rows lose.
-_SMALL_CELLS = 4096
-_SMALL_NONZEROS = 128
+def _sparse_limit(rows: int, cols: int) -> int:
+    """The most nonzero entries a rows x cols matrix may hold and still be
+    reduced on sparse rows: 128, or one entry in 20 when both sides pass
+    16.  Elimination on sparse rows costs what the nonzero entries and their
+    fill cost; the numpy path costs a pass over a column and over the rows
+    it hits per pivot, which wins on dense matrices and on tall or wide
+    ones with a short side, such as the annihilator systems."""
+    return max(128, rows * cols // 20) if min(rows, cols) > 16 else 128
 
 
-def _rref_small(a: np.ndarray, p: int):
-    """`rref` on Python integers, for small or sparse matrices (see
-    `_SMALL_CELLS`): the same pivot rule, the same output."""
-    rows, cols = a.shape
-    m = np.mod(a, p).tolist()
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        i = next((i for i in range(r, rows) if m[i][c]), None)
-        if i is None:
+# Matrices of at most this many entries go to and from sparse rows through
+# Python lists: there numpy's fixed cost per call exceeds a pass over every
+# entry, and most eliminations downstream are that small.
+_SMALL = 128
+
+
+def _sparse_rows(a: np.ndarray, p: int) -> list[dict]:
+    """The rows of `a` as {column: residue} dicts, zero residues dropped."""
+    if a.size <= _SMALL:
+        rows = []
+        for row in a.tolist():
+            d = {}
+            for j, x in enumerate(row):
+                if x % p:
+                    d[j] = x % p
+            rows.append(d)
+        return rows
+    cols = a.shape[1]
+    rows = [{} for _ in range(a.shape[0])]
+    flat = a.ravel()
+    at = flat.nonzero()[0]
+    for k, v in zip(at.tolist(), flat[at].tolist()):
+        v %= p
+        if v:
+            rows[k // cols][k % cols] = v
+    return rows
+
+
+def _eliminate(rows: list, p: int, live: int, limit: int):
+    """Forward elimination on sparse rows, one row at a time: each row is
+    reduced by the pivot rows already found, in ascending pivot column,
+    until its first entry is not a pivot; then it is made monic and becomes
+    the pivot row of that column, or it is dropped when nothing is left.
+    Returns ({pivot column: tail}, rest), the tail being the pivot row right
+    of its pivot (the pivot entry itself is 1).  The rows are consumed.
+
+    A pivot row is zero left of its pivot, so subtracting it adds entries
+    only to the right of the column it clears; the columns still to clear
+    are kept in a heap.  The pivot columns are those of `rref`, since a
+    column is a pivot exactly when it lies outside the span of the columns
+    to its left, and the pivot rows span the row space of the rows
+    consumed.  `live`, at least the number of nonzero entries in the rows,
+    follows the pivot rows and the rows still to come; once the fill takes
+    it past `limit` (`_sparse_limit` of the matrix), elimination stops and
+    `rest` holds the rows not yet consumed (else it is empty), for the dense
+    path to finish."""
+    tails = {}
+    for n, row in enumerate(rows):
+        if not row:
             continue
-        m[r], m[i] = m[i], m[r]
-        inv = fp_inv(m[r][c], p)
-        row = m[r] = [x * inv % p for x in m[r]]
-        for k in range(rows):
-            f = m[k][c]
-            if f and k != r:
-                m[k] = [(x - f * y) % p for x, y in zip(m[k], row)]
-        pivots.append(c)
-        r += 1
-    return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
+        live -= len(row)
+        todo = [c for c in row if c in tails]
+        if todo:
+            heapify(todo)
+            while todo:
+                c = heappop(todo)
+                f = row.pop(c, 0)
+                if not f:
+                    continue
+                for k, v in tails[c].items():
+                    x = row.get(k)
+                    if x is None:
+                        row[k] = -f * v % p
+                        if k in tails:
+                            heappush(todo, k)
+                    elif x := (x - f * v) % p:
+                        row[k] = x
+                    else:
+                        del row[k]
+            if not row:
+                continue
+        c = min(row)
+        f = row.pop(c)
+        if f != 1:
+            inv = pow(f, -1, p)
+            row = {k: v * inv % p for k, v in row.items()}
+        tails[c] = row
+        live += len(row) + 1
+        if live > limit:
+            return tails, rows[n + 1 :]
+    return tails, []
 
 
-def rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p.  Pivoting is deterministic: columns
-    left to right, pivot row = first row with a nonzero entry.  Returns
-    (matrix, pivot column list).
+def _back_substitute(tails: dict, pivots, p: int) -> None:
+    """Clear every pivot row at the pivots to its right, in place, from the
+    rightmost pivot row leftwards, so every row subtracted is already
+    reduced and has no pivot entry but its own."""
+    for c in reversed(pivots):
+        row = tails[c]
+        for right in [k for k in row if k in tails]:
+            f = row.pop(right)
+            for k, v in tails[right].items():
+                if x := (row.get(k, 0) - f * v) % p:
+                    row[k] = x
+                else:
+                    del row[k]
+
+
+def _matrix(tails: dict, pivots, rest, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols int64 matrix whose first rows are the pivot rows, in
+    the order of `pivots`, followed by the sparse rows `rest`.  A small
+    matrix never fills past `_sparse_limit`, so `rest` is empty there."""
+    if rows * cols <= _SMALL:
+        out = np.zeros((rows, cols), dtype=np.int64)
+        for i, c in enumerate(pivots):
+            row = [0] * cols
+            row[c] = 1
+            for k, v in tails[c].items():
+                row[k] = v
+            out[i] = row
+        return out
+    out = np.zeros(rows * cols, dtype=np.int64)
+    at, vals = [], []
+    for i, c in enumerate(pivots):
+        base = i * cols
+        tail = tails[c]
+        at.append(base + c)
+        vals.append(1)
+        at += [base + k for k in tail]
+        vals += tail.values()
+    for i, row in enumerate(rest, len(pivots)):
+        base = i * cols
+        at += [base + k for k in row]
+        vals += row.values()
+    out.put(at, vals)
+    return out.reshape(rows, cols)
+
+
+def _dense_eliminate(a: np.ndarray, p: int, upward: bool):
+    """Elimination in place on a reduced int64 matrix, with numpy row
+    operations; clears each pivot column below the pivot, and above it
+    too when `upward`.  Returns the pivot columns; on return `a` is reduced
+    and its first rows are the pivot rows.
 
     Reduction mod p is delayed.  The pivot row is zero mod p left of its
     pivot, so a pivot updates only its column and those to its right, and
     only the rows with a nonzero entry in the pivot column.  The pivot
-    column and the pivot row
-    are reduced before use, so one update moves an entry by less than
-    (p-1)^2, and the whole matrix is reduced once every
+    column and the pivot row are reduced before use, so one update moves an
+    entry by less than (p-1)^2, and the whole matrix is reduced once every
     floor(2^62 / (p-1)^2) - 1 pivots (every pivot for p near 2^31), which
-    keeps each entry below 2^63 in absolute value.  The output is the
-    reduced one, equal to reducing at every pivot.  Matrices of at most
-    `_SMALL_CELLS` entries with at most `_SMALL_NONZEROS` nonzero ones are
-    reduced on Python integers instead."""
-    a = np.asarray(a, dtype=np.int64)
+    keeps each entry below 2^63 in absolute value.  The output is equal to
+    reducing at every pivot."""
     rows, cols = a.shape
-    if rows * cols <= _SMALL_CELLS and np.count_nonzero(a) <= _SMALL_NONZEROS:
-        return _rref_small(a, p)
-    a = np.array(a, copy=True)
-    np.mod(a, p, out=a)
     delay = max(1, (1 << 62) // ((p - 1) * (p - 1)) - 1)
     pending = 0
     pivots = []
@@ -677,8 +782,11 @@ def rref(a: np.ndarray, p: int):
             col[[r, i]] = col[[i, r]]
         row = a[r, c:] % p * fp_inv(int(col[r]), p) % p
         a[r, c:] = row
-        col[r] = 0
-        hit = col.nonzero()[0]
+        if upward:
+            col[r] = 0
+            hit = col.nonzero()[0]
+        else:
+            hit = r + 1 + col[r + 1 :].nonzero()[0]
         a[hit, c:] -= col[hit, None] * row
         pending += 1
         if pending >= delay:
@@ -687,7 +795,46 @@ def rref(a: np.ndarray, p: int):
         pivots.append(c)
         r += 1
     np.mod(a, p, out=a)
-    return a, pivots
+    return pivots
+
+
+def _reduce(a, p: int, upward: bool):
+    """`rref` when `upward`, else `echelon`.  A matrix within
+    `_sparse_limit` runs `_eliminate`, then `_back_substitute` when
+    `upward`; a denser one, or what is left of a sparse one that filled in,
+    runs `_dense_eliminate`."""
+    a = np.asarray(a, dtype=np.int64)
+    rows, cols = a.shape
+    nonzeros = np.count_nonzero(a)
+    limit = _sparse_limit(rows, cols)
+    if nonzeros <= limit:
+        tails, rest = _eliminate(_sparse_rows(a, p), p, nonzeros, limit)
+        pivots = sorted(tails)
+        if not rest:
+            if upward:
+                _back_substitute(tails, pivots, p)
+            return _matrix(tails, pivots, (), rows if upward else len(pivots), cols), pivots
+        a = _matrix(tails, pivots, rest, rows, cols)
+    else:
+        a = np.mod(a, p)
+    pivots = _dense_eliminate(a, p, upward)
+    return (a if upward else a[: len(pivots)]), pivots
+
+
+def rref(a: np.ndarray, p: int):
+    """Reduced row echelon form mod p, as (matrix, pivot column list).  The
+    pivot columns run left to right; the form is unique, so it does not
+    depend on the path (`_reduce`) that computes it."""
+    return _reduce(a, p, upward=True)
+
+
+def echelon(a: np.ndarray, p: int):
+    """(rows, pivot columns): the pivot columns of `rref(a, p)` and one row
+    per pivot, monic at its pivot and zero left of it, together spanning the
+    row space of `a`.  The rows are not cleared above their pivots, which
+    is all the work a caller that reads only the pivots, or a basis of the
+    span, needs.  The same rule as `rref` picks the path."""
+    return _reduce(a, p, upward=False)
 
 
 def nullspace(a: np.ndarray, p: int) -> list[list[int]]:

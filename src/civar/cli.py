@@ -322,10 +322,11 @@ def cmd_cut(args, rs, pres):
 
 
 def cmd_realize(args, rs, pres):
-    result = realize(rs, args.eta, verify=not args.no_verify)
+    etas = [rs.h_ring.parse(e) for e in args.eta]
+    result = realize(rs, etas, verify=not args.no_verify)
     v = support_variety(result, steps=args.steps, max_op_degree=args.max_op_degree)
     report = {
-        "etas": [str(rs.h_ring.parse(e)) for e in args.eta],
+        "etas": [str(f) for f in etas],
         "result": module_doc(result),
         "variety": _ideal_doc(v),
         "is_mcm": is_mcm(result),
@@ -384,6 +385,16 @@ def cmd_check_carlson(args, rs, pres):
 # ---------------------------------------------------------------------------
 # the command table and the entry point
 
+class _Once(argparse.Action):
+    """Store a flag's value, refusing a second occurrence, which would
+    otherwise replace the first without a word."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 # Every flag's add_argument spec, once.  --eta has two: `cut` reads one
 # operator polynomial, `realize` a repeatable list of variety generators.
 FLAGS = {
@@ -409,7 +420,7 @@ FLAGS = {
         choices=("text", "structured"), default="text", help="report format"
     )),
     "out": ("--out", dict(help="path for emitted module files")),
-    "eta": ("--eta", dict(required=True, help="operator polynomial (chi1..)")),
+    "eta": ("--eta", dict(action=_Once, required=True, help="operator polynomial (chi1..)")),
     "etas": ("--eta", dict(action="append", required=True, help="variety generator (repeatable)")),
     "a1": ("--a1", dict(required=True, help="first piece of the split")),
     "a2": ("--a2", dict(required=True, help="second piece of the split")),

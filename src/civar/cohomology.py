@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arith import FreeElt, _sub_shifted, matmul, nullspace, rref
+from .arith import FreeElt, _sub_shifted, echelon, matmul, nullspace
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
     groebner_basis,
@@ -152,10 +152,10 @@ def ext_k_module(res: Resolution, steps: int) -> ExtKModule:
     """E^i = Hom(F_i, k) for i <= steps; the chi_j action is the transpose of
     t_j's constant-term matrix (reducing mod the variables kills everything
     of positive degree, and minimality makes the result independent of the
-    lift)."""
+    lift).  The operators at middle index steps - 1 read d_steps, so the
+    resolution is extended to step `steps` and no further."""
     rs = res.rs
     one = rs.ring._one_mono
-    res.extend(steps + 1)
     lift_and_operators(res, steps - 1 if steps >= 2 else 1)
     dims = [len(res.degs[i]) for i in range(steps + 1)]
     act = []
@@ -304,7 +304,7 @@ def generator_counts(ext: ExtKModule) -> list[int]:
         reached = 0
         if i >= 2 and ext.dims[i] and ext.dims[i - 2]:
             stacked = np.concatenate([act[i - 2] for act in ext.act], axis=1)
-            reached = len(rref(stacked, ext.rs.p)[1])
+            reached = len(echelon(stacked, ext.rs.p)[1])
         counts.append(ext.dims[i] - reached)
     return counts
 
@@ -384,10 +384,14 @@ def support_variety(
             steps=n0, max_steps=cap,
         )
     pres = artinian_reduction(pres)
-    res = resolve_min(pres, n0 + 3)
+    res = resolve_min(pres, n0 + 2)
+    # chi^m: E^i -> E^{i+2d} does not depend on the window, so every window
+    # reads one memo of composites
+    composites = {}
 
     def window(n):
         ext = ext_k_module(res, n)
+        ext._composites = composites
         g = generator_degree(ext)
         top = (n - g) // 2
         if max_op_degree is not None:

@@ -29,14 +29,15 @@ inflates every Betti number after it.  The first differential, a minimal
 generating set of the given relations, comes out of `minimal_columns` on
 both paths.
 
-Every such question is answered by the pivot columns of one `arith.rref`:
-a column is a pivot exactly when it is independent of the columns to its
-left.  `minimal_columns` puts the products x^m * (kept column) first and
-the candidates of the degree after them, `present_from_vector_model` puts
-the variables' images of the degree below before the unit vectors of the
-degree, and `kernel_generators` reads the new generators off the free
-columns.  `_degree_matrix` writes (summand, monomial) terms into these
-matrices on the bases of `standard_monomials`.
+Every such question is answered by the pivot columns of one
+`arith.echelon`: a column is a pivot exactly when it is independent of the
+columns to its left, and the pivots do not depend on the basis the
+elimination leaves.  `minimal_columns` puts the products x^m * (kept
+column) first and the candidates of the degree after them,
+`present_from_vector_model` puts the variables' images of the degree below
+before the unit vectors of the degree, and `kernel_generators` reads the
+new generators off the free columns.  `_degree_matrix` writes (summand,
+monomial) terms into these matrices on the bases of `standard_monomials`.
 
 Over a non-artinian Q of dimension d, support varieties need only Ext(M, k)
 and its operators, and for a maximal Cohen-Macaulay M these can be read over
@@ -76,7 +77,7 @@ import numpy as np
 
 from .arith import (
     DEGREVLEX, FreeElt, Poly, PolyRing, _sub_shifted, fp_inv, is_integer, matmul, mono_deg,
-    mono_div, mono_mul, mono_one, nullspace, rref,
+    echelon, mono_div, mono_mul, mono_one, nullspace, rref,
 )
 from .errors import InputError, InternalError, ResourceBudgetError
 from .groebner import (
@@ -433,11 +434,11 @@ def minimal_columns(rs: RingSpec, columns, shifts):
     set generates the same submodule and is minimal by the graded Nakayama
     argument.
 
-    Each degree d is one `rref`.  Its columns are the products x^m * g, for
-    g kept in a lower degree and x^m a standard monomial of degree d - deg g,
-    reduced from the table of `ci_gb`, followed by the degree-d candidates
-    in their given order; the kept candidates are its pivots past the
-    products."""
+    Each degree d is one `echelon`.  Its columns are the products x^m * g,
+    for g kept in a lower degree and x^m a standard monomial of degree
+    d - deg g, reduced from the table of `ci_gb`, followed by the degree-d
+    candidates in their given order; the kept candidates are its pivots
+    past the products."""
     shifts = tuple(shifts)
     cols = []
     for c in columns:
@@ -458,7 +459,7 @@ def minimal_columns(rs: RingSpec, columns, shifts):
         ]
         products = len(vectors)
         vectors += [c.terms for c in group]
-        _, pivots = rref(_degree_matrix(rs, shifts, d, vectors, len(vectors)), rs.p)
+        _, pivots = echelon(_degree_matrix(rs, shifts, d, vectors, len(vectors)), rs.p)
         kept += [group[c - products] for c in pivots if c >= products]
     return kept
 
@@ -525,10 +526,12 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
     its entries at the nullspace's free columns, so the new generators are
     the basis vectors at the free columns where the span of x_v * K_{t-1},
     read at those entries, has no pivot.  They come out monic and, within a
-    degree, ordered by lead, largest first.  Every degree counts against the
-    degree budget and every product x^m * column against the pair budget;
-    either raises ResourceBudgetError naming the budget, `step` and the
-    degree reached."""
+    degree, ordered by lead, largest first.  The span is read only through
+    its pivots and as the next degree's x_v * K_{t-1}, so the rows `echelon`
+    leaves serve as the basis of K_t when the span is all of it.  Every
+    degree counts against the degree budget and every product x^m * column
+    against the pair budget; either raises ResourceBudgetError naming the
+    budget, `step` and the degree reached."""
     ring = rs.ring
     p = rs.p
     gb = rs.ci_gb
@@ -554,10 +557,10 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
         span = None
         if below is not None:
             image = _times_variables(rs, below[0], degs, t, below[1], at, width)
-            echelon, span = rref(image, p)
+            rows, span = echelon(image, p)
             if known == len(span):
                 kernel_dims[t] = known
-                below = (echelon[: len(span)], at)
+                below = (rows, at)
                 continue
         keys = [(j, m) for j, e in enumerate(degs) for m in rs.standard_monomials(t - e)]
         products += width
@@ -591,7 +594,7 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
         del r
         fresh = range(len(free))
         if span is not None:
-            covered = set(rref(image[:, free], p)[1])
+            covered = set(echelon(image[:, free], p)[1])
             fresh = [n for n in fresh if n not in covered]
         new = []
         for n in fresh:
@@ -890,8 +893,8 @@ def present_from_vector_model(rs: RingSpec, degs, actions) -> ModulePresentation
     """Reverse direction: from an abstract finite model (basis degrees plus
     commuting action matrices) back to a minimal presentation.  Minimal
     generators are coordinate vectors outside (maximal ideal)*M degree by
-    degree: in degree d, the pivots past the action columns of one `rref`
-    of [every action applied to M_{d-1} | the unit vectors of M_d].
+    degree: in degree d, the pivots past the action columns of one
+    `echelon` of [every action applied to M_{d-1} | the unit vectors of M_d].
     Relations come from nullspaces of the evaluation map in each degree up
     to top+1, where the kernel is generated, and are made minimal by
     `minimal_columns`."""
@@ -908,7 +911,8 @@ def present_from_vector_model(rs: RingSpec, degs, actions) -> ModulePresentation
             continue
         prev = np.flatnonzero(degs == d - 1)
         image = [mat[:, prev] for mat in actions]
-        _, pivots = rref(np.concatenate(image + [np.eye(dim, dtype=np.int64)[:, idx]], axis=1), p)
+        units = np.eye(dim, dtype=np.int64)[:, idx]
+        _, pivots = echelon(np.concatenate(image + [units], axis=1), p)
         skip = len(actions) * prev.size
         gens += [(d, int(idx[c - skip])) for c in pivots if c >= skip]
     gen_degs = tuple(d for d, _ in gens)

@@ -232,10 +232,11 @@ def betti_growth(betti) -> int:
 
 
 def rref_reference(a, p: int):
-    """Reduced row echelon form mod p the plain way, reducing the whole
-    matrix at every pivot; the same pivot rule as `arith.rref` (columns left
-    to right, pivot row = first row with a nonzero entry), whose output must
-    match it bit for bit."""
+    """Reduced row echelon form mod p the plain way, one column at a time
+    from the left, the first row with a nonzero entry as the pivot row,
+    reducing the whole matrix at every pivot.  The reduced form is unique,
+    so `arith.rref`'s output must match it bit for bit whatever path it
+    takes."""
     a = np.mod(np.array(a, dtype=np.int64, copy=True), p)
     rows, cols = a.shape
     pivots = []

@@ -10,6 +10,7 @@ from civar.arith import (
     FreeElt,
     PolyRing,
     Poly,
+    echelon,
     elimination_order,
     factor_univariate,
     fp_inv,
@@ -212,21 +213,34 @@ def test_rref_shape_and_idempotence():
 
 @pytest.mark.parametrize("p", [3, 101, 32003, 1073741789, 2147483647])
 def test_rref_matches_the_reference(p, monkeypatch):
-    """Delayed reduction must not change a bit of the output: drawn
-    matrices on both sides of the rule that picks Python integers (at most
-    `arith._SMALL_CELLS` entries, at most `arith._SMALL_NONZEROS` of them
-    nonzero): small dense ones, sparse ones with about 100 nonzero entries
-    below and above the size cap, and dense ones below it.  They carry zero
-    columns, repeated rows, negative entries and all-(p-1) blocks (the
-    entries that grow fastest between reductions).  At p = 1073741789 the
-    matrix is reduced every third pivot, at 2147483647 every pivot."""
+    """No path may change a bit of the output: drawn matrices on both sides
+    of the rule that picks the sparse kernel (`arith._sparse_limit`): small
+    dense ones, sparse ones with about 100 nonzero entries below and above
+    4,096 entries, dense ones below that, and one that fills in.  They
+    carry zero columns, repeated rows, negative entries and all-(p-1)
+    blocks (the entries that grow fastest between reductions on the dense
+    path).  At p = 1073741789 the dense path reduces every third pivot, at
+    2147483647 every pivot."""
     import civar.arith as arith
 
-    small = []
-    inner = arith._rref_small
-    monkeypatch.setattr(arith, "_rref_small", lambda a, q: small.append(a) or inner(a, q))
-    paths = []
+    ran = []
+    sparse, dense = arith._eliminate, arith._dense_eliminate
+
+    def on_sparse(rows, q, live, limit):
+        tails, rest = sparse(rows, q, live, limit)
+        ran.append("sparse" if not rest else "filled")
+        return tails, rest
+
+    monkeypatch.setattr(arith, "_eliminate", on_sparse)
+    monkeypatch.setattr(
+        arith, "_dense_eliminate", lambda a, q, up: ran.append("dense") or dense(a, q, up)
+    )
     rng = np.random.default_rng(p % 1000)
+    # an arrow, a full first row and a diagonal: 118 nonzero entries that
+    # fill in to full rows as the first row clears column 0
+    arrow = np.diag(rng.integers(1, p, size=40, dtype=np.int64))
+    arrow[0], arrow[:, 0] = rng.integers(1, p, size=40), 1
+    drawn = [arrow]
     for rows, cols in [(3, 4), (6, 8), (8, 8), (1, 30), (30, 1), (20, 30), (70, 40), (90, 120)]:
         a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
         a[:, rng.integers(0, cols, size=max(1, cols // 5))] = 0
@@ -234,21 +248,74 @@ def test_rref_matches_the_reference(p, monkeypatch):
             a[rows // 2] = a[0]
             a[-1] = 2 * a[1] % p
         a[: rows // 2 + 1, cols // 3 : cols // 3 + cols // 2 + 1] = p - 1
-        sparse = np.where(rng.random(a.shape) < 0.8, 0, a)
+        holes = np.where(rng.random(a.shape) < 0.8, 0, a)
         thin = np.where(rng.random(a.shape) < 100 / a.size, a, 0)
-        for m in (a, sparse, thin, a - p, np.full((rows, cols), p - 1, dtype=np.int64)):
-            before = len(small)
-            got, pivots = rref(m, p)
-            want, want_pivots = rref_reference(m, p)
-            assert pivots == want_pivots
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            paths.append((m.size, np.count_nonzero(m), len(small) > before))
-    # both paths ran on matrices past 64 entries: Python integers on sparse
-    # ones, numpy on dense ones below the size cap and on sparse ones above
-    cells, nonzeros = arith._SMALL_CELLS, arith._SMALL_NONZEROS
-    assert any(on_python and size > 64 for size, _nz, on_python in paths)
-    assert any(not on_python and nz > nonzeros and size <= cells for size, nz, on_python in paths)
-    assert any(not on_python and nz <= nonzeros and size > cells for size, nz, on_python in paths)
+        drawn += [a, holes, thin, a - p, np.full((rows, cols), p - 1, dtype=np.int64)]
+    paths = []
+    for m in drawn:
+        ran.clear()
+        got, pivots = rref(m, p)
+        want, want_pivots = rref_reference(m, p)
+        assert pivots == want_pivots
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        paths.append((m.size, tuple(ran)))
+    # every path ran: the sparse kernel alone past 4,096 entries, numpy alone
+    # on dense matrices below that, and the sparse kernel handing over to
+    # numpy when the fill makes the rows dense
+    assert any(path == ("sparse",) and size > 4096 for size, path in paths)
+    assert any(path == ("dense",) and 64 < size <= 4096 for size, path in paths)
+    assert any(path == ("filled", "dense") for _size, path in paths)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(matrix, p) of one of five shapes: tiny, sparse and wide (at most 2 %
+    nonzero, past 4,096 entries), tall and skinny, dense, or an arrow (a
+    full first row and column on a diagonal), which starts sparse and fills
+    in; entries in (-p, p), with a zero row, a zero column and a repeated
+    row."""
+    p = draw(st.sampled_from([3, 101, 32003, 2**31 - 1]))
+    rows, cols, density = draw(st.sampled_from([
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.just(0.6)),  # tiny
+        st.tuples(st.integers(20, 60), st.integers(120, 240), st.just(0.02)),  # sparse, wide
+        st.tuples(st.integers(100, 400), st.integers(1, 8), st.just(0.5)),  # tall, skinny
+        st.tuples(st.integers(17, 40), st.integers(17, 40), st.just(0.9)),  # dense
+        st.integers(20, 40).map(lambda n: (n, n, None)),  # arrow
+    ]).flatmap(lambda shape: shape))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(1 - p, p, size=(rows, cols), dtype=np.int64)
+    if density is None:
+        a = np.diag(a.diagonal())
+        a[0], a[:, 0] = rng.integers(1 - p, p, size=cols), rng.integers(1 - p, p, size=rows)
+    else:
+        a[rng.random((rows, cols)) >= density] = 0
+    if rows > 2 and cols:
+        a[rng.integers(rows)] = 0
+        a[rng.integers(rows)] = a[rng.integers(rows)]
+    if cols > 1:
+        a[:, rng.integers(cols)] = 0
+    return a, p
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(elimination_inputs())
+def test_rref_and_echelon_match_the_reference(case):
+    """`rref` equals the plain reduction bit for bit.  `echelon` has the
+    reference's pivot columns and one row per pivot, monic there and zero
+    to its left, and its rows add nothing to the row space: stacked onto
+    the matrix they leave the rank as it was."""
+    a, p = case
+    want, want_pivots = rref_reference(a, p)
+    got, pivots = rref(a, p)
+    assert pivots == want_pivots
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    rows, pivots = echelon(a, p)
+    assert pivots == want_pivots
+    assert rows.shape == (len(pivots), a.shape[1]) and rows.dtype == np.int64
+    assert ((rows >= 0) & (rows < p)).all()
+    for row, c in zip(rows, pivots):
+        assert row[c] == 1 and not row[:c].any()
+    assert len(rref_reference(np.vstack([a, rows]), p)[1]) == len(pivots)
 
 
 def test_nullspace_kills_and_counts():

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from civar import cli
+from civar.arith import Poly, PolyRing
 from civar.cohomology import VarietyIdeal
 from civar.errors import InternalError
 from civar.resolve import RingSpec, present_module
@@ -144,6 +145,52 @@ def test_realize_repeatable_eta(files, capsys):
     doc = json.loads(out)
     assert doc["variety"]["gens"] == ["chi1 + chi2"]
     assert doc["is_mcm"] is True
+
+
+def test_cut_refuses_a_repeated_eta(files, capsys):
+    """`cut` reads one operator polynomial: a second --eta is a usage error
+    (exit 1), not a silent replacement of the first, and nothing is
+    written."""
+    ring, mods, tmp = files
+    out_path = tmp / "cut.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["cut", ring, mods["k"], "--eta", "chi2", "--eta", "chi1", "--no-verify",
+             "--out", str(out_path)]
+        )
+    assert exc.value.code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error[input]: argument --eta: given more than once" in err
+    assert not out_path.exists()
+    code, out, _ = run(
+        capsys, ["cut", ring, mods["k"], "--eta", "chi2", "--no-verify", "--format", "structured"]
+    )
+    assert code == 0 and json.loads(out)["eta"] == "chi2"
+
+
+def test_realize_parses_each_eta_once(files, capsys, monkeypatch):
+    """`realize` parses every --eta once and hands the polynomials to
+    `construct.realize`; the report prints them as parsed."""
+    ring, _, _ = files
+    parsed = []
+    parse = PolyRing.parse
+    monkeypatch.setattr(
+        PolyRing, "parse", lambda self, text: parsed.append(text) or parse(self, text)
+    )
+    handed = []
+    inner = cli.realize
+    monkeypatch.setattr(
+        cli, "realize", lambda rs, etas, verify: handed.append(etas) or inner(rs, etas, verify)
+    )
+    etas = ["2chi1 + chi2", "chi1^2 - chi2^2"]
+    argv = ["realize", ring, "--no-verify", "--format", "structured"]
+    for eta in etas:
+        argv += ["--eta", eta]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert [parsed.count(eta) for eta in etas] == [1, 1]
+    assert [type(f) for f in handed[0]] == [Poly, Poly]
+    assert json.loads(out)["etas"] == ["2*chi1 + chi2", "chi1^2 + 100*chi2^2"]
 
 
 def test_cached_parser_keeps_no_state_between_calls(files, capsys):
