@@ -31,6 +31,7 @@ each non-pivot column in the pivots before it.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import add, neg
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def mono_one(n: int) -> tuple:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: tuple, b: tuple):
@@ -156,7 +157,7 @@ class Order:
 
 def _drl_key(m: tuple):
     # graded, ties broken by smallest last exponent: the usual degrevlex.
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 DEGREVLEX = Order("degrevlex", _drl_key)

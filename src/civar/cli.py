@@ -233,7 +233,9 @@ def _resolution_doc(res, steps: int) -> dict:
 # ---------------------------------------------------------------------------
 # commands: each takes the parsed arguments, the ring and the module (None
 # if no module file was given) and returns its report fields, which `main`
-# adds to the head (command, ring, module) that every report shares
+# adds to the head (command, ring, module) that every report shares; a
+# command that returns a module field writes the head's, which `main` then
+# does not build
 
 
 def cmd_validate(args, rs, pres):
@@ -387,16 +389,21 @@ def cmd_check_carlson(args, rs, pres):
 
 class _Once(argparse.Action):
     """Store a flag's value, refusing a second occurrence, which would
-    otherwise replace the first without a word."""
+    otherwise replace the first without a word.  Occurrences are counted on
+    the namespace: a flag with a default holds a value before its first
+    use."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
             raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
         setattr(namespace, self.dest, values)
 
 
 # Every flag's add_argument spec, once.  --eta has two: `cut` reads one
 # operator polynomial, `realize` a repeatable list of variety generators.
+# A flag that takes one value is refused when given twice (`_Once`).
 FLAGS = {
     "steps": ("--steps", dict(type=int, help="resolution window size N")),
     "cap": ("--cap", dict(
@@ -420,7 +427,7 @@ FLAGS = {
         choices=("text", "structured"), default="text", help="report format"
     )),
     "out": ("--out", dict(help="path for emitted module files")),
-    "eta": ("--eta", dict(action=_Once, required=True, help="operator polynomial (chi1..)")),
+    "eta": ("--eta", dict(required=True, help="operator polynomial (chi1..)")),
     "etas": ("--eta", dict(action="append", required=True, help="variety generator (repeatable)")),
     "a1": ("--a1", dict(required=True, help="first piece of the split")),
     "a2": ("--a2", dict(required=True, help="second piece of the split")),
@@ -492,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("module", **command.module)
         for key in command.flags + SHARED_FLAGS:
             option, spec = FLAGS[key]
-            p.add_argument(option, **spec)
+            p.add_argument(option, **{"action": _Once, **spec})
     return parser
 
 
@@ -520,9 +527,9 @@ def main(argv=None) -> int:
             path = getattr(args, "module", None)
             pres = None if path is None else load_module(rs, path)
             report = {"command": args.command, "ring": _ring_doc(rs)}
-            if pres is not None:
-                report["module"] = module_doc(pres)
             report.update(COMMANDS[args.command].handler(args, rs, pres))
+            if pres is not None and "module" not in report:
+                report["module"] = module_doc(pres)
         finally:
             configure_budgets(prev)
     except VerificationError as exc:

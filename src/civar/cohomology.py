@@ -13,13 +13,21 @@ gives well-defined chain maps of degree -2.  Their constant-term matrices
 (transposed) are the chi_j action on E.
 
 The annihilator is approximated by window linear algebra: for each degree d
-collect every homogeneous h with h-action zero on all composable windows
-E^i -> E^{i+2d} inside the computed range.  A degree-d candidate is tested
-only on E^i with i <= N - 2d, so it is tested on every H-generator of E that
-the window 0..N sees only when 2d <= N - g_N, g_N the top degree of a
-minimal H-generator of E in 0..N (counted as dim E^i minus the rank of
-[chi_1 E^{i-2} | ... | chi_c E^{i-2}]).  `support_variety` therefore builds
-a_N over d <= (N - g_N) / 2 only.  E is finitely generated over H
+the space K_d of homogeneous h with h-action zero on all composable windows
+E^i -> E^{i+2d} inside the computed range.  The actions commute exactly, so
+chi_j K_{d-1} lies in K_d; each degree solves only for what K_d holds beyond
+those products, on the monomials outside their pivots, and one window at a
+time, stopping once nothing is left (Lazard's degree-by-degree Macaulay
+matrices, EUROCAL 1983, with the products of the degree below as known
+rows).  Those new vectors are minimal generators of a_N, and the Groebner
+basis starts from them.
+
+A degree-d candidate is tested only on E^i with i <= N - 2d, so it is
+tested on every H-generator of E that the window 0..N sees only when
+2d <= N - g_N, g_N the top degree of a minimal H-generator of E in 0..N
+(counted as dim E^i minus the rank of [chi_1 E^{i-2} | ... | chi_c E^{i-2}],
+ranks the windows of one variety share).  `support_variety` therefore
+builds a_N over d <= (N - g_N) / 2 only.  E is finitely generated over H
 (Gulliksen 1974), so g_N settles; a pair of windows is compared only once
 g_N = g_{N+2} with at least two generator-free degrees above it.  The two
 candidates are then compared up to radical, with the Betti-growth
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arith import FreeElt, _sub_shifted, echelon, matmul, nullspace
+from .arith import FreeElt, _sub_shifted, echelon, matmul, mono_mul, nullspace
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
     groebner_basis,
@@ -115,9 +123,12 @@ def operator_columns(res: Resolution, j: int, lo: int):
 class ExtKModule:
     """E(M,k) in cohomological degrees 0..steps: dims[i] = b_i, and for each
     j the action matrices act[j][i]: E^i -> E^{i+2} (shape b_{i+2} x b_i),
-    valid for i <= steps-2.  Composites of these matrices commute exactly."""
+    valid for i <= steps-2.  Composites of these matrices commute exactly.
+    The memos of composites and of the ranks `generator_counts` reads hold
+    nothing that depends on `steps`, so windows over one resolution may
+    share them."""
 
-    __slots__ = ("rs", "steps", "dims", "act", "_composites")
+    __slots__ = ("rs", "steps", "dims", "act", "_composites", "_reached")
 
     def __init__(self, rs, steps, dims, act):
         self.rs = rs
@@ -125,6 +136,7 @@ class ExtKModule:
         self.dims = dims
         self.act = act
         self._composites = {}
+        self._reached = {}
 
     def monomial_window(self, mono: tuple, i: int) -> np.ndarray:
         """Composite action of the H-monomial chi^mono starting at E^i,
@@ -255,14 +267,23 @@ class VarietyIdeal:
 
 
 def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIdeal:
-    """Candidate annihilator a_N: for each degree d <= D (default N/2), all
-    homogeneous h of degree d in the chi's whose action matrix
-    E^i -> E^{i+2d} vanishes for every window inside the computed range.  One
-    nullspace per degree, over the coefficients of the degree-d monomials.
-    Always contains the true annihilator.  A degree-d candidate is tested on
-    E^0..E^{N-2d} only, so it can pass while failing on an H-generator of E
-    above degree N - 2d; `support_variety` keeps D <= (N - g_N) / 2, where
-    that cannot happen (see `generator_degree`)."""
+    """Candidate annihilator a_N: the ideal of the spaces K_d, d <= D
+    (default N/2), of homogeneous h of degree d in the chi's whose action
+    matrix E^i -> E^{i+2d} vanishes for every window inside the computed
+    range.  Always contains the true annihilator.  A degree-d candidate is
+    tested on E^0..E^{N-2d} only, so it can pass while failing on an
+    H-generator of E above degree N - 2d; `support_variety` keeps
+    D <= (N - g_N) / 2, where that cannot happen (see `generator_degree`).
+
+    K_d is solved from K_{d-1}.  U_d = chi_1 K_{d-1} + ... + chi_c K_{d-1}
+    lies in K_d, since the actions commute exactly and h kills every window
+    that starts two degrees higher.  So K_d is U_d plus the part of K_d on
+    the monomials that are not pivots of U_d's echelon form, and only those
+    monomials are unknowns.  Their kernel is cut down one window at a time,
+    in ascending i, and the cut stops once it is empty, so no composite past
+    that window is formed.  Only these new vectors become generators: they
+    span K_d modulo U_d, so the Groebner basis starts from a minimal
+    generating set of the same ideal."""
     rs = ext.rs
     h_ring = rs.h_ring
     D = ext.steps // 2 if max_op_degree is None else max_op_degree
@@ -270,28 +291,43 @@ def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIde
         raise InputError(
             f"operator degree cap {D} outside [1, {ext.steps // 2}]", cap=D
         )
+    p = rs.p
+    units = h_ring.monomials_of_degree(1)
     found = []
+    # a basis of K_{d-1}, one row per vector over the monomials `prev`;
+    # K_0 is taken as 0, which only leaves U_1 empty
+    basis, prev = np.zeros((0, 1), dtype=np.int64), h_ring.monomials_of_degree(0)
     for d in range(1, D + 1):
         monos = h_ring.monomials_of_degree(d)
-        blocks = []
-        for i in range(0, ext.steps - 2 * d + 1):
+        at = {m: k for k, m in enumerate(monos)}
+        # U_d, one block of rows per chi_j
+        shifted = np.zeros((len(units) * len(basis), len(monos)), dtype=np.int64)
+        for j, u in enumerate(units):
+            cols = [at[mono_mul(m, u)] for m in prev]
+            shifted[j * len(basis) : (j + 1) * len(basis), cols] = basis
+        spanned, pivots = echelon(shifted, p)
+        taken = set(pivots)
+        free = [k for k in range(len(monos)) if k not in taken]
+        # a basis of K_d on the free monomials so far, one row per vector
+        kern = np.eye(len(free), dtype=np.int64)
+        for i in range(ext.steps - 2 * d + 1):
+            if not len(kern):
+                break
             rows = ext.dims[i + 2 * d] * ext.dims[i]
             if rows == 0:
                 continue
-            block = np.empty((rows, len(monos)), dtype=np.int64)
-            for col, m in enumerate(monos):
-                block[:, col] = ext.monomial_window(m, i).reshape(-1)
-            blocks.append(block)
-        if blocks:
-            a = np.concatenate(blocks, axis=0)
-            kernel = nullspace(a, rs.p)
-        else:
-            # no composable window constrains degree d at all
-            kernel = [[1 if k == col else 0 for k in range(len(monos))] for col in range(len(monos))]
-        for vec in kernel:
-            terms = {m: cf for m, cf in zip(monos, vec) if cf}
-            if terms:
-                found.append(h_ring.poly(terms))
+            block = np.empty((rows, len(free)), dtype=np.int64)
+            for col, k in enumerate(free):
+                block[:, col] = ext.monomial_window(monos[k], i).reshape(-1)
+            cut = matmul(block, kern.T, p)
+            if cut.any():
+                comb = nullspace(cut, p)
+                kern = matmul(np.array(comb, dtype=np.int64).reshape(-1, len(kern)), kern, p)
+        new = np.zeros((len(kern), len(monos)), dtype=np.int64)
+        new[:, free] = kern
+        for vec in new.tolist():
+            found.append(h_ring.poly({m: cf for m, cf in zip(monos, vec) if cf}))
+        basis, prev = np.concatenate([spanned, new]), monos
     return VarietyIdeal(h_ring, found)
 
 
@@ -301,10 +337,13 @@ def generator_counts(ext: ExtKModule) -> list[int]:
     the operators reach from below."""
     counts = []
     for i in range(ext.steps + 1):
-        reached = 0
-        if i >= 2 and ext.dims[i] and ext.dims[i - 2]:
-            stacked = np.concatenate([act[i - 2] for act in ext.act], axis=1)
-            reached = len(echelon(stacked, ext.rs.p)[1])
+        reached = ext._reached.get(i)
+        if reached is None:
+            reached = 0
+            if i >= 2 and ext.dims[i] and ext.dims[i - 2]:
+                stacked = np.concatenate([act[i - 2] for act in ext.act], axis=1)
+                reached = len(echelon(stacked, ext.rs.p)[1])
+            ext._reached[i] = reached
         counts.append(ext.dims[i] - reached)
     return counts
 
@@ -385,13 +424,13 @@ def support_variety(
         )
     pres = artinian_reduction(pres)
     res = resolve_min(pres, n0 + 2)
-    # chi^m: E^i -> E^{i+2d} does not depend on the window, so every window
-    # reads one memo of composites
-    composites = {}
+    # chi^m: E^i -> E^{i+2d} and the rank of [chi_1 E^{i-2} | ... ] do not
+    # depend on the window, so every window reads one memo of each
+    composites, reached = {}, {}
 
     def window(n):
         ext = ext_k_module(res, n)
-        ext._composites = composites
+        ext._composites, ext._reached = composites, reached
         g = generator_degree(ext)
         top = (n - g) // 2
         if max_op_degree is not None:

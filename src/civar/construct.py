@@ -473,8 +473,10 @@ def check_carlson(
         )
     dec = decompose(pres, attempts=attempts, seed=seed)
     group1, group2, free = [], [], []
+    varieties = []
     for i, sub in enumerate(dec.summands):
         v = support_variety(sub)
+        varieties.append(v)
         if v.is_trivial():
             free.append(i)
             continue
@@ -501,8 +503,15 @@ def check_carlson(
         (group1 if in1 else group2).append(i)
     c1 = _direct_sum_of(rs, [dec.summands[i] for i in group1])
     c2 = _direct_sum_of(rs, [dec.summands[i] for i in group2])
-    v1 = support_variety(c1) if c1.rank else VarietyIdeal(rs.h_ring, list(rs.h_ring.gens()))
-    v2 = support_variety(c2) if c2.rank else VarietyIdeal(rs.h_ring, list(rs.h_ring.gens()))
+
+    def group_variety(group, c):
+        if len(group) == 1:
+            # c is that summand itself, whose variety the loop above read
+            return varieties[group[0]]
+        return support_variety(c) if c.rank else VarietyIdeal(rs.h_ring, list(rs.h_ring.gens()))
+
+    v1 = group_variety(group1, c1)
+    v2 = group_variety(group2, c2)
     ok1 = v1.equals(a1) if c1.rank else a1.is_trivial()
     ok2 = v2.equals(a2) if c2.rank else a2.is_trivial()
     if not (ok1 and ok2):

@@ -10,7 +10,8 @@ import random
 
 import numpy as np
 
-from civar.arith import Poly, fp_inv, mono_div, mono_lcm, mono_mul
+from civar.arith import Poly, fp_inv, mono_div, mono_lcm, mono_mul, nullspace
+from civar.cohomology import ExtKModule, VarietyIdeal
 from civar.groebner import FreeElt, groebner_basis, normal_form
 
 
@@ -322,3 +323,73 @@ def prune_units_reference(pres):
     gens = tuple(pres.gens[i] for i in rows)
     out = [FreeElt.from_polys([mat[i][j] for i in rows], gens) for j in cols] if rows else []
     return gens, [c for c in out if not c.is_zero()]
+
+
+def annihilator_reference(ext, max_op_degree=None):
+    """The window annihilator the plain way: in each degree d, one
+    nullspace over the coefficients of all degree-d monomials, of every
+    block E^i -> E^{i+2d} stacked, and every degree's whole kernel handed
+    to the Groebner basis.  `annihilator_window` must give the same ideal."""
+    h_ring = ext.rs.h_ring
+    D = ext.steps // 2 if max_op_degree is None else max_op_degree
+    found = []
+    for d in range(1, D + 1):
+        monos = h_ring.monomials_of_degree(d)
+        blocks = []
+        for i in range(ext.steps - 2 * d + 1):
+            rows = ext.dims[i + 2 * d] * ext.dims[i]
+            if rows:
+                blocks.append(np.stack([ext.monomial_window(m, i).reshape(-1) for m in monos], axis=1))
+        if blocks:
+            kernel = nullspace(np.concatenate(blocks, axis=0), ext.rs.p)
+        else:
+            kernel = np.eye(len(monos), dtype=np.int64).tolist()
+        for vec in kernel:
+            found.append(h_ring.poly(dict(zip(monos, vec))))
+    return VarietyIdeal(h_ring, found)
+
+
+def quotient_ext(rs, gens, steps):
+    """E = H/I for the ideal I of H = k[chi_1..chi_c] generated by the
+    homogeneous `gens` (none constant), placed in the even degrees 0..steps
+    (E^{2k} = (H/I)_k, odd degrees zero), chi_j acting by multiplication.
+    Each (H/I)_k is read off the reduced row echelon form of I_k, spanned by
+    the monomial multiples of the generators: its basis is the non-pivot
+    monomials, and a pivot monomial's normal form is minus the rest of its
+    row.  No Groebner basis is involved."""
+    h_ring, p = rs.h_ring, rs.p
+    forms = [{m: c for (_slot, m), c in g.terms.items()} for g in gens]
+    normal, basis = [], []  # per k: {monomial: {standard monomial: coefficient}}
+    for k in range(steps // 2 + 1):
+        monos = h_ring.monomials_of_degree(k)
+        at = {m: n for n, m in enumerate(monos)}
+        span = []
+        for f in forms:
+            shift = k - sum(next(iter(f)))
+            for q in h_ring.monomials_of_degree(shift):
+                row = [0] * len(monos)
+                for m, c in f.items():
+                    row[at[mono_mul(m, q)]] = c
+                span.append(row)
+        r, pivots = rref_reference(np.array(span, dtype=np.int64).reshape(-1, len(monos)), p)
+        free = [n for n in range(len(monos)) if n not in pivots]
+        nf = {monos[n]: {monos[n]: 1} for n in free}
+        for row, pc in zip(r.tolist(), pivots):
+            nf[monos[pc]] = {monos[n]: -row[n] % p for n in free if row[n]}
+        normal.append(nf)
+        basis.append([monos[n] for n in free])
+    dims = [len(basis[i // 2]) if i % 2 == 0 else 0 for i in range(steps + 1)]
+    act = []
+    for j in range(h_ring.nvars):
+        u = tuple(int(v == j) for v in range(h_ring.nvars))
+        per_i = []
+        for i in range(steps - 1):
+            mat = np.zeros((dims[i + 2], dims[i]), dtype=np.int64)
+            if i % 2 == 0:
+                target = {m: n for n, m in enumerate(basis[i // 2 + 1])}
+                for col, s in enumerate(basis[i // 2]):
+                    for m, c in normal[i // 2 + 1][mono_mul(s, u)].items():
+                        mat[target[m], col] = c
+            per_i.append(mat)
+        act.append(per_i)
+    return ExtKModule(rs, steps, dims, act)

@@ -63,6 +63,23 @@ def test_validate_with_module_structured(files, capsys):
     assert doc["module"]["relation_count"] == 2
 
 
+def test_validate_builds_the_module_doc_once(files, capsys, monkeypatch):
+    ring, mods, _ = files
+    built = []
+    real = cli.module_doc
+
+    def counted(pres):
+        built.append(pres)
+        return real(pres)
+
+    monkeypatch.setattr(cli, "module_doc", counted)
+    code, out, _ = run(capsys, ["validate", ring, mods["k"], "--format", "structured"])
+    assert code == 0 and len(built) == 1
+    assert json.loads(out)["module"] == {
+        "gens": [0], "relations": [["x", "y"]], "relation_count": 2,
+    }
+
+
 def test_resolve_betti(files, capsys):
     ring, mods, _ = files
     code, out, _ = run(
@@ -166,6 +183,47 @@ def test_cut_refuses_a_repeated_eta(files, capsys):
         capsys, ["cut", ring, mods["k"], "--eta", "chi2", "--no-verify", "--format", "structured"]
     )
     assert code == 0 and json.loads(out)["eta"] == "chi2"
+
+
+# every flag that takes one value, with a subcommand that reads it; the
+# first use of --format, --seed, --attempts, --max-pairs and --max-degree
+# replaces a default, so a repeat is told apart by counting, not by value
+REPEATABLE_ONCE = {
+    "--steps": "variety",
+    "--cap": "variety",
+    "--a1": "check-carlson",
+    "--a2": "check-carlson",
+    "--seed": "decompose",
+    "--attempts": "decompose",
+    "--out": "decompose",
+    "--format": "validate",
+    "--max-pairs": "validate",
+    "--max-degree": "validate",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(REPEATABLE_ONCE))
+def test_repeated_flag_exits_1(files, capsys, flag):
+    """A second value for a one-value flag is refused, exit 1, before
+    anything runs, instead of silently replacing the first."""
+    ring, mods, tmp = files
+    cmd = REPEATABLE_ONCE[flag]
+    argv = {
+        "validate": [ring],
+        "check-carlson": [ring, mods["m1m2"], "--a1", "chi2", "--a2", "chi1"],
+    }.get(cmd, [ring, mods["k"]])
+    value = {
+        "--a1": "chi2", "--a2": "chi1", "--out": str(tmp / "out.txt"), "--format": "structured",
+    }.get(flag, "3")
+    once = [flag, value] if flag not in ("--a1", "--a2") else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd] + argv + once + [flag, value])
+    assert exc.value.code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error[input]: argument {flag}: given more than once" in captured.err
+    assert not list(tmp.glob("out.txt*"))
+
 
 
 def test_realize_parses_each_eta_once(files, capsys, monkeypatch):

@@ -27,7 +27,7 @@ from civar.resolve import (
     syzygy_module,
 )
 
-from helpers import seeded, times
+from helpers import annihilator_reference, seeded, times
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +176,19 @@ def test_annihilator_window_shrinks(r1):
     for g in hi.gens:
         assert lo.contains_element(g) or lo.gens == ()
     assert hi.equals(VarietyIdeal(r1.h_ring, ["chi1 + chi2"]))
+
+
+def test_annihilator_window_matches_the_reference(corpus):
+    """On every corpus module, every window N in 4..12 and every cap, the
+    degree loop gives the ideal of the plain one-nullspace-per-degree
+    reference: the same reduced Groebner basis."""
+    for name, pres in corpus:
+        res = resolve_min(pres, 12)
+        for n in (4, 6, 8, 10, 12):
+            ext = ext_k_module(res, n)
+            for cap in range(1, n // 2 + 1):
+                got = annihilator_window(ext, cap).gens
+                assert got == annihilator_reference(ext, cap).gens, (name, n, cap)
 
 
 def test_annihilator_of_zero_module(r1):

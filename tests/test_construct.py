@@ -11,6 +11,7 @@ from civar.errors import (
     PremiseError,
     VerificationError,
 )
+from civar import construct
 from civar.cohomology import VarietyIdeal, support_variety
 from civar.construct import (
     _eval_matrix,
@@ -381,13 +382,23 @@ def test_decompose_needs_finite_length(r4):
 # check_carlson
 
 
-def test_carlson_axis_split(r1):
+def test_carlson_axis_split(r1, monkeypatch):
+    """Each group holds one summand, whose variety the summand loop already
+    read: one variety per object, M's and the two summands'."""
     m = direct_sum(
         present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]])
     )
+    seen = []
+
+    def counted(pres, *args, **kwargs):
+        seen.append(id(pres))
+        return support_variety(pres, *args, **kwargs)
+
+    monkeypatch.setattr(construct, "support_variety", counted)
     res = check_carlson(
         m, VarietyIdeal(r1.h_ring, ["chi2"]), VarietyIdeal(r1.h_ring, ["chi1"])
     )
+    assert len(seen) == len(set(seen)) == 3
     assert res.verdict is True
     assert len(res.group1) == 1 and len(res.group2) == 1
     assert res.free == []

@@ -16,7 +16,9 @@ d~d~ = sum_j f_j u_j, are checked to be chain maps over Q on these rings and
 on F_101[x,y,z]/(z^2, 3y^2, x^2+yz), whose relations are not their own
 reduced basis.  `minimal_columns` and `prune_units` are checked against the
 plain references in `helpers` on R5, the one-dimensional ring and
-B = F_101[x,y,z,w]/(x^2, y^2, z^2).  Hypothesis runs derandomized with few
+B = F_101[x,y,z,w]/(x^2, y^2, z^2).  The window annihilator is checked on
+E = H/I for drawn homogeneous ideals I of H, where it must be I itself up
+to the operator degree cap.  Hypothesis runs derandomized with few
 examples, so these stay fast and reproducible.
 """
 
@@ -28,7 +30,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from civar.arith import Poly, PolyRing
 from civar import construct
-from civar.cohomology import lift_and_operators, support_variety
+from civar.cohomology import VarietyIdeal, annihilator_window, lift_and_operators, support_variety
 from civar.errors import InputError, InternalError
 from civar.groebner import (
     FreeElt,
@@ -56,6 +58,7 @@ from helpers import (
     minimal_columns_reference,
     naive_reduce,
     prune_units_reference,
+    quotient_ext,
     random_column,
     rref_reference,
     times,
@@ -468,3 +471,43 @@ def test_lost_exactness_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(GroebnerBasis, "lift_terms", lambda self, terms: [{} for _ in self.cofactors[0]])
     with pytest.raises(InternalError, match="lost exactness"):
         lift_and_operators(res, 1)
+
+
+# ---------------------------------------------------------------------------
+# the window annihilator on E = H/I, whose annihilator is I
+#
+# E^0 = k generates E = H/I (placed in even degrees, `helpers.quotient_ext`),
+# so a degree-d operator with 2d <= N kills every window exactly when it
+# kills 1 in E^0, that is when it lies in I_d.  The window annihilator with
+# cap D is therefore the ideal spanned by I_1..I_D, which the generators of
+# I of degree at most D generate.  Equal reduced Groebner bases compare the
+# ideals themselves, not their radicals.
+
+H_RINGS = {
+    2: RingSpec(101, ["x", "y"], ["x^2", "y^2"]),
+    3: RingSpec(101, ["x", "y", "z"], ["x^2", "y^2", "z^2"]),
+}
+
+
+def assert_annihilator_is_the_ideal(rs, gens, steps):
+    ext = quotient_ext(rs, gens, steps)
+    for cap in range(1, steps // 2 + 1):
+        want = VarietyIdeal(rs.h_ring, [g for g in gens if g.degree() <= cap])
+        assert annihilator_window(ext, cap).gens == want.gens, (cap, [str(g) for g in gens])
+
+
+def test_annihilator_of_a_quotient_pinned():
+    """chi1^2 and chi1 chi2 span chi_j K_1 in degree 2; chi2^2, the other
+    monomial, is where K_2 holds more."""
+    h = H_RINGS[2].h_ring
+    assert_annihilator_is_the_ideal(H_RINGS[2], [h.parse("chi1"), h.parse("chi2^2")], 8)
+
+
+@settings(PROPS, max_examples=20)
+@given(data=st.data())
+def test_annihilator_of_a_drawn_quotient(data):
+    c = data.draw(st.sampled_from([2, 3]))
+    rs = H_RINGS[c]
+    degrees = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    gens = [data.draw(homogeneous(rs.h_ring, d)) for d in degrees]
+    assert_annihilator_is_the_ideal(rs, [g for g in gens if not g.is_zero()], 10 if c == 2 else 8)
