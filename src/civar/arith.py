@@ -1,6 +1,5 @@
 """Exact arithmetic over a prime field: polynomials and free-module elements,
-monomial orders, sparse and dense linear algebra, and univariate
-factorization.
+monomial orders, sparse linear algebra, and univariate factorization.
 
 Scalars are integer residues modulo an odd prime p.  Polynomials and
 free-module elements are one class, `FreeElt`, whose terms form one
@@ -9,23 +8,24 @@ an exponent tuple; a `Poly` is the rank-1 element with shift 0, every slot
 0.  Equality of elements is equality of dictionaries and there is no
 coefficient swell to manage.  Every product, and every division step
 downstream, runs on one kernel, `_sub_shifted`.  Matrices are numpy int64
-arrays whose results come out reduced modulo p; with p < 2^31 a single
-product never overflows, longer accumulations are chunked, and dense row
-reduction reduces only as often as the int64 range requires.  Nothing in
-this module (or anywhere downstream) touches floating point.
+arrays whose results come out reduced modulo p.  Int64 arithmetic is left
+only in `matmul`, whose partial sums are chunked below 2^62, and in the
+resolution's degree matrices; with p < 2^31 a single product never
+overflows.  Nothing in this module (or anywhere downstream) touches
+floating point.
 
 Row reduction is one sparse kernel, `_eliminate`, forward elimination on
-rows stored as {column: residue} dicts, with two entry points: `rref`, the
-reduced echelon form, and `echelon`, monic pivot rows that span the row
-space without being cleared above their pivots, for the callers that read
-only pivots or a basis of the span.  Both take the dense numpy path on
-dense matrices (`_sparse_limit`), and hand over to it when the fill makes
-the rows dense: there numpy's row operations cost less than the kernel.
-Every span question downstream is asked of the pivot columns.  A column is
-a pivot exactly when it lies outside the span of the columns to its left,
-so the greedy choice "keep each vector that is independent of those before
-it" is the pivot set of one elimination, and the reduced form expresses
-each non-pivot column in the pivots before it.
+rows stored as {column: residue} dicts with Python integers, followed by
+`_back_substitute` where the reduced form is wanted.  It has three entry
+points: `rref`, the reduced echelon form; `echelon`, monic pivot rows that
+span the row space without being cleared above their pivots, for the
+callers that read only pivots or a basis of the span; and `nullspace`, read
+off the back-substituted pivot rows.  Every span question downstream is
+asked of the pivot columns.  A column is a pivot exactly when it lies
+outside the span of the columns to its left, so the greedy choice "keep
+each vector that is independent of those before it" is the pivot set of one
+elimination, and the reduced form expresses each non-pivot column in the
+pivots before it.
 """
 
 from __future__ import annotations
@@ -193,8 +193,9 @@ class PolyRing:
 
     def __init__(self, p: int, variables, order: Order = DEGREVLEX):
         if isinstance(p, int) and p >= 1 << 31:
-            # int64 row operations overflow past this bound (see the module
-            # docstring), and trial division would take too long anyway
+            # `matmul`'s chunks and the products in the resolution's degree
+            # matrices (`resolve._times_variables`) are int64 and overflow
+            # past this bound, and trial division would take too long anyway
             raise InputError(f"p = {p} is too large: the prime must be below 2^31")
         if not is_odd_prime(p):
             raise InputError(f"p = {p} is not an odd prime")
@@ -613,16 +614,6 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _sparse_limit(rows: int, cols: int) -> int:
-    """The most nonzero entries a rows x cols matrix may hold and still be
-    reduced on sparse rows: 128, or one entry in 20 when both sides pass
-    16.  Elimination on sparse rows costs what the nonzero entries and their
-    fill cost; the numpy path costs a pass over a column and over the rows
-    it hits per pivot, which wins on dense matrices and on tall or wide
-    ones with a short side, such as the annihilator systems."""
-    return max(128, rows * cols // 20) if min(rows, cols) > 16 else 128
-
-
 # Matrices of at most this many entries go to and from sparse rows through
 # Python lists: there numpy's fixed cost per call exceeds a pass over every
 # entry, and most eliminations downstream are that small.
@@ -651,29 +642,26 @@ def _sparse_rows(a: np.ndarray, p: int) -> list[dict]:
     return rows
 
 
-def _eliminate(rows: list, p: int, live: int, limit: int):
+def _eliminate(rows: list, p: int) -> dict:
     """Forward elimination on sparse rows, one row at a time: each row is
     reduced by the pivot rows already found, in ascending pivot column,
     until its first entry is not a pivot; then it is made monic and becomes
     the pivot row of that column, or it is dropped when nothing is left.
-    Returns ({pivot column: tail}, rest), the tail being the pivot row right
-    of its pivot (the pivot entry itself is 1).  The rows are consumed.
+    Returns {pivot column: tail}, the tail being the pivot row right of its
+    pivot (the pivot entry itself is 1).  The rows are consumed.
 
     A pivot row is zero left of its pivot, so subtracting it adds entries
     only to the right of the column it clears; the columns still to clear
     are kept in a heap.  The pivot columns are those of `rref`, since a
     column is a pivot exactly when it lies outside the span of the columns
-    to its left, and the pivot rows span the row space of the rows
-    consumed.  `live`, at least the number of nonzero entries in the rows,
-    follows the pivot rows and the rows still to come; once the fill takes
-    it past `limit` (`_sparse_limit` of the matrix), elimination stops and
-    `rest` holds the rows not yet consumed (else it is empty), for the dense
-    path to finish."""
+    to its left, and the pivot rows span the row space of the rows.  The
+    residues are Python integers reduced at every step, so there is no
+    overflow to manage, and the cost follows the nonzero entries and their
+    fill: a dense n x n matrix costs about n^3 / 3 dictionary updates."""
     tails = {}
-    for n, row in enumerate(rows):
+    for row in rows:
         if not row:
             continue
-        live -= len(row)
         todo = [c for c in row if c in tails]
         if todo:
             heapify(todo)
@@ -700,16 +688,14 @@ def _eliminate(rows: list, p: int, live: int, limit: int):
             inv = pow(f, -1, p)
             row = {k: v * inv % p for k, v in row.items()}
         tails[c] = row
-        live += len(row) + 1
-        if live > limit:
-            return tails, rows[n + 1 :]
-    return tails, []
+    return tails
 
 
 def _back_substitute(tails: dict, pivots, p: int) -> None:
     """Clear every pivot row at the pivots to its right, in place, from the
     rightmost pivot row leftwards, so every row subtracted is already
-    reduced and has no pivot entry but its own."""
+    reduced and has no pivot entry but its own.  Afterwards every tail
+    entry sits in a free column."""
     for c in reversed(pivots):
         row = tails[c]
         for right in [k for k in row if k in tails]:
@@ -721,10 +707,9 @@ def _back_substitute(tails: dict, pivots, p: int) -> None:
                     del row[k]
 
 
-def _matrix(tails: dict, pivots, rest, rows: int, cols: int) -> np.ndarray:
+def _matrix(tails: dict, pivots, rows: int, cols: int) -> np.ndarray:
     """A rows x cols int64 matrix whose first rows are the pivot rows, in
-    the order of `pivots`, followed by the sparse rows `rest`.  A small
-    matrix never fills past `_sparse_limit`, so `rest` is empty there."""
+    the order of `pivots`, and whose other rows are zero."""
     if rows * cols <= _SMALL:
         out = np.zeros((rows, cols), dtype=np.int64)
         for i, c in enumerate(pivots):
@@ -743,90 +728,28 @@ def _matrix(tails: dict, pivots, rest, rows: int, cols: int) -> np.ndarray:
         vals.append(1)
         at += [base + k for k in tail]
         vals += tail.values()
-    for i, row in enumerate(rest, len(pivots)):
-        base = i * cols
-        at += [base + k for k in row]
-        vals += row.values()
     out.put(at, vals)
     return out.reshape(rows, cols)
 
 
-def _dense_eliminate(a: np.ndarray, p: int, upward: bool):
-    """Elimination in place on a reduced int64 matrix, with numpy row
-    operations; clears each pivot column below the pivot, and above it
-    too when `upward`.  Returns the pivot columns; on return `a` is reduced
-    and its first rows are the pivot rows.
-
-    Reduction mod p is delayed.  The pivot row is zero mod p left of its
-    pivot, so a pivot updates only its column and those to its right, and
-    only the rows with a nonzero entry in the pivot column.  The pivot
-    column and the pivot row are reduced before use, so one update moves an
-    entry by less than (p-1)^2, and the whole matrix is reduced once every
-    floor(2^62 / (p-1)^2) - 1 pivots (every pivot for p near 2^31), which
-    keeps each entry below 2^63 in absolute value.  The output is equal to
-    reducing at every pivot."""
-    rows, cols = a.shape
-    delay = max(1, (1 << 62) // ((p - 1) * (p - 1)) - 1)
-    pending = 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        col = a[:, c] % p
-        nz = col[r:].nonzero()[0]
-        if not len(nz):
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-            col[[r, i]] = col[[i, r]]
-        row = a[r, c:] % p * fp_inv(int(col[r]), p) % p
-        a[r, c:] = row
-        if upward:
-            col[r] = 0
-            hit = col.nonzero()[0]
-        else:
-            hit = r + 1 + col[r + 1 :].nonzero()[0]
-        a[hit, c:] -= col[hit, None] * row
-        pending += 1
-        if pending >= delay:
-            np.mod(a, p, out=a)
-            pending = 0
-        pivots.append(c)
-        r += 1
-    np.mod(a, p, out=a)
-    return pivots
-
-
-def _reduce(a, p: int, upward: bool):
-    """`rref` when `upward`, else `echelon`.  A matrix within
-    `_sparse_limit` runs `_eliminate`, then `_back_substitute` when
-    `upward`; a denser one, or what is left of a sparse one that filled in,
-    runs `_dense_eliminate`."""
-    a = np.asarray(a, dtype=np.int64)
-    rows, cols = a.shape
-    nonzeros = np.count_nonzero(a)
-    limit = _sparse_limit(rows, cols)
-    if nonzeros <= limit:
-        tails, rest = _eliminate(_sparse_rows(a, p), p, nonzeros, limit)
-        pivots = sorted(tails)
-        if not rest:
-            if upward:
-                _back_substitute(tails, pivots, p)
-            return _matrix(tails, pivots, (), rows if upward else len(pivots), cols), pivots
-        a = _matrix(tails, pivots, rest, rows, cols)
-    else:
-        a = np.mod(a, p)
-    pivots = _dense_eliminate(a, p, upward)
-    return (a if upward else a[: len(pivots)]), pivots
+def _reduce(a: np.ndarray, p: int, upward: bool):
+    """The one elimination behind `rref`, `echelon` and `nullspace`:
+    (tails, pivots) of `_eliminate` on the sparse rows of the int64 matrix
+    `a`, the pivot columns ascending, and the pivot rows back-substituted
+    when `upward`."""
+    tails = _eliminate(_sparse_rows(a, p), p)
+    pivots = sorted(tails)
+    if upward:
+        _back_substitute(tails, pivots, p)
+    return tails, pivots
 
 
 def rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p, as (matrix, pivot column list).  The
-    pivot columns run left to right; the form is unique, so it does not
-    depend on the path (`_reduce`) that computes it."""
-    return _reduce(a, p, upward=True)
+    """Reduced row echelon form mod p, as (matrix, pivot column list), the
+    pivot columns left to right: `_eliminate`, then `_back_substitute`."""
+    a = np.asarray(a, dtype=np.int64)
+    tails, pivots = _reduce(a, p, upward=True)
+    return _matrix(tails, pivots, *a.shape), pivots
 
 
 def echelon(a: np.ndarray, p: int):
@@ -834,29 +757,33 @@ def echelon(a: np.ndarray, p: int):
     per pivot, monic at its pivot and zero left of it, together spanning the
     row space of `a`.  The rows are not cleared above their pivots, which
     is all the work a caller that reads only the pivots, or a basis of the
-    span, needs.  The same rule as `rref` picks the path."""
-    return _reduce(a, p, upward=False)
+    span, needs: `_eliminate` without `_back_substitute`."""
+    a = np.asarray(a, dtype=np.int64)
+    tails, pivots = _reduce(a, p, upward=False)
+    return _matrix(tails, pivots, len(pivots), a.shape[1]), pivots
 
 
-def nullspace(a: np.ndarray, p: int) -> list[list[int]]:
-    """Echelonized basis of {v : a v = 0}, one vector per free column, in
-    free-column order."""
+def nullspace(a: np.ndarray, p: int) -> np.ndarray:
+    """Echelonized basis of {v : a v = 0} as an int64 array, one row per
+    free column of `rref(a, p)`, in free-column order: the row of free
+    column f is 1 at f and minus the entry of each reduced pivot row at f
+    at that row's pivot, zero elsewhere.  The shape is (cols - rank, cols)."""
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise InputError("nullspace wants a matrix")
     cols = a.shape[1]
-    r, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [0] * cols
-        v[free] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-int(r[i, free])) % p
-        basis.append(v)
-    return basis
+    tails, pivots = _reduce(a, p, upward=True)
+    # the flat offset of each free column's row in the output
+    start = {f: n * cols for n, f in enumerate(c for c in range(cols) if c not in tails)}
+    at = [s + f for f, s in start.items()]
+    vals = [1] * len(at)
+    for c in pivots:
+        for k, v in tails[c].items():
+            at.append(start[k] + c)
+            vals.append(p - v)
+    out = np.zeros(len(start) * cols, dtype=np.int64)
+    out.put(at, vals)
+    return out.reshape(len(start), cols)
 
 
 # ---------------------------------------------------------------------------

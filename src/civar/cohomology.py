@@ -321,8 +321,7 @@ def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIde
                 block[:, col] = ext.monomial_window(monos[k], i).reshape(-1)
             cut = matmul(block, kern.T, p)
             if cut.any():
-                comb = nullspace(cut, p)
-                kern = matmul(np.array(comb, dtype=np.int64).reshape(-1, len(kern)), kern, p)
+                kern = matmul(nullspace(cut, p), kern, p)
         new = np.zeros((len(kern), len(monos)), dtype=np.int64)
         new[:, free] = kern
         for vec in new.tolist():

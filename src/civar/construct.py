@@ -252,11 +252,10 @@ def _graded_endo_basis(degs, actions, p):
     if blocks:
         kernel = nullspace(np.concatenate(blocks, axis=0), p)
     else:
-        kernel = [[1 if i == j else 0 for i in range(total)] for j in range(total)]
+        kernel = np.eye(total, dtype=np.int64)
     basis = []
     for vec in kernel:
         z = np.zeros((dim, dim), dtype=np.int64)
-        vec = np.asarray(vec, dtype=np.int64)
         for d in uniq:
             s = len(idx[d])
             block = vec[offs[d] : offs[d] + s * s].reshape(s, s)

@@ -553,9 +553,16 @@ def _fresh_name(taken, base="t"):
 
 def radical_membership(g: Poly, gens, ring: PolyRing = None) -> bool:
     """Is g in the radical of (gens)?  Standard trick: g is in sqrt(I) iff
-    1 lies in I + (1 - t g) in the extended ring P[t]."""
+    1 lies in I + (1 - t g) in the extended ring P[t].  g and the
+    generators must lie in `ring` (by default g's): their variables are read
+    by position, so an element of another ring would be read as a different
+    polynomial."""
     if ring is None:
         ring = g.ring
+    gens = list(gens)
+    for f in (g, *gens):
+        if f.ring != ring:
+            raise InputError(f"{f} lives over {f.ring}, not over {ring}")
     if g.is_zero():
         return True
     ext = PolyRing(ring.p, ring.vars + (_fresh_name(set(ring.vars)),), ring.order)

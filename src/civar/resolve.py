@@ -322,8 +322,9 @@ class ModulePresentation:
 
 def present_module(rs: RingSpec, gen_degrees, relations) -> ModulePresentation:
     """Validate and normalize a presentation: every relation column must be
-    homogeneous against the generator degrees; entries are reduced modulo
-    (f); zero columns are dropped."""
+    homogeneous against the generator degrees, and an element of the ring's
+    free module or a list of polynomials over the ring (or strings parsed
+    there); entries are reduced modulo (f); zero columns are dropped."""
     gens = tuple(gen_degrees)
     for i, d in enumerate(gens):
         if not is_integer(d):
@@ -333,6 +334,8 @@ def present_module(rs: RingSpec, gen_degrees, relations) -> ModulePresentation:
     cols = []
     for j, col in enumerate(relations):
         if isinstance(col, FreeElt):
+            if col.ring != rs.ring:
+                raise InputError(f"relation {j} lives over {col.ring}, not over {rs.ring}", index=j)
             if col.rank != rank:
                 raise InputError(f"relation {j} has {col.rank} entries, expected {rank}", index=j)
             elt = FreeElt(rs.ring, rank, dict(col.terms), gens)
@@ -341,6 +344,11 @@ def present_module(rs: RingSpec, gen_degrees, relations) -> ModulePresentation:
             if len(entries) != rank:
                 raise InputError(f"relation {j} has {len(entries)} entries, expected {rank}", index=j)
             polys = [rs.ring.parse(e) if isinstance(e, str) else e for e in entries]
+            for i, e in enumerate(polys):
+                if not isinstance(e, Poly) or e.ring != rs.ring:
+                    raise InputError(
+                        f"entry {i} of relation {j} is {e!r}, not a polynomial over {rs.ring}", index=j
+                    )
             elt = FreeElt.from_polys(polys, gens) if rank else FreeElt(rs.ring, 0, {}, ())
         elt = rs.qnf_elt(elt) if elt.terms else elt
         if elt.is_zero():
@@ -941,11 +949,7 @@ def present_from_vector_model(rs: RingSpec, degs, actions) -> ModulePresentation
         if not keys:
             continue
         a = np.stack(columns, axis=1) % p
-        for vec in nullspace(a, p):
-            terms = {}
-            for (g, m), coeff in zip(keys, vec):
-                if coeff:
-                    terms[(g, m)] = int(coeff)
-            relations.append(FreeElt(ring, r, terms, gen_degs))
+        for vec in nullspace(a, p).tolist():
+            relations.append(FreeElt(ring, r, {key: c for key, c in zip(keys, vec) if c}, gen_degs))
     minimal = minimal_columns(rs, relations, gen_degs)
     return ModulePresentation(rs, gen_degs, minimal)

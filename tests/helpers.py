@@ -236,8 +236,7 @@ def rref_reference(a, p: int):
     """Reduced row echelon form mod p the plain way, one column at a time
     from the left, the first row with a nonzero entry as the pivot row,
     reducing the whole matrix at every pivot.  The reduced form is unique,
-    so `arith.rref`'s output must match it bit for bit whatever path it
-    takes."""
+    so `arith.rref`'s output must match it bit for bit."""
     a = np.mod(np.array(a, dtype=np.int64, copy=True), p)
     rows, cols = a.shape
     pivots = []

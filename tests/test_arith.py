@@ -212,29 +212,12 @@ def test_rref_shape_and_idempotence():
 
 
 @pytest.mark.parametrize("p", [3, 101, 32003, 1073741789, 2147483647])
-def test_rref_matches_the_reference(p, monkeypatch):
-    """No path may change a bit of the output: drawn matrices on both sides
-    of the rule that picks the sparse kernel (`arith._sparse_limit`): small
-    dense ones, sparse ones with about 100 nonzero entries below and above
-    4,096 entries, dense ones below that, and one that fills in.  They
-    carry zero columns, repeated rows, negative entries and all-(p-1)
-    blocks (the entries that grow fastest between reductions on the dense
-    path).  At p = 1073741789 the dense path reduces every third pivot, at
-    2147483647 every pivot."""
-    import civar.arith as arith
-
-    ran = []
-    sparse, dense = arith._eliminate, arith._dense_eliminate
-
-    def on_sparse(rows, q, live, limit):
-        tails, rest = sparse(rows, q, live, limit)
-        ran.append("sparse" if not rest else "filled")
-        return tails, rest
-
-    monkeypatch.setattr(arith, "_eliminate", on_sparse)
-    monkeypatch.setattr(
-        arith, "_dense_eliminate", lambda a, q, up: ran.append("dense") or dense(a, q, up)
-    )
+def test_rref_matches_the_reference(p):
+    """The sparse kernel matches the plain reduction bit for bit on drawn
+    matrices: small dense ones, sparse ones with about 100 nonzero entries,
+    dense ones up to 90 x 120, and an arrow that fills in to full rows.
+    They carry zero columns, repeated rows, negative entries and all-(p-1)
+    blocks, at primes up to 2^31 - 1."""
     rng = np.random.default_rng(p % 1000)
     # an arrow, a full first row and a diagonal: 118 nonzero entries that
     # fill in to full rows as the first row clears column 0
@@ -251,20 +234,11 @@ def test_rref_matches_the_reference(p, monkeypatch):
         holes = np.where(rng.random(a.shape) < 0.8, 0, a)
         thin = np.where(rng.random(a.shape) < 100 / a.size, a, 0)
         drawn += [a, holes, thin, a - p, np.full((rows, cols), p - 1, dtype=np.int64)]
-    paths = []
     for m in drawn:
-        ran.clear()
         got, pivots = rref(m, p)
         want, want_pivots = rref_reference(m, p)
         assert pivots == want_pivots
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        paths.append((m.size, tuple(ran)))
-    # every path ran: the sparse kernel alone past 4,096 entries, numpy alone
-    # on dense matrices below that, and the sparse kernel handing over to
-    # numpy when the fill makes the rows dense
-    assert any(path == ("sparse",) and size > 4096 for size, path in paths)
-    assert any(path == ("dense",) and 64 < size <= 4096 for size, path in paths)
-    assert any(path == ("filled", "dense") for _size, path in paths)
 
 
 @st.composite
@@ -300,7 +274,10 @@ def elimination_inputs(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(elimination_inputs())
 def test_rref_and_echelon_match_the_reference(case):
-    """`rref` equals the plain reduction bit for bit.  `echelon` has the
+    """`rref` equals the plain reduction bit for bit, and so does
+    `nullspace` the basis read off it: one int64 row per free column, 1
+    there and minus that column of the reduced form at the pivots, shape
+    (cols - rank, cols) even when it is empty.  `echelon` has the
     reference's pivot columns and one row per pivot, monic there and zero
     to its left, and its rows add nothing to the row space: stacked onto
     the matrix they leave the rank as it was."""
@@ -309,6 +286,14 @@ def test_rref_and_echelon_match_the_reference(case):
     got, pivots = rref(a, p)
     assert pivots == want_pivots
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in want_pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, want_pivots] = -want[: len(want_pivots), free].T % p
+    kernel = nullspace(a, p)
+    assert kernel.dtype == np.int64 and kernel.shape == (cols - len(want_pivots), cols)
+    assert np.array_equal(kernel, basis)
     rows, pivots = echelon(a, p)
     assert pivots == want_pivots
     assert rows.shape == (len(pivots), a.shape[1]) and rows.dtype == np.int64

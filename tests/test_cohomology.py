@@ -4,7 +4,7 @@ annihilators, and the stabilized support variety."""
 import numpy as np
 import pytest
 
-from civar.arith import matmul
+from civar.arith import PolyRing, matmul
 from civar.errors import InputError, StabilizationError
 from civar.groebner import normal_form
 from civar.cohomology import (
@@ -152,6 +152,13 @@ def test_variety_contains_element(r1):
     assert a.contains_element("chi1")
     assert not a.contains_element(h.parse("chi2"))
     assert not a.contains_element(h.parse("chi1 + chi2"))
+
+
+def test_variety_contains_element_refuses_another_ring(r1):
+    """a over F_101[a,b] would be read as chi1 and found in V(chi1)."""
+    a = VarietyIdeal(r1.h_ring, ["chi1"])
+    with pytest.raises(InputError):
+        a.contains_element(PolyRing(101, ("a", "b")).parse("a"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Ext elements, hypersurface cuts, realization, idempotent splitting, and
 the disjoint-split check."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -297,6 +299,30 @@ def test_decompose_two_copies_of_k(r1):
     assert len(dec.summands) == 2
     for s in dec.summands:
         assert vector_model(s).dim == 1
+
+
+def test_decompose_doubles_every_summand_of_a_doubled_module():
+    """Krull-Schmidt: M + M has every indecomposable summand of M exactly
+    twice.  M is the realized line V(chi1, chi2) plus the plane
+    V(chi1 + 2 chi2 + 3 chi3) over F_32003[x,y,z]/(x^2,y^2,z^2), three
+    summands of dimensions 8, 8 and 16, the last flagged.  The minimal
+    polynomials behind M + M eliminate tall, narrow matrices: the flattened
+    powers of a 64 x 64 endomorphism, 4096 rows by up to 9 columns.  Each
+    summand is compared by model dimension, generator degrees, variety and
+    flag."""
+    rs = RingSpec(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"])
+    m = direct_sum(realize(rs, ["chi1", "chi2"]), realize(rs, ["chi1 + 2*chi2 + 3*chi3"]))
+
+    def summands(dec):
+        return Counter(
+            (len(model[0]), tuple(sorted(s.gens)), tuple(str(g) for g in support_variety(s).gens), flag)
+            for s, flag, model in zip(dec.summands, dec.possibly_decomposable, dec.models)
+        )
+
+    once = summands(decompose(m))
+    assert sorted(dim for dim, _gens, _v, _flag in once) == [8, 8, 16]
+    assert sorted(flag for *_rest, flag in once) == [False, False, True]
+    assert summands(decompose(direct_sum(m, m))) == once + once
 
 
 def test_decompose_preserves_dimension_and_betti(r1):

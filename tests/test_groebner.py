@@ -219,6 +219,17 @@ def test_radical_membership_frozen(pxy):
     assert radical_membership(pxy.zero(), [pxy.parse("x^2")])
 
 
+def test_radical_membership_refuses_another_ring(pxy):
+    """Variables are read by position, so x over F_101[a,b] would be a."""
+    other = PolyRing(101, ("a", "b"), DEGREVLEX)
+    with pytest.raises(InputError):
+        radical_membership(other.parse("a"), [pxy.parse("x")])
+    with pytest.raises(InputError):
+        radical_membership(pxy.parse("x"), [other.parse("a")])
+    with pytest.raises(InputError):
+        radical_membership(pxy.parse("x"), [pxy.parse("x")], other)
+
+
 def test_radical_vs_brute_powering(pxy):
     rng = seeded("radical-brute")
     pools = [

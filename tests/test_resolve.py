@@ -4,7 +4,7 @@ finite-length vector models."""
 import numpy as np
 import pytest
 
-from civar.arith import matmul
+from civar.arith import PolyRing, matmul
 from civar.errors import InputError, ResourceBudgetError
 from civar.groebner import Budgets, FreeElt, configure_budgets, groebner_basis, normal_form
 from civar.resolve import (
@@ -78,6 +78,35 @@ def test_present_module_validates(r1):
         present_module(r1, (0, 0), [["x"]])  # wrong entry count
     pres = present_module(r1, (0,), [["x^2"]])  # dies under qnf
     assert len(pres.relations) == 0
+
+
+def test_present_module_refuses_a_column_over_another_ring(r1):
+    """Terms are read by position: u + 102*v over F_103[u,v] would become
+    the relation x + y over F_101[x,y]."""
+    other = PolyRing(103, ("u", "v"))
+    col = FreeElt.from_polys([other.parse("u + 102*v")], (0,))
+    with pytest.raises(InputError) as exc:
+        present_module(r1, (0,), [col])
+    assert exc.value.details == {"index": 0}
+    assert "F_103[u,v]" in str(exc.value)
+
+
+def test_present_module_refuses_entries_over_another_ring(r1):
+    """A polynomial entry over F_101[a,b] would leave the relation in that
+    ring."""
+    other = PolyRing(101, ("a", "b"))
+    with pytest.raises(InputError) as exc:
+        present_module(r1, (0, 0), [["x", "y"], ["y", other.parse("a")]])
+    assert exc.value.details == {"index": 1}
+    assert "entry 1 of relation 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("entry", [3, 1.5, None])
+def test_present_module_refuses_entries_that_are_not_polynomials(r1, entry):
+    with pytest.raises(InputError) as exc:
+        present_module(r1, (0,), [[entry]])
+    assert exc.value.details == {"index": 0}
+    assert "not a polynomial over" in str(exc.value)
 
 
 @pytest.mark.parametrize("degrees", [[0.7], [1.9], [True], [0, 2.0]])
