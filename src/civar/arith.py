@@ -10,9 +10,9 @@ coefficient swell to manage.  Every product, and every division step
 downstream, runs on one kernel, `_sub_shifted`.  Matrices are numpy int64
 arrays whose results come out reduced modulo p.  Int64 arithmetic is left
 only in `matmul`, whose partial sums are chunked below 2^62, and in the
-resolution's degree matrices; with p < 2^31 a single product never
-overflows.  Nothing in this module (or anywhere downstream) touches
-floating point.
+dense matrices of the cohomology side (E's actions, vector models); with
+p < 2^31 a single product never overflows.  Nothing in this module (or
+anywhere downstream) touches floating point.
 
 Row reduction is one sparse kernel, `_eliminate`, forward elimination on
 rows stored as {column: residue} dicts with Python integers, followed by
@@ -20,7 +20,9 @@ rows stored as {column: residue} dicts with Python integers, followed by
 points: `rref`, the reduced echelon form; `echelon`, monic pivot rows that
 span the row space without being cleared above their pivots, for the
 callers that read only pivots or a basis of the span; and `nullspace`, read
-off the back-substituted pivot rows.  Every span question downstream is
+off the back-substituted pivot rows (`_null_rows`).  The degreewise
+resolution builds its rows sparse and calls the kernel directly, with no
+matrix in between.  Every span question downstream is
 asked of the pivot columns.  A column is a pivot exactly when it lies
 outside the span of the columns to its left, so the greedy choice "keep
 each vector that is independent of those before it" is the pivot set of one
@@ -193,9 +195,10 @@ class PolyRing:
 
     def __init__(self, p: int, variables, order: Order = DEGREVLEX):
         if isinstance(p, int) and p >= 1 << 31:
-            # `matmul`'s chunks and the products in the resolution's degree
-            # matrices (`resolve._times_variables`) are int64 and overflow
-            # past this bound, and trial division would take too long anyway
+            # `matmul`'s int64 chunks, and the int64 products in the dense
+            # matrices of the cohomology side (E's actions, vector models),
+            # overflow past this bound, and trial division would take too
+            # long anyway
             raise InputError(f"p = {p} is too large: the prime must be below 2^31")
         if not is_odd_prime(p):
             raise InputError(f"p = {p} is not an odd prime")
@@ -763,27 +766,34 @@ def echelon(a: np.ndarray, p: int):
     return _matrix(tails, pivots, len(pivots), a.shape[1]), pivots
 
 
+def _null_rows(tails: dict, pivots, cols: int, p: int) -> dict:
+    """The nullspace basis read off a back-substituted elimination on
+    `cols` columns, as {free column: sparse row}, in free-column order: the
+    row of free column f is 1 at f and minus the entry of each reduced pivot
+    row at f at that row's pivot.  Every residue is nonzero."""
+    rows = {f: {f: 1} for f in range(cols) if f not in tails}
+    for c in pivots:
+        for k, v in tails[c].items():
+            rows[k][c] = p - v
+    return rows
+
+
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Echelonized basis of {v : a v = 0} as an int64 array, one row per
-    free column of `rref(a, p)`, in free-column order: the row of free
-    column f is 1 at f and minus the entry of each reduced pivot row at f
-    at that row's pivot, zero elsewhere.  The shape is (cols - rank, cols)."""
+    free column of `rref(a, p)`, in free-column order: the rows of
+    `_null_rows`, zero elsewhere.  The shape is (cols - rank, cols)."""
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise InputError("nullspace wants a matrix")
     cols = a.shape[1]
-    tails, pivots = _reduce(a, p, upward=True)
-    # the flat offset of each free column's row in the output
-    start = {f: n * cols for n, f in enumerate(c for c in range(cols) if c not in tails)}
-    at = [s + f for f, s in start.items()]
-    vals = [1] * len(at)
-    for c in pivots:
-        for k, v in tails[c].items():
-            at.append(start[k] + c)
-            vals.append(p - v)
-    out = np.zeros(len(start) * cols, dtype=np.int64)
+    rows = _null_rows(*_reduce(a, p, upward=True), cols, p)
+    at, vals = [], []
+    for n, row in enumerate(rows.values()):
+        at += [n * cols + k for k in row]
+        vals += row.values()
+    out = np.zeros(len(rows) * cols, dtype=np.int64)
     out.put(at, vals)
-    return out.reshape(len(start), cols)
+    return out.reshape(len(rows), cols)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,10 @@ import numpy as np
 from .arith import FreeElt, _sub_shifted, echelon, matmul, mono_mul, nullspace
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
+    _leads_dimension,
     groebner_basis,
-    ideal_dimension,
     ideal_ops,
+    normal_form,
     radical_membership,
 )
 from .resolve import (
@@ -188,11 +189,12 @@ def ext_k_module(res: Resolution, steps: int) -> ExtKModule:
 class VarietyIdeal:
     """A support variety, carried as a homogeneous ideal in H up to radical.
     Generators are canonicalized to the reduced Groebner basis, so equal
-    inputs produce byte-identical output.  All predicates are
-    radical-invariant: containment is generator-wise radical membership, the
-    union is the ideal product, the intersection the ideal sum."""
+    inputs produce byte-identical output; the basis is kept for membership
+    and dimension.  All predicates are radical-invariant: containment is
+    generator-wise radical membership, the union is the ideal product, the
+    intersection the ideal sum."""
 
-    __slots__ = ("h_ring", "gens", "meta", "_dim")
+    __slots__ = ("h_ring", "gens", "meta", "_gb", "_dim")
 
     def __init__(self, h_ring, gens, meta=None):
         self.h_ring = h_ring
@@ -206,11 +208,8 @@ class VarietyIdeal:
             if g.homogeneous_degree() is None:
                 raise InputError(f"generator {i} is not homogeneous", index=i)
             polys.append(g)
-        if polys:
-            gb = groebner_basis(polys)
-            self.gens = tuple(gb.scalar_elements())
-        else:
-            self.gens = ()
+        self._gb = groebner_basis(polys) if polys else None
+        self.gens = tuple(self._gb.scalar_elements()) if polys else ()
         self.meta = meta or {}
         self._dim = None
 
@@ -218,16 +217,23 @@ class VarietyIdeal:
         if self.h_ring != other.h_ring:
             raise InputError("varieties over different operator rings")
 
+    def _in_radical(self, g) -> bool:
+        """Is g in the radical of the defining ideal?  Plain membership is
+        tried first, a zero remainder modulo the kept basis; only when that
+        fails does `radical_membership` build the basis of I + (1 - t g)."""
+        if g.ring == self.h_ring and self._gb is not None and normal_form(g, self._gb)[0].is_zero():
+            return True
+        return radical_membership(g, list(self.gens), self.h_ring)
+
     def contains_element(self, g) -> bool:
         """Is g in the radical of the defining ideal?"""
-        g = self.h_ring.parse(g) if isinstance(g, str) else g
-        return radical_membership(g, list(self.gens), self.h_ring)
+        return self._in_radical(self.h_ring.parse(g) if isinstance(g, str) else g)
 
     def contains_variety(self, other: "VarietyIdeal") -> bool:
         """V(other) inside V(self): every defining generator of self lies in
         the radical of other's ideal."""
         self._check(other)
-        return all(radical_membership(g, list(other.gens), self.h_ring) for g in self.gens)
+        return all(other._in_radical(g) for g in self.gens)
 
     def equals(self, other: "VarietyIdeal") -> bool:
         return self.contains_variety(other) and other.contains_variety(self)
@@ -248,17 +254,14 @@ class VarietyIdeal:
         """Trivial = the single point 0, i.e. every chi_j vanishes on the
         variety.  The zero module and all finite-projective-dimension
         modules land here; the representation (chi_1..chi_c) is canonical."""
-        return all(
-            radical_membership(self.h_ring.gen(j), list(self.gens), self.h_ring)
-            for j in range(self.h_ring.nvars)
-        )
+        return all(self._in_radical(self.h_ring.gen(j)) for j in range(self.h_ring.nvars))
 
     def dimension(self) -> int:
         if self._dim is None:
-            if not self.gens:
+            if self._gb is None:
                 self._dim = self.h_ring.nvars
             else:
-                self._dim = ideal_dimension(list(self.gens), self.h_ring)
+                self._dim = _leads_dimension(self._gb, self.h_ring.nvars)
         return self._dim
 
     def __repr__(self):
@@ -361,7 +364,11 @@ def complexity(pres: ModulePresentation, steps: int = 12) -> int:
     quasi-polynomial of period 2; on exactly polynomial tails it agrees with
     plain differencing.  A maximal Cohen-Macaulay module over a non-artinian
     Q is resolved through its `artinian_reduction`, which has the same Betti
-    numbers."""
+    numbers.  Fewer than 4 steps leave a tail too short to difference (k
+    over F_p[x,y]/(x^2,y^2) would read 0 or 1, not 2) and are refused with
+    InputError, as `support_variety` refuses such a window."""
+    if steps < 4:
+        raise InputError("complexity needs at least 4 steps", steps=steps)
     res = resolve_min(artinian_reduction(pres), steps)
     seq = [len(res.degs[i]) for i in range(steps + 1)]
     tail = seq[steps // 2 :]

@@ -11,12 +11,16 @@ Over an artinian Q (dim Q = 0) a step is graded linear algebra
 s = sum(deg f_j - 1), so the kernel of d_i: F_i -> F_{i-1} lives in
 degrees min e + 1 .. max e + s, e the degrees of F_i's generators.  There
 it is computed one degree t at a time: the span of x_v * K_{t-1} first,
+each sparse row of K_{t-1} walked through the table of `variable_action`,
 and, where that falls short of dim K_t, the nullspace of the matrix
 (F_i)_t -> (F_{i-1})_t whose columns are the products x^m * column reduced
 from the table of `ci_gb`.  The kernel vectors outside the span are the new
 minimal generators.  Exactness gives dim K_t = dim (F_i)_t - dim K'_t, K'
 the kernel of the step before, so from the second step on the nullspace is
-needed only in the lowest degree and wherever new generators appear.
+needed only in the lowest degree and wherever new generators appear.  Every
+vector of this path, from the columns in to the generators out, is a
+{position: residue} dict with no zero residue, and every elimination is
+`arith._eliminate` on such rows: no dense matrix is formed between degrees.
 
 Every other Q takes the Groebner path: `syzygies` over Q, then a minimal
 generating set of them (`minimal_columns`).  Minimality is decided by
@@ -29,15 +33,15 @@ inflates every Betti number after it.  The first differential, a minimal
 generating set of the given relations, comes out of `minimal_columns` on
 both paths.
 
-Every such question is answered by the pivot columns of one
-`arith.echelon`: a column is a pivot exactly when it is independent of the
-columns to its left, and the pivots do not depend on the basis the
-elimination leaves.  `minimal_columns` puts the products x^m * (kept
-column) first and the candidates of the degree after them,
-`present_from_vector_model` puts the variables' images of the degree below
-before the unit vectors of the degree, and `kernel_generators` reads the
-new generators off the free columns.  `_degree_matrix` writes (summand,
-monomial) terms into these matrices on the bases of `standard_monomials`.
+Every such question is answered by the pivot columns of one elimination:
+a column is a pivot exactly when it is independent of the columns to its
+left, and the pivots do not depend on the basis the elimination leaves.
+`minimal_columns` puts the products x^m * (kept column) first and the
+candidates of the degree after them, `present_from_vector_model` puts the
+variables' images of the degree below before the unit vectors of the
+degree, and `kernel_generators` reads the new generators off the free
+columns.  `_degree_rows` writes (summand, monomial) terms into the sparse
+rows of these matrices, on the bases of `standard_monomials`.
 
 Over a non-artinian Q of dimension d, support varieties need only Ext(M, k)
 and its operators, and for a maximal Cohen-Macaulay M these can be read over
@@ -58,10 +62,10 @@ validates the ring, and every computation over Q passes that one basis down
 monomial normal-form table is the only one for (f), and every reduction
 modulo (f) reads it: through `GroebnerBasis.reduce_terms` for normal forms
 (`RingSpec.qnf_elt`, the products x^m * column of the degreewise kernel and
-the multiplication by the variables on Q, the products g * x^m that
-`minimal_columns` spans, the columns `prune_units` combines, the tails
-`syzygies` harvests), and through `GroebnerBasis.lift_terms` for the
-quotients by f_1..f_c that the operator lift needs.  The remainder modulo a Groebner
+the multiplication by the variables on Q in `variable_action`, the products
+g * x^m that `minimal_columns` spans, the columns `prune_units` combines,
+the tails `syzygies` harvests), and through `GroebnerBasis.lift_terms` for
+the quotients by f_1..f_c that the operator lift needs.  The remainder modulo a Groebner
 basis is unique and linear, so reducing term by term from the table gives
 exactly what a full division would; the quotients are unique modulo (f)
 because the syzygies of a regular sequence are Koszul.  The table fills
@@ -76,8 +80,8 @@ from itertools import combinations, groupby, product
 import numpy as np
 
 from .arith import (
-    DEGREVLEX, FreeElt, Poly, PolyRing, _sub_shifted, fp_inv, is_integer, matmul, mono_deg,
-    echelon, mono_div, mono_mul, mono_one, nullspace, rref,
+    DEGREVLEX, FreeElt, Poly, PolyRing, _back_substitute, _eliminate, _null_rows, _sub_shifted,
+    echelon, fp_inv, is_integer, matmul, mono_deg, mono_div, mono_mul, mono_one, nullspace,
 )
 from .errors import InputError, InternalError, ResourceBudgetError
 from .groebner import (
@@ -249,20 +253,22 @@ class RingSpec:
 
     def variable_action(self, d: int):
         """Multiplication by the variables from Q_d to Q_{d+1}, on the bases
-        `standard_monomials`, read from the normal-form table of `ci_gb`:
-        arrays (source position, variable, target position, coefficient) of
-        the nonzero entries."""
+        `standard_monomials`, read from the normal-form table of `ci_gb`: one
+        tuple per standard monomial of degree d, in order, of its (variable,
+        target position, coefficient) entries, every coefficient a nonzero
+        residue.  Built on first use and kept."""
         got = self._action_cache.get(d)
         if got is None:
             target = self.standard_positions(d + 1)
-            entries = [
-                (k, v, target[mm], cf)
-                for v, x in enumerate(self.ring.gens())
-                for k, m in enumerate(self.standard_monomials(d))
-                for (_slot, mm), cf in self.ci_gb.reduce_terms(x.terms, m).items()
-            ]
-            got = np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy()
-            self._action_cache[d] = got
+            gens = self.ring.gens()
+            got = self._action_cache[d] = tuple(
+                tuple(
+                    (v, target[mm], cf)
+                    for v, x in enumerate(gens)
+                    for (_slot, mm), cf in self.ci_gb.reduce_terms(x.terms, m).items()
+                )
+                for m in self.standard_monomials(d)
+            )
         return got
 
     def __eq__(self, other):
@@ -442,11 +448,11 @@ def minimal_columns(rs: RingSpec, columns, shifts):
     set generates the same submodule and is minimal by the graded Nakayama
     argument.
 
-    Each degree d is one `echelon`.  Its columns are the products x^m * g,
-    for g kept in a lower degree and x^m a standard monomial of degree
-    d - deg g, reduced from the table of `ci_gb`, followed by the degree-d
-    candidates in their given order; the kept candidates are its pivots
-    past the products."""
+    Each degree d is one `_eliminate` on the sparse rows of `_degree_rows`.
+    Its columns are the products x^m * g, for g kept in a lower degree and
+    x^m a standard monomial of degree d - deg g, reduced from the table of
+    `ci_gb`, followed by the degree-d candidates in their given order; the
+    kept candidates are its pivots past the products."""
     shifts = tuple(shifts)
     cols = []
     for c in columns:
@@ -467,8 +473,8 @@ def minimal_columns(rs: RingSpec, columns, shifts):
         ]
         products = len(vectors)
         vectors += [c.terms for c in group]
-        _, pivots = echelon(_degree_matrix(rs, shifts, d, vectors, len(vectors)), rs.p)
-        kept += [group[c - products] for c in pivots if c >= products]
+        pivots = _eliminate(_degree_rows(rs, shifts, d, vectors), rs.p)
+        kept += [group[c - products] for c in sorted(pivots) if c >= products]
     return kept
 
 
@@ -482,37 +488,43 @@ def _offsets(rs: RingSpec, shifts, t: int):
     return out, size
 
 
-def _degree_matrix(rs: RingSpec, shifts, t: int, vectors, count: int) -> np.ndarray:
-    """The matrix whose columns are the `count` dicts of (summand,
+def _degree_rows(rs: RingSpec, shifts, t: int, vectors) -> list[dict]:
+    """The rows of the matrix whose columns are the dicts of (summand,
     standard monomial) terms in `vectors`, each homogeneous of degree t in
-    sum Q(-shifts), on the basis of the degree-t part that `_offsets`
-    describes."""
+    sum Q(-shifts) with nonzero residues, on the basis of the degree-t part
+    that `_offsets` describes: one {column: residue} dict per basis
+    position."""
     at, size = _offsets(rs, shifts, t)
     pos = [rs.standard_positions(t - e) for e in shifts]
-    a = np.zeros((size, count), dtype=np.int64)
+    rows = [{} for _ in range(size)]
     for c, terms in enumerate(vectors):
         for (k, m), v in terms.items():
-            a[at[k] + pos[k][m], c] = v
-    return a
+            rows[at[k] + pos[k][m]][c] = v
+    return rows
 
 
-def _times_variables(rs: RingSpec, basis, shifts, t: int, below_at, at, width: int):
-    """The rows x_v * w, for w a row of `basis` (vectors of the degree-(t-1)
-    part of sum Q(-shifts), with summand offsets `below_at`), as vectors of
-    the degree-t part (offsets `at`, dimension `width`): one row per (w, v).
-    Each product is reduced mod p before the products that land in one entry
-    are summed, so a sum of k of them stays below k * p."""
-    parts = [rs.variable_action(t - 1 - e) for e in shifts]
-    if len(parts) == 1:
-        src, var, pos, cf = parts[0]
-        dst = var * width + pos
-    else:
-        src = np.concatenate([act[0] + below_at[j] for j, act in enumerate(parts)])
-        dst = np.concatenate([act[1] * width + act[2] + at[j] for j, act in enumerate(parts)])
-        cf = np.concatenate([act[3] for act in parts])
-    rows = np.zeros((basis.shape[0], rs.ring.nvars * width), dtype=np.int64)
-    np.add.at(rows, (slice(None), dst), basis[:, src] * cf % rs.p)
-    return rows.reshape(-1, width)
+def _variable_products(rs: RingSpec, basis, shifts, t: int, at) -> list[dict]:
+    """The rows x_v * w, for w a {position: residue} row of `basis` (vectors
+    of the degree-(t-1) part of sum Q(-shifts)), as rows of the degree-t
+    part, whose summand offsets are `at`: one row per (w, v), v fastest,
+    zero residues dropped.  Each position of degree t-1 is looked up in the
+    tables of `variable_action`, laid end to end over the summands."""
+    n = rs.ring.nvars
+    p = rs.p
+    table = [
+        [(v, at[j] + k, cf) for v, k, cf in entries]
+        for j, e in enumerate(shifts)
+        for entries in rs.variable_action(t - 1 - e)
+    ]
+    out = []
+    for w in basis:
+        sums = [{} for _ in range(n)]
+        for c, a in w.items():
+            for v, k, cf in table[c]:
+                row = sums[v]
+                row[k] = row.get(k, 0) + a * cf
+        out += [{k: r for k, x in row.items() if (r := x % p)} for row in sums]
+    return out
 
 
 def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_dims=None):
@@ -524,22 +536,25 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
     (F)_t has the basis x^m e_j, x^m a standard monomial of degree
     t - degs[j].  t runs from min(degs) + 1 (the columns are minimal, so K
     is zero in degree min(degs)) to max(degs) + socle degree, past which F
-    vanishes.  In each degree the span of the rows x_v * K_{t-1} is
+    vanishes.  K_{t-1} is carried as sparse {position: residue} rows, and in
+    each degree the span of the rows x_v * K_{t-1} (`_variable_products`) is
     eliminated first.  When `image_dims` gives dim (im)_t, the rank of the
     map in every degree (for a resolution, the kernel dimensions of the step
     before), dim K_t = dim (F)_t - dim (im)_t is known, and a span of that
     dimension is K_t itself, with nothing new.  Otherwise each x^m * column,
     reduced from the table of `ci_gb`, becomes a column of the map
-    (F)_t -> (G)_t, whose nullspace is K_t.  A kernel vector is determined by
-    its entries at the nullspace's free columns, so the new generators are
-    the basis vectors at the free columns where the span of x_v * K_{t-1},
-    read at those entries, has no pivot.  They come out monic and, within a
-    degree, ordered by lead, largest first.  The span is read only through
-    its pivots and as the next degree's x_v * K_{t-1}, so the rows `echelon`
-    leaves serve as the basis of K_t when the span is all of it.  Every
-    degree counts against the degree budget and every product x^m * column
-    against the pair budget; either raises ResourceBudgetError naming the
-    budget, `step` and the degree reached."""
+    (F)_t -> (G)_t, built as sparse rows by `_degree_rows`, and its
+    nullspace, read off the reduced pivot rows by `arith._null_rows`, is
+    K_t.  A kernel vector is determined by its entries at the nullspace's
+    free columns, so the new generators are the basis vectors at the free
+    columns where the span of x_v * K_{t-1}, restricted to those columns,
+    has no pivot.  They come out monic and, within a degree, ordered by
+    lead, largest first.  The span is read only through its pivots and as
+    the next degree's x_v * K_{t-1}, so the pivot rows of its elimination
+    serve as the basis of K_t when the span is all of it.  Every degree
+    counts against the degree budget and every product x^m * column against
+    the pair budget; either raises ResourceBudgetError naming the budget,
+    `step` and the degree reached."""
     ring = rs.ring
     p = rs.p
     gb = rs.ci_gb
@@ -549,7 +564,7 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
     kernel_dims = {}
     gens = []
     products = 0
-    below = None  # (basis of K_{t-1}, its summand offsets), None when K_{t-1} = 0
+    below = None  # sparse rows spanning K_{t-1}, None when K_{t-1} = 0
     for t in range(min(degs) + 1, max(degs) + rs.socle_degree + 1):
         if t > budgets.max_degree:
             raise ResourceBudgetError(
@@ -564,11 +579,11 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
             continue
         span = None
         if below is not None:
-            image = _times_variables(rs, below[0], degs, t, below[1], at, width)
-            rows, span = echelon(image, p)
+            tails = _eliminate(_variable_products(rs, below, degs, t, at), p)
+            span = [{c: 1, **tails[c]} for c in sorted(tails)]
             if known == len(span):
                 kernel_dims[t] = known
-                below = (rows, at)
+                below = span
                 continue
         keys = [(j, m) for j, e in enumerate(degs) for m in rs.standard_monomials(t - e)]
         products += width
@@ -579,39 +594,34 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
                 budget="max_pairs", limit=budgets.max_pairs, step=step, degree=t,
                 products=products,
             )
-        a = _degree_matrix(
-            rs, target_shifts, t, (gb.reduce_terms(cols[j].terms, m) for j, m in keys), width
+        tails = _eliminate(
+            _degree_rows(rs, target_shifts, t, (gb.reduce_terms(cols[j].terms, m) for j, m in keys)), p
         )
-        r, pivots = rref(a, p)
-        del a
-        is_pivot = set(pivots)
-        free = [c for c in range(width) if c not in is_pivot]
-        if known is not None and len(free) != known:
+        pivots = sorted(tails)
+        _back_substitute(tails, pivots, p)
+        basis = _null_rows(tails, pivots, width, p)
+        if known is not None and len(basis) != known:
             raise InternalError(
                 "kernel dimension differs from the one the previous step implies",
-                step=step, degree=t, found=len(free), expected=known,
+                step=step, degree=t, found=len(basis), expected=known,
             )
-        kernel_dims[t] = len(free)
-        if not free:
+        kernel_dims[t] = len(basis)
+        if not basis:
             below = None
             continue
-        basis = np.zeros((len(free), width), dtype=np.int64)
-        basis[np.arange(len(free)), free] = 1
-        if pivots:
-            basis[:, pivots] = (-r[: len(pivots), free].T) % p
-        del r
-        fresh = range(len(free))
+        fresh = basis
         if span is not None:
-            covered = set(echelon(image[:, free], p)[1])
-            fresh = [n for n in fresh if n not in covered]
+            covered = _eliminate([{c: v for c, v in w.items() if c in basis} for w in span], p)
+            fresh = [f for f in basis if f not in covered]
         new = []
-        for n in fresh:
-            g = FreeElt(ring, rank, {keys[c]: v for c, v in enumerate(basis[n].tolist()) if v}, degs)
+        for f in fresh:
+            row = basis[f]
+            g = FreeElt(ring, rank, {keys[c]: row[c] for c in sorted(row)}, degs)
             (c, m), lc = g.lead()
             new.append(((-c, order(m)), g.scale(fp_inv(lc, p)) if lc != 1 else g))
         new.sort(key=lambda lead_g: lead_g[0], reverse=True)
         gens += [g for _lead, g in new]
-        below = (basis, at)
+        below = list(basis.values())
     return gens, kernel_dims
 
 

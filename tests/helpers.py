@@ -10,9 +10,10 @@ import random
 
 import numpy as np
 
-from civar.arith import Poly, fp_inv, mono_div, mono_lcm, mono_mul, nullspace
+from civar.arith import Poly, echelon, fp_inv, mono_div, mono_lcm, mono_mul, nullspace, rref
 from civar.cohomology import ExtKModule, VarietyIdeal
 from civar.groebner import FreeElt, groebner_basis, normal_form
+from civar.resolve import _offsets
 
 
 def naive_reduce(v, elements):
@@ -392,3 +393,86 @@ def quotient_ext(rs, gens, steps):
             per_i.append(mat)
         act.append(per_i)
     return ExtKModule(rs, steps, dims, act)
+
+
+# The degreewise kernel on dense int64 matrices, the reference for the sparse
+# rows of `resolve.kernel_generators`: the products x_v * K_{t-1} by
+# `np.add.at` against the action arrays, the degree matrix filled column by
+# column, `rref` and `echelon` on whole matrices, and the nullspace basis
+# written out by hand from the reduced form.  Budgets are not checked.
+
+
+def _action_arrays(rs, d):
+    """`RingSpec.variable_action(d)` as int64 arrays (source position,
+    variable, target position, coefficient) of the nonzero entries."""
+    entries = [(k, v, pos, cf) for k, row in enumerate(rs.variable_action(d)) for v, pos, cf in row]
+    return np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy()
+
+
+def _times_variables(rs, basis, shifts, t, below_at, at, width):
+    parts = [_action_arrays(rs, t - 1 - e) for e in shifts]
+    src = np.concatenate([act[0] + below_at[j] for j, act in enumerate(parts)])
+    dst = np.concatenate([act[1] * width + act[2] + at[j] for j, act in enumerate(parts)])
+    cf = np.concatenate([act[3] for act in parts])
+    rows = np.zeros((basis.shape[0], rs.ring.nvars * width), dtype=np.int64)
+    np.add.at(rows, (slice(None), dst), basis[:, src] * cf % rs.p)
+    return rows.reshape(-1, width)
+
+
+def _degree_matrix(rs, shifts, t, vectors, count):
+    at, size = _offsets(rs, shifts, t)
+    pos = [rs.standard_positions(t - e) for e in shifts]
+    a = np.zeros((size, count), dtype=np.int64)
+    for c, terms in enumerate(vectors):
+        for (k, m), v in terms.items():
+            a[at[k] + pos[k][m], c] = v
+    return a
+
+
+def kernel_generators_reference(rs, cols, degs, target_shifts, image_dims=None):
+    """(generators, {t: dim K_t}) that `resolve.kernel_generators` must
+    return for the same arguments, on dense matrices."""
+    p = rs.p
+    rank = len(degs)
+    order = rs.ring.order.key
+    kernel_dims, gens, below = {}, [], None
+    for t in range(min(degs) + 1, max(degs) + rs.socle_degree + 1):
+        at, width = _offsets(rs, degs, t)
+        known = None if image_dims is None else width - image_dims.get(t, 0)
+        if width == 0 or known == 0:
+            below = None
+            continue
+        span = None
+        if below is not None:
+            image = _times_variables(rs, below[0], degs, t, below[1], at, width)
+            rows, span = echelon(image, p)
+            if known == len(span):
+                kernel_dims[t] = known
+                below = (rows, at)
+                continue
+        keys = [(j, m) for j, e in enumerate(degs) for m in rs.standard_monomials(t - e)]
+        vectors = (rs.ci_gb.reduce_terms(cols[j].terms, m) for j, m in keys)
+        r, pivots = rref(_degree_matrix(rs, target_shifts, t, vectors, width), p)
+        free = [c for c in range(width) if c not in pivots]
+        assert known is None or len(free) == known
+        kernel_dims[t] = len(free)
+        if not free:
+            below = None
+            continue
+        basis = np.zeros((len(free), width), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        if pivots:
+            basis[:, pivots] = (-r[: len(pivots), free].T) % p
+        fresh = range(len(free))
+        if span is not None:
+            covered = set(echelon(image[:, free], p)[1])
+            fresh = [n for n in fresh if n not in covered]
+        new = []
+        for n in fresh:
+            g = FreeElt(rs.ring, rank, {keys[c]: v for c, v in enumerate(basis[n].tolist()) if v}, degs)
+            (c, m), lc = g.lead()
+            new.append(((-c, order(m)), g.scale(fp_inv(lc, p)) if lc != 1 else g))
+        new.sort(key=lambda lead_g: lead_g[0], reverse=True)
+        gens += [g for _lead, g in new]
+        below = (basis, at)
+    return gens, kernel_dims

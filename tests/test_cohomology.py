@@ -130,6 +130,36 @@ def test_variety_ideal_radical_semantics(r1):
     assert a.dimension() == 1
 
 
+def test_radical_membership_tries_the_ideal_first(r1, monkeypatch):
+    # chi1 is in the radical of (chi1^2) but not in the ideal: only the
+    # Rabinowitsch fallback can answer, and it must answer True; chi2 is in
+    # neither and stays out.  Members of the ideal itself never reach it.
+    from civar import cohomology
+
+    h = r1.h_ring
+    square = VarietyIdeal(h, ["chi1^2"])
+    calls = []
+    real = cohomology.radical_membership
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cohomology, "radical_membership", counted)
+    assert square.contains_element("chi1") and calls == [h.parse("chi1")]
+    assert not square.contains_element("chi2")
+    assert VarietyIdeal(h, ["chi1"]).contains_variety(square)
+    assert not VarietyIdeal(h, ["chi2"]).contains_variety(square)
+    assert not square.is_trivial()
+    calls.clear()
+    assert square.contains_element("chi1^3 + 4*chi1^2*chi2")
+    assert square.contains_variety(VarietyIdeal(h, ["chi1^2", "chi2"]))
+    assert VarietyIdeal(h, ["chi1", "chi2^2"]).contains_element("chi2^2")
+    assert square.contains_element("0")
+    assert calls == []
+    assert square.dimension() == 1 and VarietyIdeal(h, ["chi1", "chi2^2"]).dimension() == 0
+
+
 def test_variety_union_intersect(r1):
     h = r1.h_ring
     a = VarietyIdeal(h, ["chi1"])
@@ -216,6 +246,17 @@ def test_complexity_values(r1, r2, r3, r4):
     assert complexity(residue_field(r4)) == 1
     assert complexity(present_module(r1, (0,), [["x"]])) == 1
     assert complexity(free_module(r1, (0, 1))) == 0
+
+
+def test_complexity_refuses_short_windows(r1):
+    # below 4 steps the differenced tail is too short: k over R1 has
+    # complexity 2, yet 0 to 2 steps would read 1 and -1 steps 0
+    k = residue_field(r1)
+    for steps in (-1, 0, 1, 2, 3):
+        with pytest.raises(InputError) as err:
+            complexity(k, steps)
+        assert err.value.details == {"steps": steps}
+    assert complexity(k, 4) == 2
 
 
 def test_support_variety_residue_field(r1, r2):

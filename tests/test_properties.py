@@ -52,9 +52,11 @@ from civar.resolve import (
     resolve_min,
     syzygy_module,
 )
+from civar.resolve import Resolution, kernel_generators
 
 from helpers import (
     component,
+    kernel_generators_reference,
     minimal_columns_reference,
     naive_reduce,
     prune_units_reference,
@@ -273,6 +275,54 @@ def test_degreewise_resolution_across_empty_degrees():
     # kernel's pieces near each summand
     pres = present_module(R5, (0, 9), [["x", "0"], ["0", "y"]])
     assert resolve_min(pres, 5).degs[:6] == groebner_resolution(pres, 5)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A ring and a module for the sparse degreewise kernel: R5, WIDE or
+    F_p[x,y,z]/(z^2, 3y^2, x^2+yz) at a drawn p up to 2^31 - 1, or a
+    complete intersection drawn as in `artinian_rings` at that p; the
+    module k, Q/(x+y), Q/(x^3), or one with generators in degrees 0 and 9."""
+    p = draw(st.sampled_from([101, 32003, 2147483647]))
+    pick = draw(st.integers(0, 3))
+    if pick < 3:
+        fixed = (R5, WIDE, UNREDUCED)[pick]
+        variables, ci = fixed.ring.vars, [str(f) for f in fixed.ci]
+    else:
+        variables = ("x", "y", "z")[: draw(st.sampled_from([2, 3]))]
+        ring = PolyRing(p, variables)
+        degrees = [draw(st.integers(2, 3)) for _ in variables] if len(variables) == 2 else [2, 2, 2]
+        ci = [draw(homogeneous(ring, d, nonzero_coeffs=True)) for d in degrees]
+    try:
+        rs = RingSpec(p, variables, ci)
+    except InputError:
+        assume(False)
+    module = draw(st.sampled_from(["k", "x + y", "x^3", "degrees 0 and 9"]))
+    if module == "k":
+        return rs, residue_field(rs)
+    if module == "degrees 0 and 9":
+        return rs, present_module(rs, (0, 9), [["x", "0"], ["0", "y"]])
+    return rs, present_module(rs, (0,), [[module]])
+
+
+@settings(PROPS, max_examples=16)
+@given(inputs=kernel_inputs())
+def test_sparse_kernel_matches_the_dense_reference(inputs):
+    # every step of the resolution, from the first (no kernel dimensions
+    # known) on: the same generators, term for term and in order, and the
+    # same kernel dimensions as the dense int64 computation
+    rs, pres = inputs
+    res = Resolution(pres)
+    cols, degs, dims = res.diffs[1], res.degs, None
+    for step in range(2, 7):
+        if not cols:
+            break
+        got = kernel_generators(rs, cols, degs[-1], degs[-2], step, dims)
+        want = kernel_generators_reference(rs, cols, degs[-1], degs[-2], dims)
+        assert [list(g.terms.items()) for g in got[0]] == [list(g.terms.items()) for g in want[0]], step
+        assert got[1] == want[1], step
+        cols, dims = got
+        degs = degs + [tuple(c.degree() for c in cols)]
 
 
 def test_deep_betti_numbers_pinned():
