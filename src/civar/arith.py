@@ -10,9 +10,9 @@ coefficient swell to manage.  Every product, and every division step
 downstream, runs on one kernel, `_sub_shifted`.  Matrices are numpy int64
 arrays whose results come out reduced modulo p.  Int64 arithmetic is left
 only in `matmul`, whose partial sums are chunked below 2^62, and in the
-dense matrices of the cohomology side (E's actions, vector models); with
-p < 2^31 a single product never overflows.  Nothing in this module (or
-anywhere downstream) touches floating point.
+dense matrices of the vector models; with p < 2^31 a single product never
+overflows.  Nothing in this module (or anywhere downstream) touches
+floating point.
 
 Row reduction is one sparse kernel, `_eliminate`, forward elimination on
 rows stored as {column: residue} dicts with Python integers, followed by
@@ -191,14 +191,13 @@ def _valid_ident(s: str) -> bool:
 class PolyRing:
     """F_p[x_1, ..., x_n] with a fixed monomial order."""
 
-    __slots__ = ("p", "vars", "order", "nvars", "_index", "_one_mono")
+    __slots__ = ("p", "vars", "order", "nvars", "_index", "_one_mono", "_monos")
 
     def __init__(self, p: int, variables, order: Order = DEGREVLEX):
         if isinstance(p, int) and p >= 1 << 31:
             # `matmul`'s int64 chunks, and the int64 products in the dense
-            # matrices of the cohomology side (E's actions, vector models),
-            # overflow past this bound, and trial division would take too
-            # long anyway
+            # matrices of the vector models, overflow past this bound, and
+            # trial division would take too long anyway
             raise InputError(f"p = {p} is too large: the prime must be below 2^31")
         if not is_odd_prime(p):
             raise InputError(f"p = {p} is not an odd prime")
@@ -216,6 +215,7 @@ class PolyRing:
         self.nvars = len(variables)
         self._index = {v: i for i, v in enumerate(variables)}
         self._one_mono = mono_one(self.nvars)
+        self._monos = {}
 
     # -- construction -------------------------------------------------------
 
@@ -253,9 +253,14 @@ class PolyRing:
 
     def monomials_of_degree(self, d: int):
         """All exponent tuples of total degree d, sorted descending in the
-        ring order (deterministic enumeration used all over the place)."""
+        ring order (deterministic enumeration used all over the place).
+        Enumerated once per degree and kept on the ring; the list returned
+        is that shared one, so callers must not change it."""
         if d < 0:
             return []
+        out = self._monos.get(d)
+        if out is not None:
+            return out
         out = []
 
         def rec(i, left, acc):
@@ -267,6 +272,7 @@ class PolyRing:
 
         rec(0, d, [])
         out.sort(key=self.order.key, reverse=True)
+        self._monos[d] = out
         return out
 
     # -- parsing ------------------------------------------------------------
@@ -645,13 +651,16 @@ def _sparse_rows(a: np.ndarray, p: int) -> list[dict]:
     return rows
 
 
-def _eliminate(rows: list, p: int) -> dict:
+def _eliminate(rows: list, p: int, tails: dict = None) -> dict:
     """Forward elimination on sparse rows, one row at a time: each row is
     reduced by the pivot rows already found, in ascending pivot column,
     until its first entry is not a pivot; then it is made monic and becomes
     the pivot row of that column, or it is dropped when nothing is left.
     Returns {pivot column: tail}, the tail being the pivot row right of its
-    pivot (the pivot entry itself is 1).  The rows are consumed.
+    pivot (the pivot entry itself is 1).  The rows are consumed.  Given the
+    `tails` of an earlier elimination, the rows are reduced against those
+    pivot rows too and the new ones are added to it, so rows can be fed
+    one call at a time.
 
     A pivot row is zero left of its pivot, so subtracting it adds entries
     only to the right of the column it clears; the columns still to clear
@@ -661,7 +670,8 @@ def _eliminate(rows: list, p: int) -> dict:
     residues are Python integers reduced at every step, so there is no
     overflow to manage, and the cost follows the nonzero entries and their
     fill: a dense n x n matrix costs about n^3 / 3 dictionary updates."""
-    tails = {}
+    if tails is None:
+        tails = {}
     for row in rows:
         if not row:
             continue

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 from .arith import is_integer
 from .errors import CivarError, InputError, ResourceBudgetError, VerificationError
 from .groebner import DEFAULT_BUDGETS, Budgets, configure_budgets
-from .cohomology import VarietyIdeal, lift_and_operators, support_variety
+from .cohomology import VarietyIdeal, _known_variety, lift_and_operators, support_variety
 from .resolve import (
     ModulePresentation,
     RingSpec,
@@ -326,7 +326,8 @@ def cmd_cut(args, rs, pres):
 def cmd_realize(args, rs, pres):
     etas = [rs.h_ring.parse(e) for e in args.eta]
     result = realize(rs, etas, verify=not args.no_verify)
-    v = support_variety(result, steps=args.steps, max_op_degree=args.max_op_degree)
+    window = dict(steps=args.steps, max_op_degree=args.max_op_degree)
+    v = _known_variety(result, **window) or support_variety(result, **window)
     report = {
         "etas": [str(f) for f in etas],
         "result": module_doc(result),

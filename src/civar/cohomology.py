@@ -10,7 +10,10 @@ monomial it holds, lifts it term by term to an exact identity
 d~ d~ = sum_j f_j t~_j.  The t~_j depend on the lift only up to a syzygy of
 f_1..f_c; those are Koszul, with entries in (f), so reducing t~_j modulo (f)
 gives well-defined chain maps of degree -2.  Their constant-term matrices
-(transposed) are the chi_j action on E.
+(transposed) are the chi_j action on E, kept as sparse columns: the actions
+of k over a complete intersection are mostly zero (0.03 % of the cells
+nonzero for k over five squares), so no dense matrix is formed, and every
+elimination on E is `arith._eliminate` on sparse rows.
 
 The annihilator is approximated by window linear algebra: for each degree d
 the space K_d of homogeneous h with h-action zero on all composable windows
@@ -20,7 +23,13 @@ those products, on the monomials outside their pivots, and one window at a
 time, stopping once nothing is left (Lazard's degree-by-degree Macaulay
 matrices, EUROCAL 1983, with the products of the degree below as known
 rows).  Those new vectors are minimal generators of a_N, and the Groebner
-basis starts from them.
+basis starts from them.  Only the windows that start at a degree holding a
+minimal H-generator of E are cut: every other E^i is the sum of the
+chi_j E^{i-2}, so by commutation and induction on i an h that kills the
+generator windows kills them all.  Each K_d is kept, keyed by its chain of
+cut sets for degrees 1..d, in a memo the windows of one variety share; the
+window N + 2 has the cut sets of the window N in every degree the window N
+builds, so it solves only its new top degree.
 
 A degree-d candidate is tested only on E^i with i <= N - 2d, so it is
 tested on every H-generator of E that the window 0..N sees only when
@@ -43,9 +52,7 @@ same reduction.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .arith import FreeElt, _sub_shifted, echelon, matmul, mono_mul, nullspace
+from .arith import FreeElt, _back_substitute, _eliminate, _null_rows, _sub_shifted, mono_mul
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
     _leads_dimension,
@@ -123,13 +130,14 @@ def operator_columns(res: Resolution, j: int, lo: int):
 
 class ExtKModule:
     """E(M,k) in cohomological degrees 0..steps: dims[i] = b_i, and for each
-    j the action matrices act[j][i]: E^i -> E^{i+2} (shape b_{i+2} x b_i),
-    valid for i <= steps-2.  Composites of these matrices commute exactly.
-    The memos of composites and of the ranks `generator_counts` reads hold
-    nothing that depends on `steps`, so windows over one resolution may
-    share them."""
+    j the action act[j][i]: E^i -> E^{i+2}, valid for i <= steps-2, stored
+    as one sparse column {row of E^{i+2}: residue} per basis vector of E^i,
+    no residue zero.  Composites of these maps commute exactly.  The memos
+    of composites, of the ranks `generator_counts` reads and of the kernels
+    `annihilator_window` solves hold nothing that depends on `steps`, so
+    windows over one resolution may share them."""
 
-    __slots__ = ("rs", "steps", "dims", "act", "_composites", "_reached")
+    __slots__ = ("rs", "steps", "dims", "act", "_composites", "_reached", "_kernels")
 
     def __init__(self, rs, steps, dims, act):
         self.rs = rs
@@ -138,12 +146,14 @@ class ExtKModule:
         self.act = act
         self._composites = {}
         self._reached = {}
+        self._kernels = {}
 
-    def monomial_window(self, mono: tuple, i: int) -> np.ndarray:
-        """Composite action of the H-monomial chi^mono starting at E^i,
-        factors applied in ascending variable index (lowest index acts
-        first).  Memoized; commutation makes the order mathematically
-        irrelevant, the fixed order makes outputs reproducible."""
+    def monomial_window(self, mono: tuple, i: int) -> list[dict]:
+        """Composite action of the H-monomial chi^mono starting at E^i, as
+        sparse columns like `act`, factors applied in ascending variable
+        index (lowest index acts first).  Memoized; commutation makes the
+        order mathematically irrelevant, the fixed order makes outputs
+        reproducible."""
         d = sum(mono)
         if i + 2 * d > self.steps:
             raise InputError("window extends past the computed range")
@@ -151,12 +161,22 @@ class ExtKModule:
         if got is not None:
             return got
         if d == 0:
-            out = np.eye(self.dims[i], dtype=np.int64)
+            out = [{c: 1} for c in range(self.dims[i])]
         else:
             j = next(v for v, e in enumerate(mono) if e)
             rest = tuple(e - 1 if v == j else e for v, e in enumerate(mono))
-            first = self.act[j][i]
-            out = matmul(self.monomial_window(rest, i + 2), first, self.rs.p)
+            after = self.monomial_window(rest, i + 2)
+            p = self.rs.p
+            out = []
+            for col in self.act[j][i]:
+                acc = {}
+                for r, v in col.items():
+                    for k, w in after[r].items():
+                        if x := (acc.get(k, 0) + v * w) % p:
+                            acc[k] = x
+                        else:
+                            del acc[k]
+                out.append(acc)
         self._composites[(mono, i)] = out
         return out
 
@@ -175,13 +195,12 @@ def ext_k_module(res: Resolution, steps: int) -> ExtKModule:
     for j in range(rs.codim):
         per_i = []
         for lo in range(steps - 1):
-            cols = operator_columns(res, j, lo)
-            mat = np.zeros((dims[lo + 2], dims[lo]), dtype=np.int64)
-            for c_idx, col in enumerate(cols):
+            cols = [{} for _ in range(dims[lo])]
+            for c_idx, col in enumerate(operator_columns(res, j, lo)):
                 for (r, m), v in col.terms.items():
                     if m == one:
-                        mat[c_idx, r] = v
-            per_i.append(mat)
+                        cols[r][c_idx] = v
+            per_i.append(cols)
         act.append(per_i)
     return ExtKModule(rs, steps, dims, act)
 
@@ -272,79 +291,130 @@ class VarietyIdeal:
 def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIdeal:
     """Candidate annihilator a_N: the ideal of the spaces K_d, d <= D
     (default N/2), of homogeneous h of degree d in the chi's whose action
-    matrix E^i -> E^{i+2d} vanishes for every window inside the computed
-    range.  Always contains the true annihilator.  A degree-d candidate is
-    tested on E^0..E^{N-2d} only, so it can pass while failing on an
-    H-generator of E above degree N - 2d; `support_variety` keeps
-    D <= (N - g_N) / 2, where that cannot happen (see `generator_degree`).
+    E^i -> E^{i+2d} vanishes for every window inside the computed range.
+    Always contains the true annihilator.  A degree-d candidate is tested on
+    E^0..E^{N-2d} only, so it can pass while failing on an H-generator of E
+    above degree N - 2d; `support_variety` keeps D <= (N - g_N) / 2, where
+    that cannot happen (see `generator_degree`).
 
-    K_d is solved from K_{d-1}.  U_d = chi_1 K_{d-1} + ... + chi_c K_{d-1}
-    lies in K_d, since the actions commute exactly and h kills every window
-    that starts two degrees higher.  So K_d is U_d plus the part of K_d on
-    the monomials that are not pivots of U_d's echelon form, and only those
-    monomials are unknowns.  Their kernel is cut down one window at a time,
-    in ascending i, and the cut stops once it is empty, so no composite past
-    that window is formed.  Only these new vectors become generators: they
-    span K_d modulo U_d, so the Groebner basis starts from a minimal
-    generating set of the same ideal."""
+    Only the windows E^i -> E^{i+2d} at which E has a minimal H-generator
+    (`generator_counts`) are cut, which gives the same K_d: every other E^i
+    is chi_1 E^{i-2} + ... + chi_c E^{i-2}, or zero when i < 2, and the
+    actions commute exactly, so h chi_j y = chi_j (h y) vanishes once h
+    kills E^{i-2}.  By induction on i, an h that kills the generator
+    windows kills every window; and the kernel cut so far already kills a
+    window without a generator, so skipping it changes no basis either.
+
+    K_d is solved from K_{d-1} (`_solve_degree`).  Each K_d is kept in the
+    memo of `ext`, which the windows of one `support_variety` share, keyed
+    by its chain of cut sets for degrees 1..d.  Under d <= (N - g_N) / 2 no
+    generator lies in (N - 2d, N + 2 - 2d], so the window N + 2 has the same
+    cut sets as the window N and solves only its new top degree.  The
+    generators are the vectors each degree adds beyond the products of the
+    degree below: they span K_d modulo chi_1 K_{d-1} + ... + chi_c K_{d-1},
+    so the Groebner basis starts from a minimal generating set of the same
+    ideal."""
     rs = ext.rs
-    h_ring = rs.h_ring
     D = ext.steps // 2 if max_op_degree is None else max_op_degree
     if D < 1 or D > ext.steps // 2:
         raise InputError(
             f"operator degree cap {D} outside [1, {ext.steps // 2}]", cap=D
         )
-    p = rs.p
-    units = h_ring.monomials_of_degree(1)
+    counts = generator_counts(ext)
     found = []
-    # a basis of K_{d-1}, one row per vector over the monomials `prev`;
     # K_0 is taken as 0, which only leaves U_1 empty
-    basis, prev = np.zeros((0, 1), dtype=np.int64), h_ring.monomials_of_degree(0)
+    basis, chain = [], ()
     for d in range(1, D + 1):
-        monos = h_ring.monomials_of_degree(d)
-        at = {m: k for k, m in enumerate(monos)}
-        # U_d, one block of rows per chi_j
-        shifted = np.zeros((len(units) * len(basis), len(monos)), dtype=np.int64)
-        for j, u in enumerate(units):
-            cols = [at[mono_mul(m, u)] for m in prev]
-            shifted[j * len(basis) : (j + 1) * len(basis), cols] = basis
-        spanned, pivots = echelon(shifted, p)
-        taken = set(pivots)
-        free = [k for k in range(len(monos)) if k not in taken]
-        # a basis of K_d on the free monomials so far, one row per vector
-        kern = np.eye(len(free), dtype=np.int64)
-        for i in range(ext.steps - 2 * d + 1):
-            if not len(kern):
-                break
-            rows = ext.dims[i + 2 * d] * ext.dims[i]
-            if rows == 0:
-                continue
-            block = np.empty((rows, len(free)), dtype=np.int64)
-            for col, k in enumerate(free):
-                block[:, col] = ext.monomial_window(monos[k], i).reshape(-1)
-            cut = matmul(block, kern.T, p)
-            if cut.any():
-                kern = matmul(nullspace(cut, p), kern, p)
-        new = np.zeros((len(kern), len(monos)), dtype=np.int64)
-        new[:, free] = kern
-        for vec in new.tolist():
-            found.append(h_ring.poly({m: cf for m, cf in zip(monos, vec) if cf}))
-        basis, prev = np.concatenate([spanned, new]), monos
-    return VarietyIdeal(h_ring, found)
+        chain += (tuple(i for i in range(ext.steps - 2 * d + 1) if counts[i]),)
+        got = ext._kernels.get(chain)
+        if got is None:
+            got = ext._kernels[chain] = _solve_degree(ext, d, chain[-1], basis)
+        basis, new = got
+        found += new
+    return VarietyIdeal(rs.h_ring, found)
+
+
+def _solve_degree(ext: ExtKModule, d: int, cuts, below: list) -> tuple:
+    """K_d from `below`, a basis of K_{d-1} as sparse rows over the degree
+    d - 1 monomials: (a basis of K_d as sparse rows over the degree-d
+    monomials, the polynomials it adds to the generators).
+
+    U_d = chi_1 K_{d-1} + ... + chi_c K_{d-1} lies in K_d, since the
+    actions commute exactly and h kills every window that starts two
+    degrees higher.  So K_d is U_d plus the part of K_d on the monomials
+    that are not pivots of U_d's echelon form, and only those monomials are
+    unknowns.  Their kernel is cut down one window E^i -> E^{i+2d}, i in
+    `cuts`, at a time, in ascending i, and the cut stops once it is empty,
+    so no composite past that window is formed (Lazard's degree-by-degree
+    Macaulay matrices, EUROCAL 1983, with the products of the degree below
+    as known rows).  A cut is one elimination whose rows are the nonzero
+    entries of the windows, over the kernel vectors as columns: its reduced
+    nullspace basis recombines them, so the kernel stays canonical."""
+    h_ring, p = ext.rs.h_ring, ext.rs.p
+    prev = h_ring.monomials_of_degree(d - 1)
+    monos = h_ring.monomials_of_degree(d)
+    at = {m: k for k, m in enumerate(monos)}
+    # U_d, one block of rows per chi_j
+    spanned = _eliminate(
+        [
+            {at[mono_mul(prev[k], u)]: v for k, v in row.items()}
+            for u in h_ring.monomials_of_degree(1)
+            for row in below
+        ],
+        p,
+    )
+    # a basis of K_d on the free monomials so far, one sparse row per vector
+    kern = [{k: 1} for k in range(len(monos)) if k not in spanned]
+    for i in cuts:
+        if not kern:
+            break
+        if not ext.dims[i + 2 * d]:
+            continue
+        # entry (column, row) of the window -> {kernel vector: residue}
+        entries = {}
+        for n, vec in enumerate(kern):
+            for k, v in vec.items():
+                for col, column in enumerate(ext.monomial_window(monos[k], i)):
+                    for r, w in column.items():
+                        e = entries.setdefault((col, r), {})
+                        if x := (e.get(n, 0) + v * w) % p:
+                            e[n] = x
+                        else:
+                            del e[n]
+        tails = _eliminate([e for e in entries.values() if e], p)
+        if not tails:
+            continue
+        pivots = sorted(tails)
+        _back_substitute(tails, pivots, p)
+        combined = []
+        for row in _null_rows(tails, pivots, len(kern), p).values():
+            acc = {}
+            for n, a in row.items():
+                for k, v in kern[n].items():
+                    if x := (acc.get(k, 0) + a * v) % p:
+                        acc[k] = x
+                    else:
+                        del acc[k]
+            combined.append(acc)
+        kern = combined
+    basis = [{c: 1, **spanned[c]} for c in sorted(spanned)] + kern
+    new = [h_ring.poly({monos[k]: vec[k] for k in sorted(vec)}) for vec in kern]
+    return basis, new
 
 
 def generator_counts(ext: ExtKModule) -> list[int]:
     """Number of minimal H-generators of E in each degree 0..N: dim E^i minus
     the rank of [chi_1 E^{i-2} | ... | chi_c E^{i-2}], the part of E^i that
-    the operators reach from below."""
+    the operators reach from below, read as the number of pivots of one
+    `_eliminate` on those images."""
     counts = []
     for i in range(ext.steps + 1):
         reached = ext._reached.get(i)
         if reached is None:
             reached = 0
             if i >= 2 and ext.dims[i] and ext.dims[i - 2]:
-                stacked = np.concatenate([act[i - 2] for act in ext.act], axis=1)
-                reached = len(echelon(stacked, ext.rs.p)[1])
+                images = [dict(col) for act in ext.act for col in act[i - 2]]
+                reached = len(_eliminate(images, ext.rs.p))
             ext._reached[i] = reached
         counts.append(ext.dims[i] - reached)
     return counts
@@ -384,6 +454,39 @@ def complexity(pres: ModulePresentation, steps: int = 12) -> int:
     return max(growth(tail[0::2]), growth(tail[1::2]))
 
 
+def _window_args(pres: ModulePresentation, steps, max_steps, max_op_degree) -> tuple:
+    """(N, cap, max_op_degree) of a `support_variety` call with the defaults
+    filled in; the arguments it refuses raise InputError here."""
+    n0 = steps if steps is not None else max(8, 2 * pres.rs.codim + 4)
+    if n0 < 4:
+        raise InputError("window of at least 4 steps required", steps=n0)
+    if max_op_degree is not None and max_op_degree < 1:
+        raise InputError("operator degree cap must be at least 1", max_op_degree=max_op_degree)
+    cap = max_steps if max_steps is not None else n0 + 8
+    if cap < n0 + 2:
+        raise InputError(
+            f"step cap {cap} leaves no room for the window pair ({n0}, {n0 + 2})",
+            steps=n0, max_steps=cap,
+        )
+    return n0, cap, max_op_degree
+
+
+def _known_variety(
+    pres: ModulePresentation,
+    steps: int = None,
+    max_steps: int = None,
+    max_op_degree: int = None,
+):
+    """The ideal `support_variety` last accepted for `pres`, when it was
+    asked with these window arguments (defaults filled in), else None.
+    `cli realize` reads the variety `realize` verified this way instead of
+    computing it a second time."""
+    kept = pres._variety
+    if kept is not None and kept[0] == _window_args(pres, steps, max_steps, max_op_degree):
+        return kept[1]
+    return None
+
+
 def support_variety(
     pres: ModulePresentation,
     steps: int = None,
@@ -416,27 +519,22 @@ def support_variety(
     lifted differentials with it, so Ext(M, k) and its H-action, the Betti
     numbers, and every window, g and verdict above are the same.  Other
     modules (not MCM, or no coordinate subspace gives an artinian quotient)
-    are resolved over Q itself."""
-    n0 = steps if steps is not None else max(8, 2 * pres.rs.codim + 4)
-    if n0 < 4:
-        raise InputError("window of at least 4 steps required", steps=n0)
-    if max_op_degree is not None and max_op_degree < 1:
-        raise InputError("operator degree cap must be at least 1", max_op_degree=max_op_degree)
-    cap = max_steps if max_steps is not None else n0 + 8
-    if cap < n0 + 2:
-        raise InputError(
-            f"step cap {cap} leaves no room for the window pair ({n0}, {n0 + 2})",
-            steps=n0, max_steps=cap,
-        )
-    pres = artinian_reduction(pres)
+    are resolved over Q itself.
+
+    The accepted ideal is kept on `pres` with its window arguments, for
+    `_known_variety`."""
+    key = _window_args(pres, steps, max_steps, max_op_degree)
+    n0, cap, _ = key
+    owner, pres = pres, artinian_reduction(pres)
     res = resolve_min(pres, n0 + 2)
-    # chi^m: E^i -> E^{i+2d} and the rank of [chi_1 E^{i-2} | ... ] do not
-    # depend on the window, so every window reads one memo of each
-    composites, reached = {}, {}
+    # chi^m: E^i -> E^{i+2d}, the rank of [chi_1 E^{i-2} | ... ] and K_d for
+    # one chain of cut sets do not depend on the window, so every window
+    # reads one memo of each
+    composites, reached, kernels = {}, {}, {}
 
     def window(n):
         ext = ext_k_module(res, n)
-        ext._composites, ext._reached = composites, reached
+        ext._composites, ext._reached, ext._kernels = composites, reached, kernels
         g = generator_degree(ext)
         top = (n - g) // 2
         if max_op_degree is not None:
@@ -467,6 +565,7 @@ def support_variety(
                         "complexity": cx,
                         "generator_degree": g_hi,
                     }
+                    owner._variety = (key, a_hi)
                     return a_hi
                 rejected, why = "complexity", f"the candidates agree, the complexity estimate is {cx}"
         n += 2

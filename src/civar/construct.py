@@ -24,6 +24,7 @@ import numpy as np
 
 from .arith import (
     FreeElt,
+    _eliminate,
     factor_univariate,
     matmul,
     nullspace,
@@ -266,16 +267,28 @@ def _graded_endo_basis(degs, actions, p):
 
 def _min_poly(a: np.ndarray, p: int):
     """Minimal polynomial of a over F_p, ascending coefficients, monic.  The
-    flattened powers I, a, a^2, .. are the columns of one matrix, one more
-    each round, until the newest one, a^k, is not a pivot of its `rref`;
-    that column of the echelon form then holds a^k in the powers below it."""
-    powers = [np.eye(a.shape[0], dtype=np.int64).reshape(-1)]
+    flattened powers I, a, a^2, .. are reduced one at a time against the
+    pivot rows of the powers before them (`_eliminate` with its `tails`
+    kept).  The row of a^k carries a tag 1 in column n^2 + n - k, right of
+    the n^2 entries, so the newest power's tag is the leftmost; reduction
+    keeps every row's entries equal to the sum of its tags times their
+    powers.  The first a^k whose entries reduce away leaves a row of tags
+    only, 1 at its own: the relation a^k + c_{k-1} a^{k-1} + ... + c_0 = 0
+    of least degree, which is unique."""
+    n = a.shape[0]
+    size = n * n
+    tails = {}
+    power = np.eye(n, dtype=np.int64)
+    k = 0
     while True:
-        powers.append(matmul(a, powers[-1].reshape(a.shape), p).reshape(-1))
-        k = len(powers) - 1
-        r, pivots = rref(np.stack(powers, axis=1), p)
-        if k not in pivots:
-            return [(-int(c)) % p for c in r[:k, k]] + [1]
+        row = {e: v for e, v in enumerate(power.reshape(-1).tolist()) if v}
+        row[size + n - k] = 1
+        _eliminate([row], p, tails)
+        rel = tails.get(size + n - k)
+        if rel is not None:
+            return [rel.get(size + n - i, 0) for i in range(k)] + [1]
+        power = matmul(a, power, p)
+        k += 1
 
 
 def _eval_matrix(coeffs, a: np.ndarray, p: int) -> np.ndarray:

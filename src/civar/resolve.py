@@ -290,10 +290,12 @@ class ModulePresentation:
     """Cokernel presentation of a graded Q-module: generator degrees and
     homogeneous relation columns.  Instances are immutable; derived data
     (resolution, vector model, the relation submodule's Groebner basis, the
-    MCM verdict, the artinian reduction) is cached on the instance."""
+    MCM verdict, the artinian reduction, the last support variety accepted
+    with its window arguments) is cached on the instance."""
 
     __slots__ = (
         "rs", "gens", "relations", "_resolution", "_model", "_sub_gb", "_mcm", "_reduced",
+        "_variety",
     )
 
     def __init__(self, rs: RingSpec, gens, relations):
@@ -305,6 +307,7 @@ class ModulePresentation:
         self._sub_gb = None
         self._mcm = None
         self._reduced = None
+        self._variety = None
 
     @property
     def rank(self) -> int:

@@ -325,6 +325,16 @@ def prune_units_reference(pres):
     return gens, [c for c in out if not c.is_zero()]
 
 
+def dense(columns, rows):
+    """The int64 matrix, `rows` high, of a map given as sparse columns
+    {row: residue}, the format of `ExtKModule.act` and its windows."""
+    out = np.zeros((rows, len(columns)), dtype=np.int64)
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            out[r, c] = v
+    return out
+
+
 def annihilator_reference(ext, max_op_degree=None):
     """The window annihilator the plain way: in each degree d, one
     nullspace over the coefficients of all degree-d monomials, of every
@@ -339,7 +349,9 @@ def annihilator_reference(ext, max_op_degree=None):
         for i in range(ext.steps - 2 * d + 1):
             rows = ext.dims[i + 2 * d] * ext.dims[i]
             if rows:
-                blocks.append(np.stack([ext.monomial_window(m, i).reshape(-1) for m in monos], axis=1))
+                blocks.append(np.stack(
+                    [dense(ext.monomial_window(m, i), ext.dims[i + 2 * d]).reshape(-1) for m in monos], axis=1
+                ))
         if blocks:
             kernel = nullspace(np.concatenate(blocks, axis=0), ext.rs.p)
         else:
@@ -352,7 +364,8 @@ def annihilator_reference(ext, max_op_degree=None):
 def quotient_ext(rs, gens, steps):
     """E = H/I for the ideal I of H = k[chi_1..chi_c] generated by the
     homogeneous `gens` (none constant), placed in the even degrees 0..steps
-    (E^{2k} = (H/I)_k, odd degrees zero), chi_j acting by multiplication.
+    (E^{2k} = (H/I)_k, odd degrees zero), chi_j acting by multiplication,
+    each action as sparse columns like `ExtKModule.act`.
     Each (H/I)_k is read off the reduced row echelon form of I_k, spanned by
     the monomial multiples of the generators: its basis is the non-pivot
     monomials, and a pivot monomial's normal form is minus the rest of its
@@ -384,13 +397,35 @@ def quotient_ext(rs, gens, steps):
         u = tuple(int(v == j) for v in range(h_ring.nvars))
         per_i = []
         for i in range(steps - 1):
-            mat = np.zeros((dims[i + 2], dims[i]), dtype=np.int64)
+            cols = [{} for _ in range(dims[i])]
             if i % 2 == 0:
                 target = {m: n for n, m in enumerate(basis[i // 2 + 1])}
                 for col, s in enumerate(basis[i // 2]):
                     for m, c in normal[i // 2 + 1][mono_mul(s, u)].items():
-                        mat[target[m], col] = c
-            per_i.append(mat)
+                        cols[col][target[m]] = c
+            per_i.append(cols)
+        act.append(per_i)
+    return ExtKModule(rs, steps, dims, act)
+
+
+def shifted_quotients(rs, parts, steps):
+    """The direct sum of the `quotient_ext` of each (gens, g) in `parts`,
+    moved up g degrees, so that its generator 1 sits in E^g.  A basis of
+    E^i lists the parts' basis vectors in the order of `parts`, and each
+    chi_j acts on every part by itself."""
+    pieces = [(quotient_ext(rs, gens, steps - g), g) for gens, g in parts]
+    dims = [sum(q.dims[i - g] for q, g in pieces if i >= g) for i in range(steps + 1)]
+    act = []
+    for j in range(rs.h_ring.nvars):
+        per_i = []
+        for i in range(steps - 1):
+            cols, top = [], 0  # top: where the part's rows start in E^{i+2}
+            for q, g in pieces:
+                if i >= g:
+                    cols += [{top + r: v for r, v in col.items()} for col in q.act[j][i - g]]
+                if i + 2 >= g:
+                    top += q.dims[i + 2 - g]
+            per_i.append(cols)
         act.append(per_i)
     return ExtKModule(rs, steps, dims, act)
 

@@ -29,7 +29,7 @@ from civar.resolve import (
     vector_model,
 )
 
-from helpers import brute_radical, buchberger_holds, component, random_homogeneous, seeded, times
+from helpers import brute_radical, buchberger_holds, component, dense, random_homogeneous, seeded, times
 
 
 @pytest.fixture
@@ -119,8 +119,9 @@ def test_criterion_2_operator_identities(corpus, deep, report):
         for j1 in range(rs.codim):
             for j2 in range(j1 + 1, rs.codim):
                 for i in range(steps - 3):
-                    ab = matmul(ext.act[j1][i + 2], ext.act[j2][i], rs.p)
-                    ba = matmul(ext.act[j2][i + 2], ext.act[j1][i], rs.p)
+                    b = ext.dims[i + 4], ext.dims[i + 2]
+                    ab = matmul(dense(ext.act[j1][i + 2], b[0]), dense(ext.act[j2][i], b[1]), rs.p)
+                    ba = matmul(dense(ext.act[j2][i + 2], b[0]), dense(ext.act[j1][i], b[1]), rs.p)
                     if not (ab == ba).all():
                         failures.append(
                             f"{label}: chi{j1 + 1}/chi{j2 + 1} do not commute at {i}"

@@ -251,6 +251,25 @@ def test_realize_parses_each_eta_once(files, capsys, monkeypatch):
     assert json.loads(out)["etas"] == ["2*chi1 + chi2", "chi1^2 + 100*chi2^2"]
 
 
+def test_realize_computes_the_variety_once(files, capsys, monkeypatch):
+    """The report shows the variety `realize` verified when the window
+    arguments agree (R1's default window is N = 8, so --steps 8 agrees
+    too), with no second computation; another window is computed anew."""
+    import civar.cohomology as cohomology
+
+    ring, _, _ = files
+    windows = []
+    real = cohomology.annihilator_window
+    monkeypatch.setattr(
+        cohomology, "annihilator_window", lambda ext, cap=None: windows.append(ext.steps) or real(ext, cap)
+    )
+    for extra, want in (([], [8, 10]), (["--steps", "8"], [8, 10]), (["--steps", "10"], [8, 10, 10, 12])):
+        windows.clear()
+        code, out, _ = run(capsys, ["realize", ring, "--eta", "chi1", "--format", "structured"] + extra)
+        assert code == 0 and json.loads(out)["variety"]["gens"] == ["chi1"]
+        assert windows == want, extra
+
+
 def test_cached_parser_keeps_no_state_between_calls(files, capsys):
     """`main` reuses one parser for the whole process: no call may see what
     an earlier one parsed, however that call ended."""

@@ -27,7 +27,7 @@ from civar.resolve import (
     syzygy_module,
 )
 
-from helpers import annihilator_reference, seeded, times
+from helpers import annihilator_reference, dense, seeded, times
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +92,9 @@ def test_actions_commute_exactly(r3):
     for j1 in range(3):
         for j2 in range(j1 + 1, 3):
             for i in range(5):
-                ab = matmul(ext.act[j1][i + 2], ext.act[j2][i], p)
-                ba = matmul(ext.act[j2][i + 2], ext.act[j1][i], p)
+                b = ext.dims[i + 4], ext.dims[i + 2]
+                ab = matmul(dense(ext.act[j1][i + 2], b[0]), dense(ext.act[j2][i], b[1]), p)
+                ba = matmul(dense(ext.act[j2][i + 2], b[0]), dense(ext.act[j1][i], b[1]), p)
                 assert (ab == ba).all()
 
 
@@ -102,8 +103,8 @@ def test_monomial_window_matches_composition(r1):
     p = r1.p
     m = (1, 1)  # chi1 chi2
     for i in range(4):
-        direct = ext.monomial_window(m, i)
-        manual = matmul(ext.act[1][i + 2], ext.act[0][i], p)
+        direct = dense(ext.monomial_window(m, i), ext.dims[i + 4])
+        manual = matmul(dense(ext.act[1][i + 2], ext.dims[i + 4]), dense(ext.act[0][i], ext.dims[i + 2]), p)
         assert (direct == manual).all()
     with pytest.raises(InputError):
         ext.monomial_window((4, 1), 0)  # 0 + 2*5 > 8
@@ -352,6 +353,41 @@ def test_support_variety_rejects_an_operator_cap_below_one(r1):
 def test_generator_counts_of_q_mod_xy(r1):
     ext = ext_k_module(resolve_min(present_module(r1, (0,), [["x*y"]]), 11), 10)
     assert generator_counts(ext)[:5] == [1, 1, 2, 1, 0]
+
+
+def test_annihilator_window_cuts_at_every_generator_degree(r1):
+    """The windows are cut only where E has a minimal H-generator; the
+    reference cuts every window.  For M = Q^2 / (xy e1, x e1 + y e2), E has
+    generators in degrees 0 to 4.  K_{N/2 - 1} is cut at E^0, E^1 and E^2,
+    and only the cut at E^2 empties it: a cut that skipped degree 2 would
+    keep every monomial of that degree."""
+    m = present_module(r1, (0, 0), [["x*y", "0"], ["x", "y"]])
+    res = resolve_min(m, 11)
+    assert generator_counts(ext_k_module(res, 10))[:6] == [2, 1, 1, 2, 1, 0]
+    for n in (6, 8, 10):
+        ext = ext_k_module(res, n)
+        for cap in range(1, n // 2 + 1):
+            assert annihilator_window(ext, cap).gens == annihilator_reference(ext, cap).gens, (n, cap)
+
+
+def test_each_kernel_degree_is_solved_once_per_variety(r3, monkeypatch):
+    """The windows N and N + 2 cut K_d at the same generator degrees for
+    every d <= (N - g) / 2, so the wider window takes K_1..K_4 from the
+    memo and solves only its new top degree."""
+    import civar.cohomology as cohomology
+
+    solved = []
+    real = cohomology._solve_degree
+
+    def counted(ext, d, cuts, below):
+        solved.append((ext.steps, d, cuts))
+        return real(ext, d, cuts, below)
+
+    monkeypatch.setattr(cohomology, "_solve_degree", counted)
+    v = support_variety(present_module(r3, (0,), [["x+y"]]))
+    assert [str(g) for g in v.gens] == ["chi1 + chi2", "chi3"]
+    assert v.meta == {"stabilized_at": 10, "steps_used": 12, "complexity": 1, "generator_degree": 1}
+    assert solved == [(10, d, (0, 1)) for d in (1, 2, 3, 4)] + [(12, 5, (0, 1))]
 
 
 def test_variety_of_q_mod_xy_is_the_plane(r1):

@@ -306,8 +306,8 @@ def test_decompose_doubles_every_summand_of_a_doubled_module():
     twice.  M is the realized line V(chi1, chi2) plus the plane
     V(chi1 + 2 chi2 + 3 chi3) over F_32003[x,y,z]/(x^2,y^2,z^2), three
     summands of dimensions 8, 8 and 16, the last flagged.  The minimal
-    polynomials behind M + M eliminate tall, narrow matrices: the flattened
-    powers of a 64 x 64 endomorphism, 4096 rows by up to 9 columns.  Each
+    polynomials behind M + M reduce long rows: the flattened powers of a
+    64 x 64 endomorphism, up to 9 rows of 4096 entries.  Each
     summand is compared by model dimension, generator degrees, variety and
     flag."""
     rs = RingSpec(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"])

@@ -30,7 +30,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from civar.arith import Poly, PolyRing
 from civar import construct
-from civar.cohomology import VarietyIdeal, annihilator_window, lift_and_operators, support_variety
+from civar.cohomology import (
+    VarietyIdeal, annihilator_window, generator_counts, lift_and_operators, support_variety,
+)
 from civar.errors import InputError, InternalError
 from civar.groebner import (
     FreeElt,
@@ -55,6 +57,7 @@ from civar.resolve import (
 from civar.resolve import Resolution, kernel_generators
 
 from helpers import (
+    annihilator_reference,
     component,
     kernel_generators_reference,
     minimal_columns_reference,
@@ -63,6 +66,7 @@ from helpers import (
     quotient_ext,
     random_column,
     rref_reference,
+    shifted_quotients,
     times,
 )
 
@@ -551,6 +555,24 @@ def test_annihilator_of_a_quotient_pinned():
     monomial, is where K_2 holds more."""
     h = H_RINGS[2].h_ring
     assert_annihilator_is_the_ideal(H_RINGS[2], [h.parse("chi1"), h.parse("chi2^2")], 8)
+
+
+def test_annihilator_of_shifted_quotients_cuts_every_generator_degree():
+    """E = H/(chi1) + H/(chi2)[-1] + H/(chi1 + chi2)[-2] + H/(chi1 + 2 chi2)[-3]
+    has one minimal generator in each degree 0..3, each with its own line
+    as annihilator, so K_3 is zero and the annihilator is generated by the
+    product of the four forms, which the window N = 12 sees from d = 4 on
+    (4 <= 12 - 2 * 4).  A cut that skipped any one generator degree would
+    keep the product of the other three in K_3."""
+    rs = H_RINGS[2]
+    forms = [rs.h_ring.parse(f) for f in ("chi1", "chi2", "chi1 + chi2", "chi1 + 2*chi2")]
+    ext = shifted_quotients(rs, [([f], g) for g, f in enumerate(forms)], 12)
+    assert generator_counts(ext) == [1, 1, 1, 1] + [0] * 9
+    for cap in range(1, 7):
+        assert annihilator_window(ext, cap).gens == annihilator_reference(ext, cap).gens, cap
+    assert annihilator_window(ext, 3).gens == ()
+    product = forms[0] * forms[1] * forms[2] * forms[3]
+    assert annihilator_window(ext, 4).gens == VarietyIdeal(rs.h_ring, [product]).gens
 
 
 @settings(PROPS, max_examples=20)
