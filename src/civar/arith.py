@@ -660,7 +660,8 @@ def _eliminate(rows: list, p: int, tails: dict = None) -> dict:
     pivot (the pivot entry itself is 1).  The rows are consumed.  Given the
     `tails` of an earlier elimination, the rows are reduced against those
     pivot rows too and the new ones are added to it, so rows can be fed
-    one call at a time.
+    one call at a time.  A row of one entry at no pivot is a pivot row with
+    an empty tail, and at a pivot with an empty tail it reduces to zero.
 
     A pivot row is zero left of its pivot, so subtracting it adds entries
     only to the right of the column it clears; the columns still to clear
@@ -673,7 +674,7 @@ def _eliminate(rows: list, p: int, tails: dict = None) -> dict:
     if tails is None:
         tails = {}
     for row in rows:
-        if not row:
+        if not row or len(row) == 1 and not tails.setdefault(min(row), {}):
             continue
         todo = [c for c in row if c in tails]
         if todo:

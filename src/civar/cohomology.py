@@ -68,13 +68,15 @@ from .resolve import (
 
 class CiOperators:
     """For each j and each middle index i, the chain map t_j^{(i)} mapping
-    resolution step i+1 to step i-1, stored as columns over Q."""
+    resolution step i+1 to step i-1, stored as columns over Q, and E's
+    chi_j: E^{i-1} -> E^{i+1} read off it, keyed (j, i - 1)."""
 
-    __slots__ = ("upto", "cols")
+    __slots__ = ("upto", "cols", "ext_act")
 
     def __init__(self, c: int):
         self.upto = 0
         self.cols = [dict() for _ in range(c)]
+        self.ext_act = {}
 
 
 def lift_and_operators(res: Resolution, upto: int) -> Resolution:
@@ -186,22 +188,25 @@ def ext_k_module(res: Resolution, steps: int) -> ExtKModule:
     t_j's constant-term matrix (reducing mod the variables kills everything
     of positive degree, and minimality makes the result independent of the
     lift).  The operators at middle index steps - 1 read d_steps, so the
-    resolution is extended to step `steps` and no further."""
+    resolution is extended to step `steps` and no further.  Each action is
+    built once and kept with the operators (`support_variety` drops them
+    when it accepts)."""
     rs = res.rs
     one = rs.ring._one_mono
     lift_and_operators(res, steps - 1 if steps >= 2 else 1)
     dims = [len(res.degs[i]) for i in range(steps + 1)]
-    act = []
-    for j in range(rs.codim):
-        per_i = []
+    memo = res.ops.ext_act
+    act = [[] for _ in range(rs.codim)]
+    for j, per_i in enumerate(act):
         for lo in range(steps - 1):
-            cols = [{} for _ in range(dims[lo])]
-            for c_idx, col in enumerate(operator_columns(res, j, lo)):
-                for (r, m), v in col.terms.items():
-                    if m == one:
-                        cols[r][c_idx] = v
+            cols = memo.get((j, lo))
+            if cols is None:
+                cols = memo[j, lo] = [{} for _ in range(dims[lo])]
+                for c_idx, col in enumerate(operator_columns(res, j, lo)):
+                    for (r, m), v in col.terms.items():
+                        if m == one:
+                            cols[r][c_idx] = v
             per_i.append(cols)
-        act.append(per_i)
     return ExtKModule(rs, steps, dims, act)
 
 
@@ -527,9 +532,9 @@ def support_variety(
     n0, cap, _ = key
     owner, pres = pres, artinian_reduction(pres)
     res = resolve_min(pres, n0 + 2)
-    # chi^m: E^i -> E^{i+2d}, the rank of [chi_1 E^{i-2} | ... ] and K_d for
-    # one chain of cut sets do not depend on the window, so every window
-    # reads one memo of each
+    # E's actions (kept with the operators), chi^m: E^i -> E^{i+2d}, the
+    # rank of [chi_1 E^{i-2} | ... ] and K_d for one chain of cut sets do
+    # not depend on the window, so every window reads one memo of each
     composites, reached, kernels = {}, {}, {}
 
     def window(n):
@@ -566,6 +571,7 @@ def support_variety(
                         "generator_degree": g_hi,
                     }
                     owner._variety = (key, a_hi)
+                    res.ops.ext_act.clear()
                     return a_hi
                 rejected, why = "complexity", f"the candidates agree, the complexity estimate is {cx}"
         n += 2

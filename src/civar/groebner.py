@@ -55,7 +55,7 @@ from itertools import combinations
 
 from .arith import (
     FreeElt, Poly, PolyRing, _sub_shifted, add_terms, elimination_order, fp_inv, mono_deg, mono_div,
-    mono_lcm, mono_mul,
+    mono_lcm,
 )
 from .errors import InputError, ResourceBudgetError
 
@@ -299,8 +299,8 @@ class GroebnerBasis:
         entry = self._nf_table[m] = (nf, quots)
         return entry
 
-    def reduce_terms(self, terms: dict, q: tuple = None) -> dict:
-        """Normal form of x^q * terms modulo this ideal basis, slot by slot:
+    def reduce_terms(self, terms: dict) -> dict:
+        """Normal form of `terms` modulo this ideal basis, slot by slot:
         `terms` maps (slot, monomial) to a residue, and so does the result.
         Each monomial is looked up in the basis's normal-form table."""
         if self.rank != 1:
@@ -309,8 +309,6 @@ class GroebnerBasis:
         p = self.ring.p
         acc = {}
         for (s, m), v in terms.items():
-            if q is not None:
-                m = mono_mul(m, q)
             for mm, c in (table.get(m) or self._fill_entry(m))[0]:
                 k = (s, mm)
                 acc[k] = acc.get(k, 0) + v * c

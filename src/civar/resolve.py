@@ -11,16 +11,14 @@ Over an artinian Q (dim Q = 0) a step is graded linear algebra
 s = sum(deg f_j - 1), so the kernel of d_i: F_i -> F_{i-1} lives in
 degrees min e + 1 .. max e + s, e the degrees of F_i's generators.  There
 it is computed one degree t at a time: the span of x_v * K_{t-1} first,
-each sparse row of K_{t-1} walked through the table of `variable_action`,
-and, where that falls short of dim K_t, the nullspace of the matrix
-(F_i)_t -> (F_{i-1})_t whose columns are the products x^m * column reduced
-from the table of `ci_gb`.  The kernel vectors outside the span are the new
-minimal generators.  Exactness gives dim K_t = dim (F_i)_t - dim K'_t, K'
-the kernel of the step before, so from the second step on the nullspace is
-needed only in the lowest degree and wherever new generators appear.  Every
-vector of this path, from the columns in to the generators out, is a
-{position: residue} dict with no zero residue, and every elimination is
-`arith._eliminate` on such rows: no dense matrix is formed between degrees.
+and, where that falls short of dim K_t, the nullspace of d_i in degree t.
+The kernel vectors outside the span are the new minimal generators.  Exactness gives
+dim K_t = dim (F_i)_t - dim K'_t, K' the kernel of the step before, so
+from the second step on the nullspace is needed only in the lowest degree
+and wherever new generators appear.  Every vector of this path is a
+{position: residue} dict with no zero residue, every product is read from
+the multiplication table of Q (`RingSpec.multiples`), and every
+elimination is `arith._eliminate` on such rows: no dense matrix is formed.
 
 Every other Q takes the Groebner path: `syzygies` over Q, then a minimal
 generating set of them (`minimal_columns`).  Minimality is decided by
@@ -40,8 +38,8 @@ left, and the pivots do not depend on the basis the elimination leaves.
 candidates of the degree after them, `present_from_vector_model` puts the
 variables' images of the degree below before the unit vectors of the
 degree, and `kernel_generators` reads the new generators off the free
-columns.  `_degree_rows` writes (summand, monomial) terms into the sparse
-rows of these matrices, on the bases of `standard_monomials`.
+columns.  `_map_rows` writes the products straight into the sparse rows of
+these matrices, on the bases of `standard_monomials`.
 
 Over a non-artinian Q of dimension d, support varieties need only Ext(M, k)
 and its operators, and for a maximal Cohen-Macaulay M these can be read over
@@ -60,17 +58,13 @@ differential over Q (operators, the pushout cut) still resolve M itself.
 validates the ring, and every computation over Q passes that one basis down
 (`syzygies`, `SubmoduleOracle`, the relation submodule's basis).  So its
 monomial normal-form table is the only one for (f), and every reduction
-modulo (f) reads it: through `GroebnerBasis.reduce_terms` for normal forms
-(`RingSpec.qnf_elt`, the products x^m * column of the degreewise kernel and
-the multiplication by the variables on Q in `variable_action`, the products
-g * x^m that `minimal_columns` spans, the columns `prune_units` combines,
-the tails `syzygies` harvests), and through `GroebnerBasis.lift_terms` for
-the quotients by f_1..f_c that the operator lift needs.  The remainder modulo a Groebner
-basis is unique and linear, so reducing term by term from the table gives
-exactly what a full division would; the quotients are unique modulo (f)
-because the syzygies of a regular sequence are Koszul.  The table fills
-lazily, one `normal_form` per distinct monomial, and lives as long as the
-ring.
+modulo (f) reads it: `GroebnerBasis.reduce_terms` for normal forms
+(`RingSpec.qnf_elt`, the columns `prune_units` combines, the tails
+`syzygies` harvests), the multiplication table `RingSpec.multiples`, filled
+from it, for every product of the degreewise path, and
+`GroebnerBasis.lift_terms` for the quotients by f_1..f_c that the operator
+lift needs; why a lookup gives what a full division would is in
+`groebner`.  Both tables fill lazily and live as long as the ring.
 """
 
 from __future__ import annotations
@@ -130,7 +124,7 @@ class RingSpec:
         "h_ring",
         "ci_gb",
         "_std_cache",
-        "_pos_cache",
+        "_mul_cache",
         "_action_cache",
         "_reduction",
     )
@@ -165,7 +159,7 @@ class RingSpec:
         self.ci_degs = tuple(f.homogeneous_degree() for f in polys)
         self.h_ring = PolyRing(p, tuple(f"chi{j+1}" for j in range(len(polys))), DEGREVLEX)
         self._std_cache = {}
-        self._pos_cache = {}
+        self._mul_cache = {}
         self._action_cache = {}
         self._reduction = _UNSET
 
@@ -243,31 +237,30 @@ class RingSpec:
             self._std_cache[d] = got
         return got
 
-    def standard_positions(self, d: int) -> dict:
-        """Position of each standard monomial of degree d in
-        `standard_monomials(d)`."""
-        got = self._pos_cache.get(d)
+    def multiples(self, a: tuple, d: int):
+        """The multiplication table of Q: NF(x^a * x^m) for each x^m in
+        `standard_monomials(d)`, as ((position in degree |a| + d, residue),
+        ...), from the normal-form table of `ci_gb`.  Filled on first use."""
+        got = self._mul_cache.get((a, d))
         if got is None:
-            got = self._pos_cache[d] = {m: n for n, m in enumerate(self.standard_monomials(d))}
+            pos = {m: n for n, m in enumerate(self.standard_monomials(mono_deg(a) + d))}
+            nf = self.ci_gb.reduce_terms
+            got = self._mul_cache[a, d] = tuple(
+                tuple((pos[mm], c) for (_s, mm), c in nf({(0, mono_mul(a, m)): 1}).items())
+                for m in self.standard_monomials(d)
+            )
         return got
 
     def variable_action(self, d: int):
-        """Multiplication by the variables from Q_d to Q_{d+1}, on the bases
-        `standard_monomials`, read from the normal-form table of `ci_gb`: one
-        tuple per standard monomial of degree d, in order, of its (variable,
-        target position, coefficient) entries, every coefficient a nonzero
-        residue.  Built on first use and kept."""
+        """Multiplication by the variables from Q_d to Q_{d+1}: per standard
+        monomial of degree d, the pairs (v, its product by x_v in
+        `multiples`) of the nonzero products.  Built on first use."""
         got = self._action_cache.get(d)
         if got is None:
-            target = self.standard_positions(d + 1)
-            gens = self.ring.gens()
+            rows = [self.multiples(x.lead()[0][1], d) for x in self.ring.gens()]
             got = self._action_cache[d] = tuple(
-                tuple(
-                    (v, target[mm], cf)
-                    for v, x in enumerate(gens)
-                    for (_slot, mm), cf in self.ci_gb.reduce_terms(x.terms, m).items()
-                )
-                for m in self.standard_monomials(d)
+                tuple((v, row[n]) for v, row in enumerate(rows) if row[n])
+                for n in range(len(self.standard_monomials(d)))
             )
         return got
 
@@ -451,33 +444,20 @@ def minimal_columns(rs: RingSpec, columns, shifts):
     set generates the same submodule and is minimal by the graded Nakayama
     argument.
 
-    Each degree d is one `_eliminate` on the sparse rows of `_degree_rows`.
-    Its columns are the products x^m * g, for g kept in a lower degree and
-    x^m a standard monomial of degree d - deg g, reduced from the table of
-    `ci_gb`, followed by the degree-d candidates in their given order; the
-    kept candidates are its pivots past the products."""
+    Each degree d is one `_eliminate` on the rows of `_map_rows`: the
+    products x^m * g, for g kept in a lower degree and x^m a standard
+    monomial of degree d - deg g, then the degree-d candidates in their
+    given order; the kept candidates are its pivots past the products."""
     shifts = tuple(shifts)
-    cols = []
-    for c in columns:
-        if c.is_zero():
-            continue
-        c = rs.qnf_elt(c)
-        if not c.is_zero():
-            cols.append(c)
+    cols = [c for c in map(rs.qnf_elt, columns) if not c.is_zero()]
     cols.sort(key=lambda c: c.degree())
     kept = []
     for d, group in groupby(cols, key=lambda c: c.degree()):
         group = list(group)
-        vectors = [
-            w
-            for g in kept
-            for m in rs.standard_monomials(d - g.degree())
-            if (w := rs.ci_gb.reduce_terms(g.terms, m))
-        ]
-        products = len(vectors)
-        vectors += [c.terms for c in group]
-        pivots = _eliminate(_degree_rows(rs, shifts, d, vectors), rs.p)
-        kept += [group[c - products] for c in sorted(pivots) if c >= products]
+        degs = [g.degree() for g in kept]
+        products = sum(len(rs.standard_monomials(d - e)) for e in degs)
+        rows = _map_rows(rs, [g.terms for g in kept + group], degs + [d] * len(group), d, shifts)
+        kept += [group[c - products] for c in sorted(_eliminate(rows, rs.p)) if c >= products]
     return kept
 
 
@@ -491,79 +471,87 @@ def _offsets(rs: RingSpec, shifts, t: int):
     return out, size
 
 
-def _degree_rows(rs: RingSpec, shifts, t: int, vectors) -> list[dict]:
-    """The rows of the matrix whose columns are the dicts of (summand,
-    standard monomial) terms in `vectors`, each homogeneous of degree t in
-    sum Q(-shifts) with nonzero residues, on the basis of the degree-t part
-    that `_offsets` describes: one {column: residue} dict per basis
-    position."""
+def _map_rows(rs: RingSpec, columns, degs, t: int, shifts) -> list[dict]:
+    """The rows of the matrix whose columns are x^m * w, for each dict w of
+    (summand, monomial) terms in `columns`, of degree degs[n] in
+    sum Q(-shifts), and x^m over `standard_monomials(t - degs[n])`, read
+    from `RingSpec.multiples`: one {column: residue} dict per position of
+    the degree-t basis of `_offsets`, no residue zero."""
+    p = rs.p
     at, size = _offsets(rs, shifts, t)
-    pos = [rs.standard_positions(t - e) for e in shifts]
     rows = [{} for _ in range(size)]
-    for c, terms in enumerate(vectors):
-        for (k, m), v in terms.items():
-            rows[at[k] + pos[k][m]][c] = v
+    first = 0
+    for w, e in zip(columns, degs):
+        for (k, a), v in w.items():
+            off = at[k]
+            for c, entries in enumerate(rs.multiples(a, t - e), first):
+                for pos, cf in entries:
+                    row = rows[off + pos]
+                    if x := (row.get(c, 0) + v * cf) % p:
+                        row[c] = x
+                    else:
+                        del row[c]
+        first += len(rs.standard_monomials(t - e))
     return rows
 
 
 def _variable_products(rs: RingSpec, basis, shifts, t: int, at) -> list[dict]:
     """The rows x_v * w, for w a {position: residue} row of `basis` (vectors
     of the degree-(t-1) part of sum Q(-shifts)), as rows of the degree-t
-    part, whose summand offsets are `at`: one row per (w, v), v fastest,
-    zero residues dropped.  Each position of degree t-1 is looked up in the
-    tables of `variable_action`, laid end to end over the summands."""
+    part, whose summand offsets are `at`: one row per (w, v) whose product
+    is not zero, v fastest, no residue zero, from `variable_action`."""
     n = rs.ring.nvars
     p = rs.p
-    table = [
-        [(v, at[j] + k, cf) for v, k, cf in entries]
-        for j, e in enumerate(shifts)
-        for entries in rs.variable_action(t - 1 - e)
-    ]
+    groups, offs = [], []
+    for j, e in enumerate(shifts):
+        act = rs.variable_action(t - 1 - e)
+        groups += act
+        offs += [at[j]] * len(act)
     out = []
     for w in basis:
         sums = [{} for _ in range(n)]
         for c, a in w.items():
-            for v, k, cf in table[c]:
+            off = offs[c]
+            for v, entries in groups[c]:
                 row = sums[v]
-                row[k] = row.get(k, 0) + a * cf
-        out += [{k: r for k, x in row.items() if (r := x % p)} for row in sums]
+                for k, cf in entries:
+                    k += off
+                    if x := (row.get(k, 0) + a * cf) % p:
+                        row[k] = x
+                    else:
+                        del row[k]
+        out += [row for row in sums if row]
     return out
 
 
 def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_dims=None):
     """Minimal generators of the kernel K of the map F -> G whose columns
     `cols`, of degrees `degs`, live in G = sum Q(-target_shifts[k]), over an
-    artinian Q, read off one degree t at a time; returns them with
-    {t: dim K_t}.
+    artinian Q, one degree t at a time; returns them with {t: dim K_t}.
 
-    (F)_t has the basis x^m e_j, x^m a standard monomial of degree
-    t - degs[j].  t runs from min(degs) + 1 (the columns are minimal, so K
-    is zero in degree min(degs)) to max(degs) + socle degree, past which F
-    vanishes.  K_{t-1} is carried as sparse {position: residue} rows, and in
-    each degree the span of the rows x_v * K_{t-1} (`_variable_products`) is
-    eliminated first.  When `image_dims` gives dim (im)_t, the rank of the
-    map in every degree (for a resolution, the kernel dimensions of the step
-    before), dim K_t = dim (F)_t - dim (im)_t is known, and a span of that
-    dimension is K_t itself, with nothing new.  Otherwise each x^m * column,
-    reduced from the table of `ci_gb`, becomes a column of the map
-    (F)_t -> (G)_t, built as sparse rows by `_degree_rows`, and its
-    nullspace, read off the reduced pivot rows by `arith._null_rows`, is
-    K_t.  A kernel vector is determined by its entries at the nullspace's
-    free columns, so the new generators are the basis vectors at the free
-    columns where the span of x_v * K_{t-1}, restricted to those columns,
-    has no pivot.  They come out monic and, within a degree, ordered by
-    lead, largest first.  The span is read only through its pivots and as
-    the next degree's x_v * K_{t-1}, so the pivot rows of its elimination
-    serve as the basis of K_t when the span is all of it.  Every degree
-    counts against the degree budget and every product x^m * column against
-    the pair budget; either raises ResourceBudgetError naming the budget,
-    `step` and the degree reached."""
+    (F)_t has the basis x^m e_j, j first, x^m over the standard monomials
+    of degree t - degs[j], descending.  t runs from min(degs) + 1 (the
+    columns are minimal) to max(degs) + socle degree, past which F
+    vanishes.  In each degree the span of x_v * K_{t-1}
+    (`_variable_products`, K_{t-1} as sparse rows) is eliminated first.
+    When `image_dims` gives the rank of the map in every degree (for a
+    resolution, the kernel dimensions of the step before), dim K_t is
+    known, and a span of that dimension is K_t, with nothing new.
+    Otherwise K_t is the nullspace of the matrix of (F)_t -> (G)_t
+    (`_map_rows`), read off its reduced pivot rows by `arith._null_rows`,
+    and the new generators are its basis vectors at the free columns where
+    the span, restricted to those columns, has no pivot.  A vector's
+    position-over-term lead is its first column: the generators are made
+    monic there and ordered by it, largest lead first.  The span is read
+    only through its pivots and as the next degree's x_v * K_{t-1}, so its
+    pivot rows serve as the basis of K_t when it is all of K_t.  Every
+    degree counts against the degree budget and every product x^m * column
+    against the pair budget; either raises ResourceBudgetError naming the
+    budget, `step` and the degree reached."""
     ring = rs.ring
     p = rs.p
-    gb = rs.ci_gb
     budgets = _current_budgets.get()
     rank = len(degs)
-    order = ring.order.key
     kernel_dims = {}
     gens = []
     products = 0
@@ -588,7 +576,6 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
                 kernel_dims[t] = known
                 below = span
                 continue
-        keys = [(j, m) for j, e in enumerate(degs) for m in rs.standard_monomials(t - e)]
         products += width
         if products > budgets.max_pairs:
             raise ResourceBudgetError(
@@ -597,9 +584,7 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
                 budget="max_pairs", limit=budgets.max_pairs, step=step, degree=t,
                 products=products,
             )
-        tails = _eliminate(
-            _degree_rows(rs, target_shifts, t, (gb.reduce_terms(cols[j].terms, m) for j, m in keys)), p
-        )
+        tails = _eliminate(_map_rows(rs, [c.terms for c in cols], degs, t, target_shifts), p)
         pivots = sorted(tails)
         _back_substitute(tails, pivots, p)
         basis = _null_rows(tails, pivots, width, p)
@@ -616,14 +601,11 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
         if span is not None:
             covered = _eliminate([{c: v for c, v in w.items() if c in basis} for w in span], p)
             fresh = [f for f in basis if f not in covered]
-        new = []
-        for f in fresh:
-            row = basis[f]
-            g = FreeElt(ring, rank, {keys[c]: row[c] for c in sorted(row)}, degs)
-            (c, m), lc = g.lead()
-            new.append(((-c, order(m)), g.scale(fp_inv(lc, p)) if lc != 1 else g))
-        new.sort(key=lambda lead_g: lead_g[0], reverse=True)
-        gens += [g for _lead, g in new]
+        keys = [(j, m) for j, e in enumerate(degs) for m in rs.standard_monomials(t - e)]
+        for row in sorted((basis[f] for f in fresh), key=min):
+            lead = sorted(row)
+            inv = fp_inv(row[lead[0]], p)
+            gens.append(FreeElt(ring, rank, {keys[c]: row[c] * inv % p for c in lead}, degs))
         below = list(basis.values())
     return gens, kernel_dims
 

@@ -440,7 +440,12 @@ def shifted_quotients(rs, parts, steps):
 def _action_arrays(rs, d):
     """`RingSpec.variable_action(d)` as int64 arrays (source position,
     variable, target position, coefficient) of the nonzero entries."""
-    entries = [(k, v, pos, cf) for k, row in enumerate(rs.variable_action(d)) for v, pos, cf in row]
+    entries = [
+        (k, v, pos, cf)
+        for k, row in enumerate(rs.variable_action(d))
+        for v, products in row
+        for pos, cf in products
+    ]
     return np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy()
 
 
@@ -456,7 +461,7 @@ def _times_variables(rs, basis, shifts, t, below_at, at, width):
 
 def _degree_matrix(rs, shifts, t, vectors, count):
     at, size = _offsets(rs, shifts, t)
-    pos = [rs.standard_positions(t - e) for e in shifts]
+    pos = [{m: n for n, m in enumerate(rs.standard_monomials(t - e))} for e in shifts]
     a = np.zeros((size, count), dtype=np.int64)
     for c, terms in enumerate(vectors):
         for (k, m), v in terms.items():
@@ -486,7 +491,10 @@ def kernel_generators_reference(rs, cols, degs, target_shifts, image_dims=None):
                 below = (rows, at)
                 continue
         keys = [(j, m) for j, e in enumerate(degs) for m in rs.standard_monomials(t - e)]
-        vectors = (rs.ci_gb.reduce_terms(cols[j].terms, m) for j, m in keys)
+        vectors = (
+            rs.ci_gb.reduce_terms({(k, mono_mul(a, m)): v for (k, a), v in cols[j].terms.items()})
+            for j, m in keys
+        )
         r, pivots = rref(_degree_matrix(rs, target_shifts, t, vectors, width), p)
         free = [c for c in range(width) if c not in pivots]
         assert known is None or len(free) == known

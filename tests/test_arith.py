@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from civar.arith import (
     DEGREVLEX,
+    _back_substitute,
+    _eliminate,
     FreeElt,
     PolyRing,
     Poly,
@@ -301,6 +303,67 @@ def test_rref_and_echelon_match_the_reference(case):
     for row, c in zip(rows, pivots):
         assert row[c] == 1 and not row[:c].any()
     assert len(rref_reference(np.vstack([a, rows]), p)[1]) == len(pivots)
+
+
+def _reduced(tails, cols, p):
+    """The pivot rows `_eliminate` left, back-substituted, as a dense
+    matrix, with their pivot columns."""
+    pivots = sorted(tails)
+    _back_substitute(tails, pivots, p)
+    out = np.zeros((len(pivots), cols), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        out[i, c] = 1
+        for k, v in tails[c].items():
+            out[i, k] = v
+    return out, pivots
+
+
+def test_rows_of_one_entry_skip_only_what_reduces_away():
+    p = 101
+    # at a column that is no pivot yet: the pivot row, monic, no tail
+    assert _eliminate([{3: 5}], p) == {3: {}}
+    # at a pivot with an empty tail: nothing is left
+    assert _eliminate([{3: 5}, {3: 7}], p) == {3: {}}
+    # at a pivot with a tail: -7 * 2 at column 4 is left, a new pivot
+    assert _eliminate([{1: 1, 4: 2}, {1: 7}], p) == {1: {4: 2}, 4: {}}
+    # the tail of column 1 stays when a later row reduces to it
+    assert _eliminate([{1: 1, 4: 2}, {4: 9}, {1: 7}], p) == {1: {4: 2}, 4: {}}
+    # fed one call at a time onto the same tails, as `_min_poly` feeds them
+    tails = {}
+    for row, after in (
+        ({2: 4, 5: 1}, {2: {5: 76}}),
+        ({2: 3}, {2: {5: 76}, 5: {}}),
+        ({5: 8}, {2: {5: 76}, 5: {}}),
+        ({0: 9}, {2: {5: 76}, 5: {}, 0: {}}),
+    ):
+        _eliminate([row], p, tails)
+        assert tails == after
+
+
+def test_rows_of_one_entry_match_the_reference():
+    """Mostly one-entry rows, eliminated at once and one call at a time onto
+    one `tails`, back-substitute to the reference reduced form."""
+    rng = seeded("rows of one entry")
+    for p in (3, 101, 32003):
+        for _ in range(40):
+            cols = rng.randrange(1, 9)
+            rows = []
+            for _ in range(rng.randrange(1, 12)):
+                size = min(rng.choice((1, 1, 1, 2, 3)), cols)
+                rows.append({c: rng.randrange(1, p) for c in rng.sample(range(cols), size)})
+            a = np.zeros((len(rows), cols), dtype=np.int64)
+            for i, row in enumerate(rows):
+                for c, v in row.items():
+                    a[i, c] = v
+            want, pivots = rref_reference(a, p)
+            tails = {}
+            for row in rows:
+                _eliminate([dict(row)], p, tails)
+            for got in (_eliminate([dict(row) for row in rows], p), tails):
+                assert all(k > c and 0 < v < p for c, tail in got.items() for k, v in tail.items())
+                rows_got, pivots_got = _reduced(got, cols, p)
+                assert pivots_got == pivots
+                assert np.array_equal(rows_got, want[: len(pivots)])
 
 
 def test_nullspace_kills_and_counts():

@@ -1,5 +1,6 @@
 """End-to-end command line coverage: file parsing, report shapes, exit codes."""
 
+import hashlib
 import json
 import re
 
@@ -9,7 +10,7 @@ from civar import cli
 from civar.arith import Poly, PolyRing
 from civar.cohomology import VarietyIdeal
 from civar.errors import InternalError
-from civar.resolve import RingSpec, present_module
+from civar.resolve import RingSpec, present_module, residue_field
 
 
 RING1 = json.dumps({"p": 101, "vars": ["x", "y"], "ci": ["x^2", "y^2"]})
@@ -571,3 +572,111 @@ def test_parse_module_text_row_count_mismatch():
     with pytest.raises(cli.InputError):
         cli.parse_module_text(rs, "gens: [0]\nrelations: [[\"x\"], [\"y\"]]\n")
 
+
+
+# ---------------------------------------------------------------------------
+# report bytes
+
+# sha256 of the structured `resolve --steps 8`, `operators --steps 6` and
+# `variety` reports of each corpus module and of k over
+# R5 = F_101[x,y,z]/(x^2+yz, y^2+xz, z^2), a ring whose relations are not
+# monomials.  Changes to how the engine computes must leave every byte.
+PINNED_REPORTS = {
+    'R1 A/(x)': (
+        "c6022e9363761087ef6a10ed8c0246a9ba9f6f16882e07db53a81537c980633d",
+        "46345d2a6ee5269b4bd5a36ffd94a00a4361fd4e55d367bc700240706a848cdd",
+        "7afa47cd69e654249687bc5fe7f8981ff57586b87fa56ed3292dfb938ba52955",
+    ),
+    'R1 A/(x+y)': (
+        "cd0f54fbf4652ef6d04b9119f27aa9ed43c6a6897f4efde88e848e3b2e62e05f",
+        "ceb00e39cc6fc5d61cd61f3a6b116801447e32fa5e6fc7bb8caff1646751d313",
+        "0bc425066dc5580a29f05f4aa1d3a5b7ef5ae507cb4015927e4da2cd678312ea",
+    ),
+    'R1 A/(y)': (
+        "01d697a206d3a6d7ccc39d0d670ed256836f5c40225c87f23fa3f14caf590417",
+        "35ca57c542536eee50eb66e5bbbe1b4c1a473ec45ac6b275397b94afa03a60df",
+        "512d5a9e94f840058e8b97c8fee4ca16c0470f962c48543ffd0feea5ae73ba77",
+    ),
+    'R1 free': (
+        "bdd785866c8d0246eb5fc53e66140cf9a2f1263746e6ff11bdabd2cc02b57087",
+        "6a9f1837e06b5162aaddfb9feb505005515dcaa27df4a286a41205f9889685c9",
+        "f81de0813c050ffacf7788c65a4a74e3cc1c046ae256c0550bda6ea80a9cd08b",
+    ),
+    'R1 k': (
+        "0f3b6bc259564a1f76c86f086ccc98656c21a6e5eacfeebb15a3038ca3c653a7",
+        "5e2beba183791349fb66a863e0dfca754c9e6f46b273dd45d47521fed27eefb9",
+        "c58e0237381d83c7db1f2254a2d06f6fb89eddac5a1da0217015b2fef0c671e0",
+    ),
+    'R1 syz1(k)': (
+        "a22e03790ab41a78501505163960f5982ee5532784bc19d877607ef35becc59b",
+        "079589282002c1c187055d365388a98b700b9f9b9386ca6732b061731bd92a89",
+        "faff1c0155a407371e97abf8fde91cf423386ee3cd6daa0cf3a10e246e384bde",
+    ),
+    'R2 free': (
+        "b9892ca98d5e19596df5242315b5a28c89fd3a4b274770cd6a735ddfdf4f2aad",
+        "336d44fb9127c9c8df17338b136673f97ba7079bbbad5ac53ef84118888ced6a",
+        "b10a1eaafc03ae827fcace4bf5e0782f4d891f2a62c9e948805536959e37690c",
+    ),
+    'R2 k': (
+        "1713c3120692dbbcb0c103076b59a4178b926a51f635734ecdc482e450267e97",
+        "7708f0a67719907692578e419842895ab02afa8ac0664906a10d31f9cddb3156",
+        "aaff60875bbf8599066b1c2f93664258d66443d2b3663e84ba508eb273ca66f5",
+    ),
+    'R3 A/(x)': (
+        "1c1cd006a1a19fb8d2ebf19e4b46e64540a07b57e1c55102013e5cb80efcb91d",
+        "ef63bf55329cc6df10c0e3772eea3b0a190400629976b70f7965eab7b251a487",
+        "8ac975d2150dc2d56490c762e09928b78b3d426db281b0f0c00f2b90235952f1",
+    ),
+    'R3 A/(x+y)': (
+        "520bc729665eda7f0bcda21a86208da7f10c15a141e4686c2505bdb3d92ee475",
+        "ee94e4295a75acf29279b40c7fe72f8a273610a879f9f76ff7910d070d4144d4",
+        "c8929d8a7c1bb80ff4d72db5dbda4a533fa98d89aa4a7443189ead489ed1fc95",
+    ),
+    'R3 k': (
+        "9029d80caf05dc1e329e2f1c47be2758efbe3bf96c141fb3e3fbb4d0b4e7587f",
+        "1b537c9583176397ac151c449931b2139c375e01b79a1c2d4452518dd62dbddc",
+        "f56c464544acfe29bf041d3b0bb8aaf71df5be7c47963cdf9b99202bdadf0654",
+    ),
+    'R4 A/(y)': (
+        "bcca3dfb76c9f51aebd3349067d95971194b604b01ae74623cfd76773cdecdef",
+        "106e6bd7d68bea6cbe34078de0f5ac3a9b0ccac821f4f1364acbb81cf14b3381",
+        "a379e686eb0ca231cfd1cf5c083b59efeb4d1c39b9c4ee271717070dd50f8a57",
+    ),
+    'R4 k': (
+        "bc96a796e3d902dfb5e34f34d757775bbd27e32de25748912f1168ee8d0d6c7e",
+        "8d4315568f646fe6d46c9289c2e7c3adde2bdbb25f63a3e7b22614024bdea4b7",
+        "54c94bdcb04ce75791c0fedf83aeb87dc09d1f025279b0aaea2c5e7a6e2bf800",
+    ),
+    'R5 k': (
+        "84fe2150bd283ed21c061b23455480b4f1be4d734155d895c727036724f55b78",
+        "2b31aef6df191499bcfd055cf9ac8f508f59902e852d3eada14aad6fa84519e9",
+        "186291c693d4e9cad84d7e5ccaccf0a270e751dd96b8c651fc212b766413235b",
+    ),
+}
+
+REPORT_ARGS = (["resolve", "--steps", "8"], ["operators", "--steps", "6"], ["variety"])
+
+
+def pinned_modules(corpus):
+    r5 = RingSpec(101, ["x", "y", "z"], ["x^2 + y*z", "y^2 + x*z", "z^2"])
+    return dict(corpus + [("R5 k", residue_field(r5))])
+
+
+def report_digests(pres, tmp_path, capsys):
+    rs = pres.rs
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"p": rs.p, "vars": list(rs.ring.vars), "ci": [str(f) for f in rs.ci]}))
+    module = tmp_path / "module.txt"
+    module.write_text(cli.format_module_file(pres))
+    digests = []
+    for cmd, *flags in REPORT_ARGS:
+        code, out, _ = run(capsys, [cmd, str(ring), str(module), *flags, "--format", "structured"])
+        assert code == 0, cmd
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    return tuple(digests)
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_REPORTS))
+def test_reports_keep_their_bytes(corpus, tmp_path, capsys, label):
+    pres = pinned_modules(corpus)[label]
+    assert report_digests(pres, tmp_path, capsys) == PINNED_REPORTS[label]

@@ -390,6 +390,25 @@ def test_each_kernel_degree_is_solved_once_per_variety(r3, monkeypatch):
     assert solved == [(10, d, (0, 1)) for d in (1, 2, 3, 4)] + [(12, 5, (0, 1))]
 
 
+def test_each_action_of_e_is_built_once_per_variety(r3, monkeypatch):
+    """chi_j: E^lo -> E^{lo+2} does not depend on the window, so the windows
+    8, 10 and 12 read every action that a narrower one built and build only
+    the ones they add."""
+    import civar.cohomology as cohomology
+
+    built = []
+    real = cohomology.operator_columns
+
+    def counted(res, j, lo):
+        built.append((j, lo))
+        return real(res, j, lo)
+
+    monkeypatch.setattr(cohomology, "operator_columns", counted)
+    v = support_variety(present_module(r3, (0,), [["x+y"]]))
+    assert v.meta["steps_used"] == 12
+    assert sorted(built) == [(j, lo) for j in range(3) for lo in range(11)]
+
+
 def test_variety_of_q_mod_xy_is_the_plane(r1):
     # E has a generator in degree 3: a degree-N/2 candidate tested on E^0
     # alone passes for every monomial, and no window would be accepted

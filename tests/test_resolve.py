@@ -209,7 +209,8 @@ def test_products_by_the_variables_do_not_overflow():
     # products x_v * m of degree 2 reduce onto the one socle monomial, with
     # coefficients near p; on rows of all-(p-1) entries each product is
     # near 2^62, so the sums must come out reduced mod p, zeros dropped,
-    # as the plain Python-integer sums of every product
+    # as the plain Python-integer sums of every product, rows that sum to
+    # zero left out
     p = 2147483647
     rs = RingSpec(p, ["x", "y", "z"], ["x^2 + 2*y*z + 3*z^2", "y^2 + 5*x*z + 7*x*y", "z^2 + x*y"])
     n = rs.ring.nvars
@@ -219,13 +220,72 @@ def test_products_by_the_variables_do_not_overflow():
         basis = [{c: p - 1 for c in range(below_width)} for _ in range(2)]
         got = _variable_products(rs, basis, (0,), t, at)
         want = [{} for _ in range(2 * n)]
-        for src, entries in enumerate(rs.variable_action(t - 1)):
-            for var, pos, cf in entries:
-                for w in range(2):
-                    row = want[w * n + var]
-                    row[pos] = row.get(pos, 0) + basis[w][src] * cf
-        assert got == [{k: x % p for k, x in row.items() if x % p} for row in want], t
+        for src, groups in enumerate(rs.variable_action(t - 1)):
+            for var, products in groups:
+                for pos, cf in products:
+                    for w in range(2):
+                        row = want[w * n + var]
+                        row[pos] = row.get(pos, 0) + basis[w][src] * cf
+        want = [{k: x % p for k, x in row.items() if x % p} for row in want]
+        assert got == [row for row in want if row], t
         assert all(0 < x < p for row in got for x in row.values()), t
+
+
+# R5's products x_v * m of standard monomials are single terms; in TRI's,
+# x * x = -yz - z^2 has two, so only over TRI does a product row per term,
+# not per variable, differ from the right one
+R5 = RingSpec(101, ["x", "y", "z"], ["x^2 + y*z", "y^2 + x*z", "z^2"])
+TRI = RingSpec(101, ["x", "y", "z"], ["x^2 + y*z + z^2", "y^2 + x*z", "z^2 + x*y"])
+
+
+def products_reference(rs, basis, shifts, t, at):
+    """The nonzero rows x_v * w, (w, v) in order, as plain Python-integer
+    sums over `variable_action`, reduced mod p at the end."""
+    below_at, _width = _offsets(rs, shifts, t - 1)
+    out = []
+    for w in basis:
+        sums = [{} for _ in range(rs.ring.nvars)]
+        for j, e in enumerate(shifts):
+            for src, groups in enumerate(rs.variable_action(t - 1 - e)):
+                a = w.get(below_at[j] + src, 0)
+                for v, products in groups:
+                    for pos, cf in products:
+                        k = at[j] + pos
+                        sums[v][k] = sums[v].get(k, 0) + a * cf
+        out += [row for x in sums if (row := {k: y % rs.p for k, y in x.items() if y % rs.p})]
+    return out
+
+
+@pytest.mark.parametrize("rs", [R5, TRI], ids=["R5", "TRI"])
+def test_products_by_the_variables_match_the_reference(rs):
+    """Rows of one entry at every position, rows of several, and, where two
+    positions have one-term products by the same variable onto one
+    position, a row whose product by that variable cancels."""
+    rng = seeded("products by the variables")
+    p = rs.p
+    shifts = (0, 1)
+    cancelling = 0
+    for t in range(1, rs.socle_degree + 2):
+        below_at, below_width = _offsets(rs, shifts, t - 1)
+        at, _width = _offsets(rs, shifts, t)
+        basis = [{c: rng.randrange(1, p)} for c in range(below_width)]
+        basis += [
+            {c: rng.randrange(1, p) for c in rng.sample(range(below_width), min(size, below_width))}
+            for size in (2, 3, below_width)
+        ]
+        onto = {}
+        for src, groups in enumerate(rs.variable_action(t - 1)):
+            for v, products in groups:
+                if len(products) == 1:
+                    onto.setdefault((v, products[0][0]), []).append((src, products[0][1]))
+        for (v, _pos), srcs in sorted(onto.items()):
+            if len(srcs) > 1:
+                (c1, f1), (c2, f2) = srcs[:2]
+                basis.append({c1: f2, c2: p - f1})
+                cancelling += 1
+        got = _variable_products(rs, basis, shifts, t, at)
+        assert got == products_reference(rs, basis, shifts, t, at), t
+    assert cancelling > 0 or rs is R5  # R5 has no such pair
 
 
 def test_resolution_is_minimal(r1, r3):
