@@ -7,35 +7,30 @@ dictionary mapping (slot, monomial) to a nonzero residue, a monomial being
 an exponent tuple; a `Poly` is the rank-1 element with shift 0, every slot
 0.  Equality of elements is equality of dictionaries and there is no
 coefficient swell to manage.  Every product, and every division step
-downstream, runs on one kernel, `_sub_shifted`.  Matrices are numpy int64
-arrays whose results come out reduced modulo p.  Int64 arithmetic is left
-only in `matmul`, whose partial sums are chunked below 2^62, and in the
-dense matrices of the vector models; with p < 2^31 a single product never
-overflows.  Nothing in this module (or anywhere downstream) touches
-floating point.
+downstream, runs on one kernel, `_sub_shifted`.  A matrix is a list of
+sparse rows, {column: residue} dicts of Python integers with no zero
+residue (a map may be kept as its sparse columns instead, which compose by
+the same product), so no arithmetic here can overflow.  Nothing in this
+module (or anywhere downstream) touches floating point.
 
 Row reduction is one sparse kernel, `_eliminate`, forward elimination on
-rows stored as {column: residue} dicts with Python integers, followed by
-`_back_substitute` where the reduced form is wanted.  It has three entry
-points: `rref`, the reduced echelon form; `echelon`, monic pivot rows that
-span the row space without being cleared above their pivots, for the
-callers that read only pivots or a basis of the span; and `nullspace`, read
-off the back-substituted pivot rows (`_null_rows`).  The degreewise
-resolution builds its rows sparse and calls the kernel directly, with no
-matrix in between.  Every span question downstream is
-asked of the pivot columns.  A column is a pivot exactly when it lies
-outside the span of the columns to its left, so the greedy choice "keep
-each vector that is independent of those before it" is the pivot set of one
-elimination, and the reduced form expresses each non-pivot column in the
-pivots before it.
+sparse rows, followed by `_back_substitute` where the reduced form is
+wanted.  `rref` returns the reduced pivot rows and `nullspace` the basis
+read off them; the callers that read only pivots, or a basis of the span,
+call `_eliminate` alone, and the degreewise resolution builds its rows
+sparse and calls the kernel directly.  `matmul` is the one product.  Every
+span question downstream is asked of the pivot columns.  A column is a
+pivot exactly when it lies outside the span of the columns to its left, so
+the greedy choice "keep each vector that is independent of those before
+it" is the pivot set of one elimination, and the reduced form expresses
+each non-pivot column in the pivots before it.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from numbers import Integral
 from operator import add, neg
-
-import numpy as np
 
 from .errors import InputError
 
@@ -55,9 +50,10 @@ def is_odd_prime(p: int) -> bool:
 
 
 def is_integer(v) -> bool:
-    """True for Python and numpy integers; False for bool and for anything
-    inexact, which would otherwise be truncated or stored as given."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    """True for every integral type (`numbers.Integral`); False for bool
+    and for anything inexact, which would otherwise be truncated or stored
+    as given."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def fp_inv(a: int, p: int) -> int:
@@ -195,9 +191,8 @@ class PolyRing:
 
     def __init__(self, p: int, variables, order: Order = DEGREVLEX):
         if isinstance(p, int) and p >= 1 << 31:
-            # `matmul`'s int64 chunks, and the int64 products in the dense
-            # matrices of the vector models, overflow past this bound, and
-            # trial division would take too long anyway
+            # `is_odd_prime` tests by trial division, which past this bound
+            # takes too long
             raise InputError(f"p = {p} is too large: the prime must be below 2^31")
         if not is_odd_prime(p):
             raise InputError(f"p = {p} is not an odd prime")
@@ -449,9 +444,6 @@ class Poly(FreeElt):
         """The common degree of all terms, None if inhomogeneous or zero."""
         return self.degree() if self.terms else None
 
-    def constant_term(self) -> int:
-        return self.terms.get((0, self.ring._one_mono), 0)
-
     def __pow__(self, e: int):
         if e < 0:
             raise InputError("negative power of a polynomial")
@@ -603,52 +595,35 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra mod p: numpy int64 matrices, sparse rows, exact
+# linear algebra mod p: sparse rows of Python integers, exact
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p without int64 overflow: the inner dimension is chunked so
-    every partial sum stays below 2^62."""
-    a = np.mod(a, p)
-    b = np.mod(b, p)
-    inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = max(1, (1 << 62) // max(1, (p - 1) * (p - 1)))
-    if inner <= step:
-        return np.mod(a @ b, p)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(0, inner, step):
-        out = np.mod(out + a[:, k : k + step] @ b[k : k + step, :], p)
+def matmul(a: list, b: list, p: int) -> list[dict]:
+    """The rows of a * b mod p, a and b given by their rows: row i is the
+    sum of v times row k of b over the entries (k, v) of row i of a, with
+    no residue zero.  A map kept as sparse columns composes the same way:
+    `matmul(f, g, p)` holds the columns of g after f."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, v in row.items():
+            for c, w in b[k].items():
+                if x := (acc.get(c, 0) + v * w) % p:
+                    acc[c] = x
+                else:
+                    del acc[c]
+        out.append(acc)
     return out
 
 
-# Matrices of at most this many entries go to and from sparse rows through
-# Python lists: there numpy's fixed cost per call exceeds a pass over every
-# entry, and most eliminations downstream are that small.
-_SMALL = 128
-
-
-def _sparse_rows(a: np.ndarray, p: int) -> list[dict]:
-    """The rows of `a` as {column: residue} dicts, zero residues dropped."""
-    if a.size <= _SMALL:
-        rows = []
-        for row in a.tolist():
-            d = {}
-            for j, x in enumerate(row):
-                if x % p:
-                    d[j] = x % p
-            rows.append(d)
-        return rows
-    cols = a.shape[1]
-    rows = [{} for _ in range(a.shape[0])]
-    flat = a.ravel()
-    at = flat.nonzero()[0]
-    for k, v in zip(at.tolist(), flat[at].tolist()):
-        v %= p
-        if v:
-            rows[k // cols][k % cols] = v
-    return rows
+def _transpose(columns, rows: int) -> list[dict]:
+    """The sparse rows, `rows` of them, of the matrix with these sparse
+    columns."""
+    out = [{} for _ in range(rows)]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            out[r][c] = v
+    return out
 
 
 def _eliminate(rows: list, p: int, tails: dict = None) -> dict:
@@ -721,90 +696,31 @@ def _back_substitute(tails: dict, pivots, p: int) -> None:
                     del row[k]
 
 
-def _matrix(tails: dict, pivots, rows: int, cols: int) -> np.ndarray:
-    """A rows x cols int64 matrix whose first rows are the pivot rows, in
-    the order of `pivots`, and whose other rows are zero."""
-    if rows * cols <= _SMALL:
-        out = np.zeros((rows, cols), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            row = [0] * cols
-            row[c] = 1
-            for k, v in tails[c].items():
-                row[k] = v
-            out[i] = row
-        return out
-    out = np.zeros(rows * cols, dtype=np.int64)
-    at, vals = [], []
-    for i, c in enumerate(pivots):
-        base = i * cols
-        tail = tails[c]
-        at.append(base + c)
-        vals.append(1)
-        at += [base + k for k in tail]
-        vals += tail.values()
-    out.put(at, vals)
-    return out.reshape(rows, cols)
-
-
-def _reduce(a: np.ndarray, p: int, upward: bool):
-    """The one elimination behind `rref`, `echelon` and `nullspace`:
-    (tails, pivots) of `_eliminate` on the sparse rows of the int64 matrix
-    `a`, the pivot columns ascending, and the pivot rows back-substituted
-    when `upward`."""
-    tails = _eliminate(_sparse_rows(a, p), p)
+def rref(rows: list, p: int):
+    """Reduced row echelon form mod p of the matrix with these sparse rows,
+    as (pivot rows, pivot columns), the pivot columns left to right and one
+    row per pivot, 1 at its own pivot and 0 at every other:
+    `_eliminate`, then `_back_substitute`.  The rows are consumed."""
+    tails = _eliminate(rows, p)
     pivots = sorted(tails)
-    if upward:
-        _back_substitute(tails, pivots, p)
-    return tails, pivots
+    _back_substitute(tails, pivots, p)
+    return [{c: 1, **tails[c]} for c in pivots], pivots
 
 
-def rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p, as (matrix, pivot column list), the
-    pivot columns left to right: `_eliminate`, then `_back_substitute`."""
-    a = np.asarray(a, dtype=np.int64)
-    tails, pivots = _reduce(a, p, upward=True)
-    return _matrix(tails, pivots, *a.shape), pivots
-
-
-def echelon(a: np.ndarray, p: int):
-    """(rows, pivot columns): the pivot columns of `rref(a, p)` and one row
-    per pivot, monic at its pivot and zero left of it, together spanning the
-    row space of `a`.  The rows are not cleared above their pivots, which
-    is all the work a caller that reads only the pivots, or a basis of the
-    span, needs: `_eliminate` without `_back_substitute`."""
-    a = np.asarray(a, dtype=np.int64)
-    tails, pivots = _reduce(a, p, upward=False)
-    return _matrix(tails, pivots, len(pivots), a.shape[1]), pivots
-
-
-def _null_rows(tails: dict, pivots, cols: int, p: int) -> dict:
-    """The nullspace basis read off a back-substituted elimination on
-    `cols` columns, as {free column: sparse row}, in free-column order: the
-    row of free column f is 1 at f and minus the entry of each reduced pivot
-    row at f at that row's pivot.  Every residue is nonzero."""
-    rows = {f: {f: 1} for f in range(cols) if f not in tails}
+def nullspace(rows: list, cols: int, p: int) -> dict:
+    """Echelonized basis of {v : a v = 0}, a the matrix on `cols` columns
+    with these sparse rows, as {free column: sparse row}, one per free
+    column of `rref`, in free-column order: the row of free column f is 1
+    at f and minus the entry of each reduced pivot row at f at that row's
+    pivot.  Every residue is nonzero.  The rows are consumed."""
+    tails = _eliminate(rows, p)
+    pivots = sorted(tails)
+    _back_substitute(tails, pivots, p)
+    out = {f: {f: 1} for f in range(cols) if f not in tails}
     for c in pivots:
         for k, v in tails[c].items():
-            rows[k][c] = p - v
-    return rows
-
-
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Echelonized basis of {v : a v = 0} as an int64 array, one row per
-    free column of `rref(a, p)`, in free-column order: the rows of
-    `_null_rows`, zero elsewhere.  The shape is (cols - rank, cols)."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2:
-        raise InputError("nullspace wants a matrix")
-    cols = a.shape[1]
-    rows = _null_rows(*_reduce(a, p, upward=True), cols, p)
-    at, vals = [], []
-    for n, row in enumerate(rows.values()):
-        at += [n * cols + k for k in row]
-        vals += row.values()
-    out = np.zeros(len(rows) * cols, dtype=np.int64)
-    out.put(at, vals)
-    return out.reshape(len(rows), cols)
+            out[k][c] = p - v
+    return out
 
 
 # ---------------------------------------------------------------------------

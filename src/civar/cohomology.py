@@ -52,7 +52,7 @@ same reduction.
 
 from __future__ import annotations
 
-from .arith import FreeElt, _back_substitute, _eliminate, _null_rows, _sub_shifted, mono_mul
+from .arith import FreeElt, _eliminate, _sub_shifted, matmul, mono_mul, nullspace
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
     _leads_dimension,
@@ -167,18 +167,7 @@ class ExtKModule:
         else:
             j = next(v for v, e in enumerate(mono) if e)
             rest = tuple(e - 1 if v == j else e for v, e in enumerate(mono))
-            after = self.monomial_window(rest, i + 2)
-            p = self.rs.p
-            out = []
-            for col in self.act[j][i]:
-                acc = {}
-                for r, v in col.items():
-                    for k, w in after[r].items():
-                        if x := (acc.get(k, 0) + v * w) % p:
-                            acc[k] = x
-                        else:
-                            del acc[k]
-                out.append(acc)
+            out = matmul(self.act[j][i], self.monomial_window(rest, i + 2), self.rs.p)
         self._composites[(mono, i)] = out
         return out
 
@@ -386,22 +375,9 @@ def _solve_degree(ext: ExtKModule, d: int, cuts, below: list) -> tuple:
                             e[n] = x
                         else:
                             del e[n]
-        tails = _eliminate([e for e in entries.values() if e], p)
-        if not tails:
-            continue
-        pivots = sorted(tails)
-        _back_substitute(tails, pivots, p)
-        combined = []
-        for row in _null_rows(tails, pivots, len(kern), p).values():
-            acc = {}
-            for n, a in row.items():
-                for k, v in kern[n].items():
-                    if x := (acc.get(k, 0) + a * v) % p:
-                        acc[k] = x
-                    else:
-                        del acc[k]
-            combined.append(acc)
-        kern = combined
+        rows = [e for e in entries.values() if e]
+        if rows:
+            kern = matmul(list(nullspace(rows, len(kern), p).values()), kern, p)
     basis = [{c: 1, **spanned[c]} for c in sorted(spanned)] + kern
     new = [h_ring.poly({monos[k]: vec[k] for k in sorted(vec)}) for vec in kern]
     return basis, new

@@ -20,11 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .arith import (
     FreeElt,
     _eliminate,
+    _transpose,
+    add_terms,
     factor_univariate,
     matmul,
     nullspace,
@@ -215,57 +215,59 @@ class DecompositionResult:
     """Summands in a deterministic order.  possibly_decomposable[i] is True
     when the attempt budget ran out before either finding an idempotent or
     certifying the endomorphism algebra local; such summands may split
-    further."""
+    further.  models[i] is summand i's vector model as (degrees, actions):
+    a tuple of basis degrees and, per ring variable, the action as sparse
+    columns, as in `VectorModel`."""
 
     summands: list
     possibly_decomposable: list
     models: list = field(default_factory=list)
 
 
+# A matrix here is an endomorphism of the vector model, kept as sparse
+# columns like its actions, so `matmul(a, b, p)` is b after a.
+
+
+def _identity(dim: int) -> list[dict]:
+    return [{c: 1} for c in range(dim)]
+
+
 def _graded_endo_basis(degs, actions, p):
-    """Basis of degree-0 endomorphisms: block matrices (one block per
-    degree) commuting with every variable action.  Returned as full-size
-    matrices."""
-    dim = len(degs)
-    uniq = sorted(set(int(x) for x in degs))
-    idx = {d: np.flatnonzero(degs == d) for d in uniq}
-    offs = {}
-    total = 0
-    for d in uniq:
-        s = len(idx[d])
-        offs[d] = total
-        total += s * s
-    # X Z_d - Z_{d+1} X = 0 for each action X: Z_d -> Z_{d+1} block, on the
-    # row-major entries of the Z blocks: vec(X Z) = (X kron I) vec(Z) and
-    # vec(Z X) = (I kron X^T) vec(Z)
-    blocks = []
-    for mat in actions:
-        for d in uniq:
-            src, dst = idx[d], idx.get(d + 1, ())
-            s, t = len(src), len(dst)
-            if s == 0 or t == 0:
-                continue
-            x_loc = mat[np.ix_(dst, src)]
-            eqs = np.zeros((t * s, total), dtype=np.int64)
-            eqs[:, offs[d] : offs[d] + s * s] = np.kron(x_loc, np.eye(s, dtype=np.int64))
-            eqs[:, offs[d + 1] : offs[d + 1] + t * t] = -np.kron(np.eye(t, dtype=np.int64), x_loc.T) % p
-            blocks.append(eqs[eqs.any(axis=1)])
-    if blocks:
-        kernel = nullspace(np.concatenate(blocks, axis=0), p)
-    else:
-        kernel = np.eye(total, dtype=np.int64)
+    """Basis of degree-0 endomorphisms: block matrices Z (one block per
+    degree) commuting with every variable action X.  The unknowns are the
+    entries of the blocks, by ascending degree, each block row by row, and
+    there is one equation per action and entry of X Z - Z X, built straight
+    from the nonzero entries of X: X[i, a] is the coefficient of Z[a, j] at
+    entry (i, j), for every j of the degree of a, and minus that of Z[k, i]
+    at entry (k, a), for every k of the degree of i."""
+    blocks = {}
+    for c, d in enumerate(degs):
+        blocks.setdefault(d, []).append(c)
+    cells, at = [], {}
+    for d in sorted(blocks):
+        for r in blocks[d]:
+            for c in blocks[d]:
+                at[r, c] = len(cells)
+                cells.append((r, c))
+    eqs = {}
+    for x, cols in enumerate(actions):
+        for a, col in enumerate(cols):
+            for i, v in col.items():
+                for j in blocks[degs[a]]:
+                    eqs.setdefault((x, i, j), {})[at[a, j]] = v
+                for k in blocks[degs[i]]:
+                    eqs.setdefault((x, k, a), {})[at[k, i]] = p - v
     basis = []
-    for vec in kernel:
-        z = np.zeros((dim, dim), dtype=np.int64)
-        for d in uniq:
-            s = len(idx[d])
-            block = vec[offs[d] : offs[d] + s * s].reshape(s, s)
-            z[np.ix_(idx[d], idx[d])] = block
+    for vec in nullspace(list(eqs.values()), len(cells), p).values():
+        z = [{} for _ in degs]
+        for n, v in vec.items():
+            r, c = cells[n]
+            z[c][r] = v
         basis.append(z)
     return basis
 
 
-def _min_poly(a: np.ndarray, p: int):
+def _min_poly(a, p: int):
     """Minimal polynomial of a over F_p, ascending coefficients, monic.  The
     flattened powers I, a, a^2, .. are reduced one at a time against the
     pivot rows of the powers before them (`_eliminate` with its `tails`
@@ -275,59 +277,55 @@ def _min_poly(a: np.ndarray, p: int):
     powers.  The first a^k whose entries reduce away leaves a row of tags
     only, 1 at its own: the relation a^k + c_{k-1} a^{k-1} + ... + c_0 = 0
     of least degree, which is unique."""
-    n = a.shape[0]
+    n = len(a)
     size = n * n
     tails = {}
-    power = np.eye(n, dtype=np.int64)
+    power = _identity(n)
     k = 0
     while True:
-        row = {e: v for e, v in enumerate(power.reshape(-1).tolist()) if v}
+        row = {c * n + r: v for c, col in enumerate(power) for r, v in col.items()}
         row[size + n - k] = 1
         _eliminate([row], p, tails)
         rel = tails.get(size + n - k)
         if rel is not None:
             return [rel.get(size + n - i, 0) for i in range(k)] + [1]
-        power = matmul(a, power, p)
+        power = matmul(power, a, p)
         k += 1
 
 
-def _eval_matrix(coeffs, a: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros_like(a)
-    eye = np.eye(a.shape[0], dtype=np.int64)
+def _eval_matrix(coeffs, a, p: int):
+    """The polynomial with ascending `coeffs` at a, by Horner's rule."""
+    out = [{} for _ in a]
     for c in reversed(coeffs):
-        out = (matmul(out, a, p) + c * eye) % p
+        out = [add_terms(col, {i: 1}, c, p) for i, col in enumerate(matmul(out, a, p))]
     return out
 
 
 def _column_space_by_degree(mat, degs, p):
-    """Basis of the image of a degree-0 map, columns grouped by ascending
-    degree; deterministic via reduced echelon form per degree block."""
-    cols = []
-    for d in sorted(set(int(x) for x in degs)):
-        idx = np.flatnonzero(degs == d)
-        if idx.size == 0:
-            continue
-        block = mat[:, idx]
-        r, piv = rref(block.T % p, p)
-        for row_i in range(len(piv)):
-            cols.append(r[row_i])
-    if not cols:
-        return np.zeros((mat.shape[0], 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
+    """Basis of the image of a degree-0 map, as vectors grouped by
+    ascending degree; deterministic via reduced echelon form per degree
+    block."""
+    out = []
+    for d in sorted(set(degs)):
+        out += rref([dict(col) for col, e in zip(mat, degs) if e == d], p)[0]
+    return out
 
 
 def _restrict(actions, basis, p):
-    """Action matrices in the coordinates of the given column basis;
-    requires the subspace to be closed under every action."""
-    s = basis.shape[1]
+    """Actions in the coordinates of the given basis vectors, as sparse
+    columns; requires the subspace to be closed under every action."""
+    s = len(basis)
     out = []
-    for mat in actions:
-        y = matmul(mat, basis, p)
-        aug = np.concatenate([basis, y], axis=1)
-        r, piv = rref(aug, p)
+    for cols in actions:
+        rows, piv = rref(_transpose(basis + matmul(basis, cols, p), len(cols)), p)
         if any(pc >= s for pc in piv):
             raise InternalError("projector image is not action-stable")
-        out.append(r[:s, s:] % p)
+        restricted = [{} for _ in range(s)]
+        for i, row in enumerate(rows):
+            for k, v in row.items():
+                if k >= s:
+                    restricted[k - s][i] = v
+        out.append(restricted)
     return out
 
 
@@ -342,10 +340,12 @@ def _split_once(degs, actions, p, rng, attempts):
     basis = _graded_endo_basis(degs, actions, p)
     if len(basis) == 1:
         return "local", None, None
+    one = _identity(dim)
     for _ in range(attempts):
-        a = np.zeros((dim, dim), dtype=np.int64)
+        a = [{} for _ in range(dim)]
         for z in basis:
-            a = (a + rng.randrange(p) * z) % p
+            r = rng.randrange(p)
+            a = [add_terms(acc, col, r, p) for acc, col in zip(a, z)]
         mu = _min_poly(a, p)
         factors = factor_univariate(mu, p, rng)
         if len(factors) < 2:
@@ -356,21 +356,19 @@ def _split_once(degs, actions, p, rng, attempts):
             g1 = poly1_mul(g1, q1, p)
         g2 = poly1_divmod(mu, g1, p)[0]
         _, u, _v = poly1_xgcd(g1, g2, p)
-        eps = matmul(_eval_matrix(u, a, p), _eval_matrix(g1, a, p), p)
-        if not eps.any() or not (eps - np.eye(dim, dtype=np.int64)).any():
+        eps = matmul(_eval_matrix(g1, a, p), _eval_matrix(u, a, p), p)
+        if not any(eps) or eps == one:
             continue
-        if ((matmul(eps, eps, p) - eps) % p).any():
+        if matmul(eps, eps, p) != eps:
             raise InternalError("projector construction failed idempotency")
-        other = (np.eye(dim, dtype=np.int64) - eps) % p
+        other = [add_terms({c: 1}, col, -1, p) for c, col in enumerate(eps)]
         b1 = _column_space_by_degree(eps, degs, p)
         b2 = _column_space_by_degree(other, degs, p)
-        if b1.shape[1] == 0 or b2.shape[1] == 0:
+        if not b1 or not b2:
             continue
-        degs1 = np.array([int(degs[int(np.flatnonzero(b1[:, c])[0])]) for c in range(b1.shape[1])], dtype=np.int64)
-        degs2 = np.array([int(degs[int(np.flatnonzero(b2[:, c])[0])]) for c in range(b2.shape[1])], dtype=np.int64)
-        acts1 = _restrict(actions, b1, p)
-        acts2 = _restrict(actions, b2, p)
-        return "split", (degs1, acts1), (degs2, acts2)
+        degs1 = tuple(degs[min(v)] for v in b1)
+        degs2 = tuple(degs[min(v)] for v in b2)
+        return "split", (degs1, _restrict(actions, b1, p)), (degs2, _restrict(actions, b2, p))
     return "unknown", None, None
 
 
@@ -387,7 +385,7 @@ def decompose(
     rs = pres.rs
     p = rs.p
     rng = random.Random(seed)
-    queue = [(vm.degs.copy(), [m.copy() for m in vm.actions])]
+    queue = [(vm.degs, vm.actions)]
     leaves = []
     while queue:
         degs, actions = queue.pop(0)
@@ -404,7 +402,7 @@ def decompose(
         sub = present_from_vector_model(rs, degs, actions)
         key = (
             len(degs),
-            tuple(sorted(int(d) for d in degs)),
+            tuple(sorted(degs)),
             tuple(sorted(str(r) for r in sub.relations)),
         )
         entries.append((key, sub, unknown, (degs, actions)))

@@ -71,11 +71,9 @@ from __future__ import annotations
 
 from itertools import combinations, groupby, product
 
-import numpy as np
-
 from .arith import (
-    DEGREVLEX, FreeElt, Poly, PolyRing, _back_substitute, _eliminate, _null_rows, _sub_shifted,
-    echelon, fp_inv, is_integer, matmul, mono_deg, mono_div, mono_mul, mono_one, nullspace,
+    DEGREVLEX, FreeElt, Poly, PolyRing, _eliminate, _sub_shifted, _transpose, fp_inv, is_integer,
+    matmul, mono_deg, mono_div, mono_mul, mono_one, nullspace,
 )
 from .errors import InputError, InternalError, ResourceBudgetError
 from .groebner import (
@@ -306,9 +304,6 @@ class ModulePresentation:
     def rank(self) -> int:
         return len(self.gens)
 
-    def is_zero_presentation(self) -> bool:
-        return not self.gens
-
     def relation_submodule_gb(self) -> GroebnerBasis:
         """Groebner basis of (relations + f e_i), the kernel of the ambient
         free module's surjection onto the module.  Normal forms against it
@@ -537,10 +532,10 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
     When `image_dims` gives the rank of the map in every degree (for a
     resolution, the kernel dimensions of the step before), dim K_t is
     known, and a span of that dimension is K_t, with nothing new.
-    Otherwise K_t is the nullspace of the matrix of (F)_t -> (G)_t
-    (`_map_rows`), read off its reduced pivot rows by `arith._null_rows`,
-    and the new generators are its basis vectors at the free columns where
-    the span, restricted to those columns, has no pivot.  A vector's
+    Otherwise K_t is the `nullspace` of the matrix of (F)_t -> (G)_t
+    (`_map_rows`), and the new generators are its basis vectors at the free
+    columns where the span, restricted to those columns, has no pivot.  A
+    vector's
     position-over-term lead is its first column: the generators are made
     monic there and ordered by it, largest lead first.  The span is read
     only through its pivots and as the next degree's x_v * K_{t-1}, so its
@@ -584,10 +579,7 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
                 budget="max_pairs", limit=budgets.max_pairs, step=step, degree=t,
                 products=products,
             )
-        tails = _eliminate(_map_rows(rs, [c.terms for c in cols], degs, t, target_shifts), p)
-        pivots = sorted(tails)
-        _back_substitute(tails, pivots, p)
-        basis = _null_rows(tails, pivots, width, p)
+        basis = nullspace(_map_rows(rs, [c.terms for c in cols], degs, t, target_shifts), width, p)
         if known is not None and len(basis) != known:
             raise InternalError(
                 "kernel dimension differs from the one the previous step implies",
@@ -793,9 +785,10 @@ def artinian_reduction(pres: ModulePresentation) -> ModulePresentation:
 class VectorModel:
     """A module of finite k-dimension flattened to explicit linear algebra:
     a monomial basis (component, standard monomial), the degree of each basis
-    vector, and one action matrix per ring variable.  Action matrices are
-    exact mod-p integer matrices; composites of them realize the action of
-    any monomial."""
+    vector as a tuple of ints, and one action per ring variable, kept as
+    sparse columns: column c is the image of basis vector c, a {row:
+    residue} dict with no zero residue.  `arith.matmul` composes them into
+    the action of any monomial."""
 
     __slots__ = ("rs", "basis", "degs", "actions")
 
@@ -820,12 +813,7 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
     ring = rs.ring
     rank = pres.rank
     if rank == 0:
-        vm = VectorModel(
-            rs,
-            [],
-            np.zeros(0, dtype=np.int64),
-            [np.zeros((0, 0), dtype=np.int64) for _ in range(ring.nvars)],
-        )
+        vm = VectorModel(rs, [], (), [[] for _ in range(ring.nvars)])
         pres._model = vm
         return vm
     gb = pres.relation_submodule_gb()
@@ -856,18 +844,16 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
                 basis.append((c, m))
     basis.sort(key=lambda k: (mono_deg(k[1]) + pres.gens[k[0]], k[0], ring.order.key(k[1])))
     index = {k: i for i, k in enumerate(basis)}
-    dim = len(basis)
-    degs = np.array([mono_deg(m) + pres.gens[c] for (c, m) in basis], dtype=np.int64)
+    degs = tuple(mono_deg(m) + pres.gens[c] for (c, m) in basis)
     actions = []
     for v in range(ring.nvars):
-        mat = np.zeros((dim, dim), dtype=np.int64)
         (_slot, xv), _ = ring.gen(v).lead()
-        for col, (c, m) in enumerate(basis):
+        cols = []
+        for c, m in basis:
             image = FreeElt(ring, rank, {(c, mono_mul(m, xv)): 1}, pres.gens)
             rem, _ = normal_form(image, gb)
-            for key, coeff in rem.terms.items():
-                mat[index[key], col] = coeff
-        actions.append(mat)
+            cols.append({index[key]: coeff for key, coeff in rem.terms.items()})
+        actions.append(cols)
     vm = VectorModel(rs, basis, degs, actions)
     pres._model = vm
     return vm
@@ -894,30 +880,25 @@ def hilbert_function(pres: ModulePresentation, d: int) -> int:
 
 def present_from_vector_model(rs: RingSpec, degs, actions) -> ModulePresentation:
     """Reverse direction: from an abstract finite model (basis degrees plus
-    commuting action matrices) back to a minimal presentation.  Minimal
-    generators are coordinate vectors outside (maximal ideal)*M degree by
-    degree: in degree d, the pivots past the action columns of one
-    `echelon` of [every action applied to M_{d-1} | the unit vectors of M_d].
-    Relations come from nullspaces of the evaluation map in each degree up
-    to top+1, where the kernel is generated, and are made minimal by
-    `minimal_columns`."""
-    degs = np.asarray(degs, dtype=np.int64)
-    dim = int(degs.shape[0])
+    commuting actions as sparse columns) back to a minimal presentation.
+    Minimal generators are coordinate vectors outside (maximal ideal)*M
+    degree by degree: in degree d, the pivots past the action columns of
+    one `_eliminate` on the rows of [every action applied to M_{d-1} | the
+    unit vectors of M_d].  Relations come from nullspaces of the evaluation
+    map in each degree up to top+1, where the kernel is generated, and are
+    made minimal by `minimal_columns`."""
+    dim = len(degs)
     p = rs.p
     if dim == 0:
         return ModulePresentation(rs, (), ())
     gens = []  # (degree, coordinate)
-    lo, hi = int(degs.min()), int(degs.max())
-    for d in range(lo, hi + 1):
-        idx = np.flatnonzero(degs == d)
-        if idx.size == 0:
-            continue
-        prev = np.flatnonzero(degs == d - 1)
-        image = [mat[:, prev] for mat in actions]
-        units = np.eye(dim, dtype=np.int64)[:, idx]
-        _, pivots = echelon(np.concatenate(image + [units], axis=1), p)
-        skip = len(actions) * prev.size
-        gens += [(d, int(idx[c - skip])) for c in pivots if c >= skip]
+    for d in range(min(degs), max(degs) + 1):
+        prev = [i for i, e in enumerate(degs) if e == d - 1]
+        columns = [act[i] for act in actions for i in prev]
+        columns += [{i: 1} for i, e in enumerate(degs) if e == d]
+        pivots = sorted(_eliminate(_transpose(columns, dim), p))
+        skip = len(actions) * len(prev)
+        gens += [(d, next(iter(columns[c]))) for c in pivots if c >= skip]
     gen_degs = tuple(d for d, _ in gens)
     r = len(gens)
     ring = rs.ring
@@ -926,25 +907,24 @@ def present_from_vector_model(rs: RingSpec, degs, actions) -> ModulePresentation
     def monomial_matrix(m):
         got = mono_mats.get(m)
         if got is None:
-            got = np.eye(dim, dtype=np.int64)
+            got = [{c: 1} for c in range(dim)]
             for v, e in enumerate(m):
                 for _ in range(e):
-                    got = matmul(actions[v], got, p)
+                    got = matmul(got, actions[v], p)
             mono_mats[m] = got
         return got
 
     relations = []
-    for d in range(min(gen_degs, default=0), hi + 2):
+    for d in range(min(gen_degs, default=0), max(degs) + 2):
         keys = []
         columns = []
         for g, (gd, coord) in enumerate(gens):
             for m in rs.standard_monomials(d - gd):
                 keys.append((g, m))
-                columns.append(monomial_matrix(m)[:, coord])
+                columns.append(monomial_matrix(m)[coord])
         if not keys:
             continue
-        a = np.stack(columns, axis=1) % p
-        for vec in nullspace(a, p).tolist():
-            relations.append(FreeElt(ring, r, {key: c for key, c in zip(keys, vec) if c}, gen_degs))
+        for vec in nullspace(_transpose(columns, dim), len(keys), p).values():
+            relations.append(FreeElt(ring, r, {keys[c]: vec[c] for c in sorted(vec)}, gen_degs))
     minimal = minimal_columns(rs, relations, gen_degs)
     return ModulePresentation(rs, gen_degs, minimal)

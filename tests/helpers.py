@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from civar.arith import Poly, echelon, fp_inv, mono_div, mono_lcm, mono_mul, nullspace, rref
+from civar.arith import Poly, fp_inv, mono_div, mono_lcm, mono_mul
 from civar.cohomology import ExtKModule, VarietyIdeal
 from civar.groebner import FreeElt, groebner_basis, normal_form
 from civar.resolve import _offsets
@@ -261,6 +261,22 @@ def rref_reference(a, p: int):
     return a, pivots
 
 
+def nullspace_reference(a, p: int):
+    """Basis of {v : a v = 0} read off `rref_reference`, one list per free
+    column, in free-column order: 1 there, minus that column of the reduced
+    form at the pivots, 0 elsewhere."""
+    r, pivots = rref_reference(a, p)
+    cols = r.shape[1]
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[f] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = -int(r[i, f]) % p
+        basis.append(vec)
+    return basis
+
+
 def minimal_columns_reference(rs, columns):
     """The minimal generating set `resolve.minimal_columns` must return,
     decided one candidate at a time.  Each column is brought to normal form
@@ -304,15 +320,20 @@ def prune_units_reference(pres):
     arithmetic and `normal_form`; the pivot row and column then go, and so
     do zero columns at the end."""
     rs = pres.rs
+    one = rs.ring._one_mono
+
+    def constant(f):
+        return f.terms.get((0, one), 0)
+
     mat = [[component(col, i) for col in pres.relations] for i in range(pres.rank)]
     rows = list(range(pres.rank))
     cols = list(range(len(pres.relations)))
     while True:
-        pivot = next(((i, j) for j in cols for i in rows if mat[i][j].constant_term()), None)
+        pivot = next(((i, j) for j in cols for i in rows if constant(mat[i][j])), None)
         if pivot is None:
             break
         i, j = pivot
-        u = fp_inv(mat[i][j].constant_term(), rs.p)
+        u = fp_inv(constant(mat[i][j]), rs.p)
         for j2 in cols:
             if j2 != j and not mat[i][j2].is_zero():
                 q = mat[i][j2].scale(u)
@@ -353,7 +374,7 @@ def annihilator_reference(ext, max_op_degree=None):
                     [dense(ext.monomial_window(m, i), ext.dims[i + 2 * d]).reshape(-1) for m in monos], axis=1
                 ))
         if blocks:
-            kernel = nullspace(np.concatenate(blocks, axis=0), ext.rs.p)
+            kernel = nullspace_reference(np.concatenate(blocks, axis=0), ext.rs.p)
         else:
             kernel = np.eye(len(monos), dtype=np.int64).tolist()
         for vec in kernel:
@@ -433,7 +454,7 @@ def shifted_quotients(rs, parts, steps):
 # The degreewise kernel on dense int64 matrices, the reference for the sparse
 # rows of `resolve.kernel_generators`: the products x_v * K_{t-1} by
 # `np.add.at` against the action arrays, the degree matrix filled column by
-# column, `rref` and `echelon` on whole matrices, and the nullspace basis
+# column, `rref_reference` on whole matrices, and the nullspace basis
 # written out by hand from the reduced form.  Budgets are not checked.
 
 
@@ -485,17 +506,17 @@ def kernel_generators_reference(rs, cols, degs, target_shifts, image_dims=None):
         span = None
         if below is not None:
             image = _times_variables(rs, below[0], degs, t, below[1], at, width)
-            rows, span = echelon(image, p)
+            rows, span = rref_reference(image, p)
             if known == len(span):
                 kernel_dims[t] = known
-                below = (rows, at)
+                below = (rows[: len(span)], at)
                 continue
         keys = [(j, m) for j, e in enumerate(degs) for m in rs.standard_monomials(t - e)]
         vectors = (
             rs.ci_gb.reduce_terms({(k, mono_mul(a, m)): v for (k, a), v in cols[j].terms.items()})
             for j, m in keys
         )
-        r, pivots = rref(_degree_matrix(rs, target_shifts, t, vectors, width), p)
+        r, pivots = rref_reference(_degree_matrix(rs, target_shifts, t, vectors, width), p)
         free = [c for c in range(width) if c not in pivots]
         assert known is None or len(free) == known
         kernel_dims[t] = len(free)
@@ -508,7 +529,7 @@ def kernel_generators_reference(rs, cols, degs, target_shifts, image_dims=None):
             basis[:, pivots] = (-r[: len(pivots), free].T) % p
         fresh = range(len(free))
         if span is not None:
-            covered = set(echelon(image[:, free], p)[1])
+            covered = set(rref_reference(image[:, free], p)[1])
             fresh = [n for n in fresh if n not in covered]
         new = []
         for n in fresh:

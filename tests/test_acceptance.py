@@ -8,7 +8,6 @@ no tolerances anywhere.
 
 import pytest
 
-from civar.arith import matmul
 from civar.cohomology import (
     VarietyIdeal,
     annihilator_window,
@@ -120,8 +119,8 @@ def test_criterion_2_operator_identities(corpus, deep, report):
             for j2 in range(j1 + 1, rs.codim):
                 for i in range(steps - 3):
                     b = ext.dims[i + 4], ext.dims[i + 2]
-                    ab = matmul(dense(ext.act[j1][i + 2], b[0]), dense(ext.act[j2][i], b[1]), rs.p)
-                    ba = matmul(dense(ext.act[j2][i + 2], b[0]), dense(ext.act[j1][i], b[1]), rs.p)
+                    ab = dense(ext.act[j1][i + 2], b[0]) @ dense(ext.act[j2][i], b[1]) % rs.p
+                    ba = dense(ext.act[j2][i + 2], b[0]) @ dense(ext.act[j1][i], b[1]) % rs.p
                     if not (ab == ba).all():
                         failures.append(
                             f"{label}: chi{j1 + 1}/chi{j2 + 1} do not commute at {i}"

@@ -12,7 +12,6 @@ from civar.arith import (
     FreeElt,
     PolyRing,
     Poly,
-    echelon,
     elimination_order,
     factor_univariate,
     fp_inv,
@@ -183,18 +182,47 @@ def test_map_to_permutes_variables(ring):
     assert g == other.parse("d*b + a^2")
 
 
-def test_matmul_matches_naive():
-    rng = seeded("matmul")
+def sparse(a, p):
+    """The rows of an integer matrix as {column: residue} dicts, zero
+    residues dropped: the matrix format of `arith`."""
+    return [{j: x % p for j, x in enumerate(row) if x % p} for row in np.asarray(a).tolist()]
+
+
+def densify(rows, cols):
+    out = np.zeros((len(rows), cols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[i, c] = v
+    return out
+
+
+def test_matmul_matches_the_numpy_product():
+    """Sparse `matmul` against numpy's product mod p on drawn matrices: dense
+    and mostly-zero ones, an empty inner dimension, rows of a that meet
+    only zero rows of b, and products that cancel to zero, with no zero
+    residue stored."""
+    rng = np.random.default_rng(186)
     p = 101
-    for _ in range(10):
-        n, m, k = rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 7)
-        a = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(n)], dtype=np.int64)
-        b = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(m)], dtype=np.int64)
-        want = [
-            [sum(int(a[i, t]) * int(b[t, j]) for t in range(m)) % p for j in range(k)]
-            for i in range(n)
-        ]
-        assert matmul(a, b, p).tolist() == want
+    cases = []
+    for n, m, k in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (4, 6, 5), (7, 3, 7), (12, 12, 12)]:
+        for density in (1.0, 0.3, 0.05):
+            a = rng.integers(0, p, size=(n, m))
+            b = rng.integers(0, p, size=(m, k))
+            a[rng.random(a.shape) >= density] = 0
+            b[rng.random(b.shape) >= density] = 0
+            cases.append((a, b))
+    # rows that cancel: [1, 1] and [1, p - 1] against two equal rows of b
+    b = rng.integers(1, p, size=(1, 6)).repeat(2, axis=0)
+    cases.append((np.array([[1, p - 1], [2, p - 2], [1, 1]]), b))
+    cases.append((np.array([[3, 0], [0, 0]]), np.array([[0, 0, 0], [5, 6, 7]])))
+    zeros = 0
+    for a, b in cases:
+        got = matmul(sparse(a, p), sparse(b, p), p)
+        assert len(got) == a.shape[0]
+        assert all(0 < v < p for row in got for v in row.values())
+        assert np.array_equal(densify(got, b.shape[1]), a @ b % p)
+        zeros += sum(not row for row in got)
+    assert zeros >= 3
 
 
 def test_rref_shape_and_idempotence():
@@ -202,14 +230,14 @@ def test_rref_shape_and_idempotence():
     p = 101
     for _ in range(20):
         n, m = rng.randrange(1, 8), rng.randrange(1, 8)
-        a = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(n)], dtype=np.int64)
-        r, piv = rref(a, p)
-        assert list(piv) == sorted(piv)
-        for i, pc in enumerate(piv):
-            col = r[:, pc]
-            assert col[i] == 1 and sum(int(x) for x in col) == 1
-        r2, piv2 = rref(r, p)
-        assert (r2 == r).all()
+        a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+        rows, piv = rref(sparse(a, p), p)
+        assert list(piv) == sorted(piv) and len(rows) == len(piv)
+        for row, pc in zip(rows, piv):
+            assert row[pc] == 1 and not set(row) & (set(piv) - {pc})
+            assert all(0 < v < p for v in row.values())
+        rows2, piv2 = rref([dict(row) for row in rows], p)
+        assert rows2 == rows
         assert list(piv2) == list(piv)
 
 
@@ -237,10 +265,11 @@ def test_rref_matches_the_reference(p):
         thin = np.where(rng.random(a.shape) < 100 / a.size, a, 0)
         drawn += [a, holes, thin, a - p, np.full((rows, cols), p - 1, dtype=np.int64)]
     for m in drawn:
-        got, pivots = rref(m, p)
+        got, pivots = rref(sparse(m, p), p)
         want, want_pivots = rref_reference(m, p)
         assert pivots == want_pivots
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(densify(got, m.shape[1]), want[: len(pivots)])
+        assert not want[len(pivots) :].any()
 
 
 @st.composite
@@ -276,33 +305,35 @@ def elimination_inputs(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(elimination_inputs())
 def test_rref_and_echelon_match_the_reference(case):
-    """`rref` equals the plain reduction bit for bit, and so does
-    `nullspace` the basis read off it: one int64 row per free column, 1
-    there and minus that column of the reduced form at the pivots, shape
-    (cols - rank, cols) even when it is empty.  `echelon` has the
+    """`rref` on the sparse rows equals the plain reduction bit for bit, and
+    so does `nullspace` the basis read off it: one row per free column, 1
+    there and minus that column of the reduced form at the pivots, empty
+    when the rank is full.  The echelon form `_eliminate` leaves has the
     reference's pivot columns and one row per pivot, monic there and zero
     to its left, and its rows add nothing to the row space: stacked onto
     the matrix they leave the rank as it was."""
     a, p = case
-    want, want_pivots = rref_reference(a, p)
-    got, pivots = rref(a, p)
-    assert pivots == want_pivots
-    assert got.dtype == want.dtype and np.array_equal(got, want)
     cols = a.shape[1]
+    want, want_pivots = rref_reference(a, p)
+    got, pivots = rref(sparse(a, p), p)
+    assert pivots == want_pivots
+    assert np.array_equal(densify(got, cols), want[: len(pivots)])
     free = [c for c in range(cols) if c not in want_pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[range(len(free)), free] = 1
     basis[:, want_pivots] = -want[: len(want_pivots), free].T % p
-    kernel = nullspace(a, p)
-    assert kernel.dtype == np.int64 and kernel.shape == (cols - len(want_pivots), cols)
-    assert np.array_equal(kernel, basis)
-    rows, pivots = echelon(a, p)
-    assert pivots == want_pivots
-    assert rows.shape == (len(pivots), a.shape[1]) and rows.dtype == np.int64
-    assert ((rows >= 0) & (rows < p)).all()
-    for row, c in zip(rows, pivots):
-        assert row[c] == 1 and not row[:c].any()
-    assert len(rref_reference(np.vstack([a, rows]), p)[1]) == len(pivots)
+    kernel = nullspace(sparse(a, p), cols, p)
+    assert list(kernel) == free
+    assert all(0 < v < p for row in kernel.values() for v in row.values())
+    assert np.array_equal(densify(list(kernel.values()), cols), basis)
+    tails = _eliminate(sparse(a, p), p)
+    assert sorted(tails) == want_pivots
+    rows = []
+    for c in sorted(tails):
+        assert all(k > c and 0 < v < p for k, v in tails[c].items())
+        rows.append({c: 1, **tails[c]})
+    echelon = densify(rows, cols)
+    assert len(rref_reference(np.vstack([a, echelon]), p)[1]) == len(pivots)
 
 
 def _reduced(tails, cols, p):
@@ -372,11 +403,11 @@ def test_nullspace_kills_and_counts():
     for _ in range(20):
         n, m = rng.randrange(1, 7), rng.randrange(1, 7)
         a = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(n)], dtype=np.int64)
-        _, piv = rref(a, p)
-        basis = nullspace(a, p)
+        _, piv = rref(sparse(a, p), p)
+        basis = nullspace(sparse(a, p), m, p)
         assert len(basis) == m - len(piv)
-        for v in basis:
-            assert not (matmul(a, np.array(v, dtype=np.int64).reshape(-1, 1), p)).any()
+        if basis:
+            assert not (a @ densify(list(basis.values()), m).T % p).any()
 
 
 def test_poly1_divmod_identity():

@@ -662,15 +662,21 @@ def pinned_modules(corpus):
     return dict(corpus + [("R5 k", residue_field(r5))])
 
 
-def report_digests(pres, tmp_path, capsys):
+def write_inputs(pres, tmp_path):
+    """The ring file and the module file of `pres`."""
     rs = pres.rs
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps({"p": rs.p, "vars": list(rs.ring.vars), "ci": [str(f) for f in rs.ci]}))
     module = tmp_path / "module.txt"
     module.write_text(cli.format_module_file(pres))
+    return str(ring), str(module)
+
+
+def report_digests(pres, tmp_path, capsys):
+    ring, module = write_inputs(pres, tmp_path)
     digests = []
     for cmd, *flags in REPORT_ARGS:
-        code, out, _ = run(capsys, [cmd, str(ring), str(module), *flags, "--format", "structured"])
+        code, out, _ = run(capsys, [cmd, ring, module, *flags, "--format", "structured"])
         assert code == 0, cmd
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     return tuple(digests)
@@ -680,3 +686,38 @@ def report_digests(pres, tmp_path, capsys):
 def test_reports_keep_their_bytes(corpus, tmp_path, capsys, label):
     pres = pinned_modules(corpus)[label]
     assert report_digests(pres, tmp_path, capsys) == PINNED_REPORTS[label]
+
+
+# sha256 of the structured `decompose` report of each module above and of
+# m1 (+) m2 over R1, and of `check-carlson` splitting m1 (+) m2 along
+# chi2 | chi1: the vector models and the idempotent search behind them.
+PINNED_SPLITS = {
+    ("decompose", "R1 A/(x)"): "905274352a0e63bea524a83baaf2813f82f96d59ff5a29300174da1acbf7d41d",
+    ("decompose", "R1 A/(x+y)"): "4ebf8866d7c43d675059d76ba47bf7ca0d66b58a9dae27edd1d9449cdc5d8ce8",
+    ("decompose", "R1 A/(y)"): "ef0f29be1420931dea23a2049d6faa81083eca8f75750b8ddd500cd92abe1cf4",
+    ("decompose", "R1 free"): "bf5c1e299b02e66ccc047b6dbc251859bfbc9abadb69b6fd87f4f4e0aa039ba9",
+    ("decompose", "R1 k"): "bb5999a031f6d4ce2b791372d07933ddae75d64b54214e985b1326f2f12a2763",
+    ("decompose", "R1 m1m2"): "8c7cbee47b5e70618b31d8325d96e511f2d781e68313498eb2f2dc25684a37b2",
+    ("decompose", "R1 syz1(k)"): "ff0d3895df1037e9e988513c09196d8078e55fdd86b0dd396fad502935c2333a",
+    ("decompose", "R2 free"): "bc238f2962800424a099010b02761b3a09b5f482478153164009d0daa36aef5c",
+    ("decompose", "R2 k"): "568a437a882d5ef8d1ba020fded1e654b0462616eea67277eaa791fd1699e6ba",
+    ("decompose", "R3 A/(x)"): "7c8f1926df38415a0b9bd6732f39a353dd0d6a44e67b4a23649a63c377a2d0a1",
+    ("decompose", "R3 A/(x+y)"): "781310ed0aaf6f34d3311076a97fd0584faef651aac0a038533ba5e152664314",
+    ("decompose", "R3 k"): "a0852e04206298e7a543981ad0bfdd2674c58973eb3bb101acb21f36e33bec3b",
+    ("decompose", "R4 A/(y)"): "251cac1f8fe688237ea1a3ec5c55695c3540198430cc2fddff9208f5587ff440",
+    ("decompose", "R4 k"): "404e3102a9158bcb9552bb8b0b997eda86017ed073a87d37df56ac21eff65d80",
+    ("decompose", "R5 k"): "52d119e8e569e24403fe41b002d7ced5e8285290ba32196ef2a4f1d53e2c5850",
+    ("check-carlson", "R1 m1m2"): "8420e18c4992074aba52bdcba56c0c45c42ad6f9fe4913d7aaa7f74accb283a6",
+}
+
+SPLIT_FLAGS = {"decompose": [], "check-carlson": ["--a1", "chi2", "--a2", "chi1"]}
+
+
+@pytest.mark.parametrize("cmd, label", sorted(PINNED_SPLITS), ids=" ".join)
+def test_split_reports_keep_their_bytes(corpus, tmp_path, capsys, cmd, label):
+    mods = pinned_modules(corpus)
+    mods["R1 m1m2"] = cli.parse_module_text(mods["R1 k"].rs, MOD_M1M2)
+    ring, module = write_inputs(mods[label], tmp_path)
+    code, out, _ = run(capsys, [cmd, ring, module, *SPLIT_FLAGS[cmd], "--format", "structured"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SPLITS[cmd, label]

@@ -1,10 +1,9 @@
 """Operator extraction, the graded action on Ext against k, window
 annihilators, and the stabilized support variety."""
 
-import numpy as np
 import pytest
 
-from civar.arith import PolyRing, matmul
+from civar.arith import PolyRing
 from civar.errors import InputError, StabilizationError
 from civar.groebner import normal_form
 from civar.cohomology import (
@@ -93,8 +92,8 @@ def test_actions_commute_exactly(r3):
         for j2 in range(j1 + 1, 3):
             for i in range(5):
                 b = ext.dims[i + 4], ext.dims[i + 2]
-                ab = matmul(dense(ext.act[j1][i + 2], b[0]), dense(ext.act[j2][i], b[1]), p)
-                ba = matmul(dense(ext.act[j2][i + 2], b[0]), dense(ext.act[j1][i], b[1]), p)
+                ab = dense(ext.act[j1][i + 2], b[0]) @ dense(ext.act[j2][i], b[1]) % p
+                ba = dense(ext.act[j2][i + 2], b[0]) @ dense(ext.act[j1][i], b[1]) % p
                 assert (ab == ba).all()
 
 
@@ -104,7 +103,7 @@ def test_monomial_window_matches_composition(r1):
     m = (1, 1)  # chi1 chi2
     for i in range(4):
         direct = dense(ext.monomial_window(m, i), ext.dims[i + 4])
-        manual = matmul(dense(ext.act[1][i + 2], ext.dims[i + 4]), dense(ext.act[0][i], ext.dims[i + 2]), p)
+        manual = dense(ext.act[1][i + 2], ext.dims[i + 4]) @ dense(ext.act[0][i], ext.dims[i + 2]) % p
         assert (direct == manual).all()
     with pytest.raises(InputError):
         ext.monomial_window((4, 1), 0)  # 0 + 2*5 > 8

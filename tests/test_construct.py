@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from civar.arith import matmul, nullspace
 from civar.errors import (
     InputError,
     PremiseError,
@@ -38,7 +37,7 @@ from civar.resolve import (
     vector_model,
 )
 
-from helpers import betti_growth, rref_reference
+from helpers import betti_growth, dense, nullspace_reference, rref_reference
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,13 @@ def test_realize_any_drawn_cone(r1, r3, data):
     ],
 )
 def test_min_poly_pinned(a, want):
-    assert _min_poly(np.array(a, dtype=np.int64), 101) == want
+    assert _min_poly(columns(a, 101), 101) == want
+
+
+def columns(a, p):
+    """The sparse columns of a square integer matrix, the format of the
+    endomorphisms `decompose` works on."""
+    return [{r: x % p for r, x in enumerate(col) if x % p} for col in np.asarray(a).T.tolist()]
 
 
 def test_min_poly_kills_the_matrix_in_the_least_degree():
@@ -241,12 +246,16 @@ def test_min_poly_kills_the_matrix_in_the_least_degree():
             a = rng.integers(0, p, (n, n))
             if twice:  # one block twice: degree at most half the size
                 a = np.kron(np.eye(2, dtype=np.int64), a)
-            mu = _min_poly(a, p)
+            mu = _min_poly(columns(a, p), p)
             assert mu[-1] == 1
-            assert not _eval_matrix(mu, a, p).any()
+            horner = np.zeros_like(a)
+            for c in reversed(mu):
+                horner = (horner @ a + c * np.eye(len(a), dtype=np.int64)) % p
+            assert not horner.any()
+            assert not dense(_eval_matrix(mu, columns(a, p), p), len(a)).any()
             powers = [np.eye(len(a), dtype=np.int64)]
             for _ in range(len(a)):
-                powers.append(matmul(a, powers[-1], p))
+                powers.append(a @ powers[-1] % p)
             flat = np.stack([m.reshape(-1) for m in powers], axis=1)
             assert len(mu) - 1 == len(rref_reference(flat, p)[1])
 
@@ -349,7 +358,9 @@ def test_decompose_deterministic(r1):
 
 def endo_basis_by_loop(degs, actions, p):
     """The commutant equations X Z_d = Z_{d+1} X written out entry by
-    entry, as the reference for `_graded_endo_basis`."""
+    entry on dense matrices, as the reference for `_graded_endo_basis`."""
+    degs = np.array(degs)
+    actions = [dense(cols, len(degs)) for cols in actions]
     uniq = sorted(set(int(x) for x in degs))
     idx = {d: np.flatnonzero(degs == d) for d in uniq}
     offs, total = {}, 0
@@ -372,7 +383,7 @@ def endo_basis_by_loop(degs, actions, p):
                         rows.append(row)
     if not rows:
         return None
-    return [[int(x) for x in vec] for vec in nullspace(np.stack(rows, axis=0), p)]
+    return nullspace_reference(np.stack(rows, axis=0), p)
 
 
 def test_endomorphism_equations_match_the_loop(r1, corpus):
@@ -389,9 +400,9 @@ def test_endomorphism_equations_match_the_loop(r1, corpus):
         want = endo_basis_by_loop(vm.degs, vm.actions, m.rs.p)
         if want is None:
             continue
-        blocks = [np.flatnonzero(vm.degs == d) for d in sorted(set(int(x) for x in vm.degs))]
+        blocks = [[c for c, e in enumerate(vm.degs) if e == d] for d in sorted(set(vm.degs))]
         got = [
-            [int(x) for idx in blocks for x in z[np.ix_(idx, idx)].reshape(-1)]
+            [z[c].get(r, 0) for idx in blocks for r in idx for c in idx]
             for z in _graded_endo_basis(vm.degs, vm.actions, m.rs.p)
         ]
         assert got == want

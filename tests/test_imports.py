@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""What the package imports: every name a module of the package imports is
+used in that module, and numpy is not needed at all.
 
 Parsed with the standard `ast` module, so no linter is needed.  A name
 counts as used when it is loaded anywhere in the module (attribute access
@@ -6,11 +7,15 @@ included, through its root name) or listed in the module's `__all__`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "civar").glob("*.py"))
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+SRC = sorted((SRC_DIR / "civar").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +45,34 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from .groebner import normal_form, syzygies\n\n__all__ = ['syzygies']\n"
     assert unused_imports(source) == ["normal_form (line 1)"]
+
+
+NUMPY_BLOCKED = """
+import sys
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import civar
+from civar import cli
+
+ring, module = sys.argv[1:]
+for cmd in ("resolve", "variety", "decompose"):
+    code = cli.main([cmd, ring, module, "--format", "structured"])
+    if code:
+        sys.exit(f"{cmd} exited {code}")
+"""
+
+
+def test_the_package_runs_without_numpy(tmp_path):
+    """numpy is a test dependency only: with its import blocked, a fresh
+    interpreter imports the package and runs `resolve`, `variety` and
+    `decompose` on k over F_101[x,y]/(x^2, y^2)."""
+    ring = tmp_path / "ring.json"
+    ring.write_text('{"p": 101, "vars": ["x", "y"], "ci": ["x^2", "y^2"]}')
+    module = tmp_path / "k.txt"
+    module.write_text('gens: [0]\nrelations: [["x", "y"]]\n')
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED, str(ring), str(module)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
