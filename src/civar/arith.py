@@ -52,8 +52,9 @@ def is_odd_prime(p: int) -> bool:
 def is_integer(v) -> bool:
     """True for every integral type (`numbers.Integral`); False for bool
     and for anything inexact, which would otherwise be truncated or stored
-    as given."""
-    return isinstance(v, Integral) and not isinstance(v, bool)
+    as given.  A plain int is let through before the slower check against
+    the abstract class."""
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
 
 
 def fp_inv(a: int, p: int) -> int:

@@ -22,7 +22,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .arith import is_integer
 from .errors import CivarError, InputError, ResourceBudgetError, VerificationError
@@ -443,11 +443,9 @@ MODULE = dict(help="module file")
 OPTIONAL_MODULE = dict(nargs="?", help="optional module file")
 
 
-class Command(NamedTuple):
-    handler: Callable
-    help: str
-    module: dict | None
-    flags: tuple  # keys of FLAGS, besides SHARED_FLAGS
+# handler(args, rs, pres) -> report dict; help text; the module argument's
+# add_argument spec, or None; flags: keys of FLAGS, besides SHARED_FLAGS
+Command = namedtuple("Command", ("handler", "help", "module", "flags"))
 
 
 COMMANDS = {

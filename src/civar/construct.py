@@ -18,7 +18,7 @@ sits in an exact sequence between the original module (shifted) and its
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .arith import (
     FreeElt,
@@ -103,6 +103,8 @@ def phi(pres: ModulePresentation, h) -> ExtElement:
     h = rs.h_ring.parse(h) if isinstance(h, str) else h
     if h.ring != rs.h_ring:
         raise InputError("operator polynomial lives in a different ring")
+    if h.is_zero():
+        raise InputError("operator polynomial must be nonzero")
     d = h.homogeneous_degree()
     if d is None:
         raise InputError("operator polynomial must be homogeneous")
@@ -210,8 +212,11 @@ def realize(rs: RingSpec, etas, verify: bool = True) -> ModulePresentation:
 # idempotent splitting
 
 
-@dataclass
-class DecompositionResult:
+class DecompositionResult(
+    namedtuple(
+        "DecompositionResult", ("summands", "possibly_decomposable", "models"), defaults=((),)
+    )
+):
     """Summands in a deterministic order.  possibly_decomposable[i] is True
     when the attempt budget ran out before either finding an idempotent or
     certifying the endomorphism algebra local; such summands may split
@@ -219,9 +224,7 @@ class DecompositionResult:
     a tuple of basis degrees and, per ring variable, the action as sparse
     columns, as in `VectorModel`."""
 
-    summands: list
-    possibly_decomposable: list
-    models: list = field(default_factory=list)
+    __slots__ = ()
 
 
 # A matrix here is an endomorphism of the vector model, kept as sparse
@@ -418,22 +421,18 @@ def decompose(
 # disjoint-split decomposition check
 
 
-@dataclass
-class CarlsonResult:
+class CarlsonResult(
+    namedtuple(
+        "CarlsonResult",
+        ("m_variety", "group1", "group2", "free", "summands", "c1", "c2", "v1", "v2", "verdict"),
+    )
+):
     """Outcome of the two-group split: summand indices per group, the free
-    leftovers, the two direct sums with their computed varieties, and the
-    verdict (always True when returned; failures raise instead)."""
+    leftovers, the two direct sums (`ModulePresentation`) with their
+    computed varieties (`VarietyIdeal`), and the verdict (always True when
+    returned; failures raise instead)."""
 
-    m_variety: VarietyIdeal
-    group1: list
-    group2: list
-    free: list
-    summands: list
-    c1: ModulePresentation
-    c2: ModulePresentation
-    v1: VarietyIdeal
-    v2: VarietyIdeal
-    verdict: bool
+    __slots__ = ()
 
 
 def check_carlson(

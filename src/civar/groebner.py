@@ -49,27 +49,26 @@ The table lives on the basis and dies with it.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import (
-    FreeElt, Poly, PolyRing, _sub_shifted, add_terms, elimination_order, fp_inv, mono_deg, mono_div,
-    mono_lcm,
+    FreeElt, Poly, PolyRing, _sub_shifted, add_terms, elimination_order, fp_inv, is_integer,
+    mono_deg, mono_div, mono_lcm,
 )
 from .errors import InputError, ResourceBudgetError
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(namedtuple("Budgets", ("max_pairs", "max_degree"), defaults=(50_000, 40))):
     """Hard resource limits.  A completion run counts S-pairs against
     max_pairs and stops at pair degree max_degree; a degreewise resolution
     step over an artinian ring counts its products x^m * column against
     max_pairs and stops at degree max_degree.  Exceeding one raises
-    ResourceBudgetError; there is no silent truncation."""
+    ResourceBudgetError; there is no silent truncation.  A named tuple, so
+    immutable, and equal to a plain tuple of the same two values."""
 
-    max_pairs: int = 50_000
-    max_degree: int = 40
+    __slots__ = ()
 
 
 DEFAULT_BUDGETS = Budgets()
@@ -83,9 +82,19 @@ def configure_budgets(budgets: Budgets | None) -> Budgets:
     context variable, so it never reaches another thread (a new thread
     starts from the defaults) and concurrent callers cannot race.  It is the
     only way to set budgets: every completion run reads it when it starts,
-    so a one-off override sets it and restores the returned value after."""
+    so a one-off override sets it and restores the returned value after.
+    Anything but a `Budgets` (a plain tuple included) or None, and any field
+    that is not an integer >= 0, is refused with InputError and leaves the
+    setting as it was."""
+    if budgets is None:
+        budgets = DEFAULT_BUDGETS
+    elif not isinstance(budgets, Budgets):
+        raise InputError("budgets must be a Budgets or None", got=type(budgets).__name__)
+    for name, value in zip(budgets._fields, budgets):
+        if not is_integer(value) or value < 0:
+            raise InputError(f"{name} must be an integer >= 0", value=repr(value))
     prev = _current_budgets.get()
-    _current_budgets.set(DEFAULT_BUDGETS if budgets is None else budgets)
+    _current_budgets.set(budgets)
     return prev
 
 

@@ -134,6 +134,8 @@ class RingSpec:
             f = self.ring.parse(src) if isinstance(src, str) else src
             if f.ring != self.ring:
                 raise InputError(f"relation {i} lives in a different ring", index=i)
+            if f.is_zero():
+                raise InputError(f"relation {i} is zero", index=i)
             d = f.homogeneous_degree()
             if d is None or d < 2:
                 raise InputError(

@@ -13,7 +13,7 @@ import numpy as np
 from civar.arith import Poly, fp_inv, mono_div, mono_lcm, mono_mul
 from civar.cohomology import ExtKModule, VarietyIdeal
 from civar.groebner import FreeElt, groebner_basis, normal_form
-from civar.resolve import _offsets
+from civar.resolve import RingSpec, _offsets, present_module, resolve_min
 
 
 def naive_reduce(v, elements):
@@ -210,6 +210,41 @@ def random_column(ring, shifts, degree, rng):
         elt = FreeElt.from_polys(polys, tuple(shifts))
         if not elt.is_zero():
             return elt
+
+
+def linear_form(rs, coeffs):
+    """sum_j coeffs[j] chi_j in the ring H of operators of rs."""
+    c = rs.codim
+    return rs.h_ring.poly({tuple(int(i == j) for i in range(c)): a for j, a in enumerate(coeffs)})
+
+
+def in_variety_by_projective_dimension(pres, a) -> bool:
+    """Point oracle for support varieties.  For a in F_p^c, a != 0, let
+    Q_a = P/(a_1 f_1 + ... + a_c f_c); then a lies in V(M) exactly when M
+    has infinite projective dimension over Q_a (Avramov, Invent. Math. 96,
+    1989; Avramov-Buchweitz, Invent. Math. 142, 2000, Thm 2.5).  Q_a is
+    Cohen-Macaulay of depth n - 1, n the number of variables, so by
+    Auslander-Buchsbaum that is b_n^{Q_a}(M) != 0: one n-step resolution
+    over a ring with one relation, exact at F_p-rational points.  Over Q_a,
+    M is presented by its relations plus f_j e_i for every relation f_j of Q
+    and generator e_i.  The f_j with a_j != 0 must share one degree, so
+    that Q_a is graded."""
+    rs = pres.rs
+    p = rs.p
+    fa = None
+    for c, f in zip(a, rs.ci):
+        if c % p:
+            fa = f * c if fa is None else fa + f * c
+    if fa is None:
+        raise ValueError("the point must be nonzero")
+    qa = RingSpec(p, rs.ring.vars, [fa])
+    cols = list(pres.relations) + [
+        FreeElt(rs.ring, pres.rank, {(i, m): v for (_, m), v in f.terms.items()}, pres.gens)
+        for f in rs.ci
+        for i in range(pres.rank)
+    ]
+    n = rs.ring.nvars
+    return resolve_min(present_module(qa, pres.gens, cols), n).betti_sequence(n)[n] != 0
 
 
 def seeded(tag: str) -> random.Random:

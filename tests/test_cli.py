@@ -498,6 +498,20 @@ def test_usage_error_exits_1(files, capsys):
     assert "error[input]" in capsys.readouterr().err
 
 
+def test_zero_polynomials_are_named_as_zero(files, capsys):
+    """A zero operator polynomial or ring relation exits 1 and says it is
+    zero, not that it is inhomogeneous."""
+    ring, mods, tmp = files
+    code, _, err = run(capsys, ["cut", ring, mods["k"], "--eta", "0"])
+    assert code == cli.EXIT_INPUT
+    assert err == "error[input]: operator polynomial must be nonzero\n"
+    zero_ring = tmp / "zero.json"
+    zero_ring.write_text(json.dumps({"p": 101, "vars": ["x", "y"], "ci": ["x^2", "0"]}))
+    code, _, err = run(capsys, ["validate", str(zero_ring)])
+    assert code == cli.EXIT_INPUT
+    assert err == "error[input]: relation 1 is zero\n  index: 1\n"
+
+
 def test_premise_failure_exits_1(files, capsys):
     ring, mods, _ = files
     code, _, err = run(

@@ -1,7 +1,11 @@
 """Operator extraction, the graded action on Ext against k, window
 annihilators, and the stabilized support variety."""
 
+from math import prod
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from civar.arith import PolyRing
 from civar.errors import InputError, StabilizationError
@@ -16,6 +20,7 @@ from civar.cohomology import (
     operator_columns,
     support_variety,
 )
+from civar.construct import realize
 from civar.resolve import (
     RingSpec,
     direct_sum,
@@ -26,7 +31,15 @@ from civar.resolve import (
     syzygy_module,
 )
 
-from helpers import annihilator_reference, dense, seeded, times
+from helpers import (
+    annihilator_reference,
+    dense,
+    in_variety_by_projective_dimension,
+    linear_form,
+    nullspace_reference,
+    seeded,
+    times,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +455,94 @@ def test_stabilization_error_carries_the_generator_degrees(r3):
     assert details["rejected"] == "generators"
     assert (details["generator_degree_lo"], details["generator_degree_hi"]) == (3, 3)
     assert "top generator degree is 3 at N = 4 and 3 at N = 6" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# the point oracle
+
+
+# The F_p-linear components of V(M) for the R1 and R3 corpus modules, each
+# given by the coefficient vectors of the linear forms that cut it out: []
+# is all of k^c, and no component at all is V = {0}.  Worked out by hand
+# over Q_a = P/(sum_j a_j x_j^2): V(k) and V(syz1(k)) are all of k^c, a
+# free module has V = {0}, and Q/(l) for the linear forms l here has
+# infinite projective dimension over Q_a exactly when l divides
+# sum_j a_j x_j^2: when a_2 = a_3 = 0 for l = x, and when a is a multiple
+# of (1, -1, 0) for l = x + y, as x^2 - y^2 = (x + y)(x - y).
+CORPUS_COMPONENTS = {
+    "R1 k": [[]],
+    "R1 free": [],
+    "R1 A/(x)": [[[0, 1]]],
+    "R1 A/(y)": [[[1, 0]]],
+    "R1 A/(x+y)": [[[1, 1]]],
+    "R1 syz1(k)": [[]],
+    "R3 k": [[]],
+    "R3 A/(x)": [[[0, 1, 0], [0, 0, 1]]],
+    "R3 A/(x+y)": [[[1, 1, 0], [0, 0, 1]]],
+}
+
+
+def _vanishes(gens, a, p) -> bool:
+    """a is a zero of every polynomial in gens."""
+    return all(
+        sum(c * prod(pow(x, e, p) for x, e in zip(a, m)) for (_, m), c in g.terms.items()) % p == 0
+        for g in gens
+    )
+
+
+def _basis(forms, rs):
+    """A basis of the common zeros in F_p^c of linear forms."""
+    if not forms:
+        return [[int(i == j) for i in range(rs.codim)] for j in range(rs.codim)]
+    return nullspace_reference(np.array(forms, dtype=np.int64), rs.p)
+
+
+def _drawn_point(data, basis, p):
+    """A nonzero point of the span of a linearly independent basis."""
+    weights = st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis))
+    weights = data.draw(weights.filter(any))
+    return [sum(w * b[j] for w, b in zip(weights, basis)) % p for j in range(len(basis[0]))]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_point_oracle_agrees_with_support_variety(corpus, r1, r3, data):
+    """At drawn F_p-rational points a, a in V(M) read off the computed
+    variety agrees with b_n^{Q_a}(M) != 0 (`helpers`), and with the known
+    linear components of V.  Each example checks every R1 and R3 corpus
+    module and one drawn realized module over R1 or R3: a linear cone, or a
+    direct sum of two, whose V is the union of theirs.  One point is drawn
+    on every F_p-linear component of V, and two at random, almost always
+    off V."""
+    shape = data.draw(
+        st.sampled_from(["R1 line", "R3 plane", "R3 line", "R1 two lines", "R3 plane, line"])
+    )
+    rs = r1 if shape.startswith("R1") else r3
+    form = st.lists(st.integers(0, rs.p - 1), min_size=rs.codim, max_size=rs.codim).filter(any)
+    cuts = {"R1 line": [1], "R3 plane": [1], "R3 line": [2], "R1 two lines": [1, 1]}
+    realized = []
+    for count in cuts.get(shape, [1, 2]):
+        forms = [data.draw(form) for _ in range(count)]
+        assume(len(_basis(forms, rs)) == rs.codim - count)
+        realized.append(forms)
+    summands = [
+        realize(rs, [linear_form(rs, f) for f in forms], verify=False) for forms in realized
+    ]
+    cases = [(dict(corpus)[name], components) for name, components in CORPUS_COMPONENTS.items()]
+    cases.append((summands[0] if len(summands) == 1 else direct_sum(*summands), realized))
+    for pres, components in cases:
+        p, c = pres.rs.p, pres.rs.codim
+        points = [(_drawn_point(data, _basis(forms, pres.rs), p), True) for forms in components]
+        for _ in range(2):
+            a = data.draw(st.lists(st.integers(0, p - 1), min_size=c, max_size=c).filter(any))
+            on_v = any(
+                all(sum(f * x for f, x in zip(form, a)) % p == 0 for form in forms)
+                for forms in components
+            )
+            points.append((a, on_v))
+        v = support_variety(pres)
+        for a, on_v in points:
+            computed = _vanishes(v.gens, a, p)
+            why = (a, [str(g) for g in v.gens])
+            assert in_variety_by_projective_dimension(pres, a) == computed, why
+            assert computed == on_v, why

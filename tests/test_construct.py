@@ -37,7 +37,7 @@ from civar.resolve import (
     vector_model,
 )
 
-from helpers import betti_growth, dense, nullspace_reference, rref_reference
+from helpers import betti_growth, dense, linear_form, nullspace_reference, rref_reference
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +63,44 @@ def test_phi_rejects_bad_inputs(r1):
         phi(k, "chi1 + chi2^2")  # inhomogeneous
     with pytest.raises(InputError):
         phi(k, "3")  # degree 0
-    with pytest.raises(InputError):
-        phi(k, "0")
+    for zero in ("0", "chi1 - chi1"):
+        with pytest.raises(InputError) as exc:
+            phi(k, zero)
+        assert str(exc.value) == "operator polynomial must be nonzero"
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (construct.DecompositionResult, ("summands", "possibly_decomposable", "models")),
+        (
+            construct.CarlsonResult,
+            (
+                "m_variety", "group1", "group2", "free", "summands",
+                "c1", "c2", "v1", "v2", "verdict",
+            ),
+        ),
+    ],
+)
+def test_results_are_immutable_records(record, fields):
+    """Fields in their order, built by keyword, read by attribute, shown as
+    Name(field=...), and refusing assignment."""
+    assert record._fields == fields
+    values = {name: [i] for i, name in enumerate(fields)}
+    result = record(**values)
+    assert [getattr(result, name) for name in record._fields] == list(values.values())
+    assert repr(result) == record.__name__ + "(" + ", ".join(
+        f"{name}=[{i}]" for i, name in enumerate(record._fields)
+    ) + ")"
+    with pytest.raises(AttributeError):
+        setattr(result, record._fields[0], [])
+    with pytest.raises(AttributeError):
+        result.other = 1
+
+
+def test_decomposition_models_default_to_empty():
+    result = construct.DecompositionResult(summands=[], possibly_decomposable=[])
+    assert result.models == ()
 
 
 def test_phi_mixed_internal_degree():
@@ -184,11 +220,6 @@ def test_realize_skip_verification(r1):
     assert support_variety(got).equals(VarietyIdeal(r1.h_ring, ["chi2"]))
 
 
-def _linear_form(rs, coeffs):
-    c = rs.codim
-    return rs.h_ring.poly({tuple(int(i == j) for i in range(c)): a for j, a in enumerate(coeffs)})
-
-
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_realize_any_drawn_cone(r1, r3, data):
@@ -200,11 +231,11 @@ def test_realize_any_drawn_cone(r1, r3, data):
     rs = r3 if shape == "R3 plane" else r1
     coeffs = st.lists(st.integers(0, rs.p - 1), min_size=rs.codim, max_size=rs.codim)
     a = data.draw(coeffs.filter(any))
-    eta = _linear_form(rs, a)
+    eta = linear_form(rs, a)
     if shape == "R1 two lines":
         b = data.draw(coeffs.filter(any))
         assume((a[0] * b[1] - a[1] * b[0]) % rs.p)
-        eta = eta * _linear_form(rs, b)
+        eta = eta * linear_form(rs, b)
     dim = rs.codim - 1
     m = realize(rs, [eta], verify=False)
     v = support_variety(m)

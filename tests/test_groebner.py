@@ -293,6 +293,47 @@ def test_configure_budgets_scopes_defaults(pxy):
     groebner_basis(gens)  # restored
 
 
+@pytest.mark.parametrize(
+    "budgets",
+    [
+        (50_000, 40),  # a plain tuple equal to the defaults
+        [50_000, 40],
+        {"max_pairs": 50_000, "max_degree": 40},
+        Budgets(max_pairs=-1),
+        Budgets(max_degree=-1),
+        Budgets(max_pairs=True),
+        Budgets(max_degree=2.0),
+        Budgets(max_pairs="100"),
+        Budgets(max_pairs=None),
+    ],
+)
+def test_configure_budgets_refuses_anything_but_budgets_of_integers(pxy, budgets):
+    """A refused value raises InputError and leaves the setting as it
+    was; the next completion still runs under the earlier budgets."""
+    gens = [pxy.parse("x^2 - y^2"), pxy.parse("x*y")]
+    prev = configure_budgets(Budgets(max_pairs=50_000, max_degree=1))
+    try:
+        with pytest.raises(InputError):
+            configure_budgets(budgets)
+        with pytest.raises(ResourceBudgetError):
+            groebner_basis(gens)
+    finally:
+        configure_budgets(prev)
+    assert configure_budgets(None) == Budgets()
+
+
+def test_budgets_are_an_immutable_record():
+    b = Budgets()
+    assert repr(b) == "Budgets(max_pairs=50000, max_degree=40)"
+    assert (b.max_pairs, b.max_degree) == (50_000, 40)
+    assert Budgets(max_degree=5) == Budgets(50_000, 5) == (50_000, 5)
+    assert b._replace(max_pairs=3).max_pairs == 3
+    with pytest.raises(AttributeError):
+        b.max_pairs = 1
+    with pytest.raises(AttributeError):
+        b.other = 1
+
+
 def test_configured_budgets_stay_in_their_thread(pxy):
     gens = [pxy.parse("x^2 - y^2"), pxy.parse("x*y")]
     sizes = []

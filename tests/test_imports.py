@@ -1,5 +1,6 @@
 """What the package imports: every name a module of the package imports is
-used in that module, and numpy is not needed at all.
+used in that module, numpy is not needed at all, and the command line's
+import graph stays free of the standard library's slowest imports.
 
 Parsed with the standard `ast` module, so no linter is needed.  A name
 counts as used when it is loaded anywhere in the module (attribute access
@@ -76,3 +77,38 @@ def test_the_package_runs_without_numpy(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+# dataclasses pulls in inspect, and with it ast, dis and tokenize; typing
+# is preloaded by nothing when `site` is off.  With cached bytecode they
+# would cost about as much as the rest of a fresh `import civar.cli`,
+# which every command-line call pays.
+SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+IMPORT_GRAPH = """
+import sys
+
+before = set(sys.modules)
+import civar
+package = set(sys.modules) - before
+import civar.cli
+command_line = set(sys.modules) - before
+print(" ".join(sorted(package)))
+print(" ".join(sorted(command_line)))
+"""
+
+
+def test_the_command_line_imports_no_slow_stdlib_module():
+    """A fresh interpreter without `site` (so nothing is preloaded):
+    neither `import civar` nor `import civar.cli` loads dataclasses,
+    inspect, ast, dis, tokenize or typing."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_GRAPH],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    package, command_line = (set(line.split()) for line in done.stdout.splitlines())
+    assert "civar.groebner" in package and "civar.cli" in command_line
+    assert package & SLOW_IMPORTS == set()
+    assert command_line & SLOW_IMPORTS == set()

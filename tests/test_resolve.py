@@ -49,6 +49,15 @@ def test_ring_rejects_bad_relations():
         RingSpec(101, ["x", "y"], [])  # c = 0
 
 
+def test_ring_names_a_zero_relation():
+    """A zero relation is reported as zero, not as inhomogeneous."""
+    for ci in (["x^2", "0"], ["x^2", "y^2 - y^2"]):
+        with pytest.raises(InputError) as exc:
+            RingSpec(101, ["x", "y"], ci)
+        assert str(exc.value) == "relation 1 is zero"
+        assert exc.value.details == {"index": 1}
+
+
 def test_ring_rejects_non_regular_sequence():
     # (x^2, x*y) cuts dimension only once
     with pytest.raises(InputError):
