@@ -27,7 +27,7 @@ from collections import namedtuple
 from .arith import is_integer
 from .errors import CivarError, InputError, ResourceBudgetError, VerificationError
 from .groebner import DEFAULT_BUDGETS, Budgets, configure_budgets
-from .cohomology import VarietyIdeal, _known_variety, lift_and_operators, support_variety
+from .cohomology import VarietyIdeal, lift_and_operators, support_variety
 from .resolve import (
     ModulePresentation,
     RingSpec,
@@ -274,7 +274,7 @@ def cmd_operators(args, rs, pres):
 
 
 def cmd_variety(args, rs, pres):
-    v = support_variety(pres, steps=args.steps, max_op_degree=args.max_op_degree)
+    v = support_variety(pres, steps=args.steps)
     used = v.meta["steps_used"]
     # the resolution the variety was read on: over Q, or its artinian reduction
     res = resolve_min(artinian_reduction(pres), used)
@@ -300,8 +300,8 @@ def cmd_cut(args, rs, pres):
         "result": module_doc(result),
     }
     if not args.no_verify:
-        v_m = support_variety(pres, steps=args.steps, max_op_degree=args.max_op_degree)
-        v_k = support_variety(result, steps=args.steps, max_op_degree=args.max_op_degree)
+        v_m = support_variety(pres, steps=args.steps)
+        v_k = support_variety(result, steps=args.steps)
         expected = v_m.intersect(VarietyIdeal(rs.h_ring, [theta.h]))
         mcm = is_mcm(pres)
         ok = expected.contains_variety(v_k) and (not mcm or v_k.equals(expected))
@@ -326,8 +326,8 @@ def cmd_cut(args, rs, pres):
 def cmd_realize(args, rs, pres):
     etas = [rs.h_ring.parse(e) for e in args.eta]
     result = realize(rs, etas, verify=not args.no_verify)
-    window = dict(steps=args.steps, max_op_degree=args.max_op_degree)
-    v = _known_variety(result, **window) or support_variety(result, **window)
+    # with the default window this is the variety `realize` verified
+    v = support_variety(result, steps=args.steps)
     report = {
         "etas": [str(f) for f in etas],
         "result": module_doc(result),
@@ -407,10 +407,6 @@ class _Once(argparse.Action):
 # A flag that takes one value is refused when given twice (`_Once`).
 FLAGS = {
     "steps": ("--steps", dict(type=int, help="resolution window size N")),
-    "cap": ("--cap", dict(
-        dest="max_op_degree", metavar="CAP", type=int,
-        help="upper bound on the operator degree of the annihilator window",
-    )),
     "max_pairs": ("--max-pairs", dict(
         type=int, default=DEFAULT_BUDGETS.max_pairs,
         help="S-pair budget of a completion run, product budget of a resolution step",
@@ -437,7 +433,7 @@ FLAGS = {
 # Read by every subcommand.  The budgets also govern the ring's Groebner
 # basis, computed when the ring file is loaded.
 SHARED_FLAGS = ("format", "max_pairs", "max_degree")
-CUT_FLAGS = ("steps", "cap", "no_verify", "out")
+CUT_FLAGS = ("steps", "no_verify", "out")
 
 MODULE = dict(help="module file")
 OPTIONAL_MODULE = dict(nargs="?", help="optional module file")
@@ -457,7 +453,7 @@ COMMANDS = {
         cmd_operators, "degree-2 operator matrices along the resolution", MODULE, ("steps",)
     ),
     "variety": Command(
-        cmd_variety, "support variety: annihilator ideal and dimension", MODULE, ("steps", "cap")
+        cmd_variety, "support variety: annihilator ideal and dimension", MODULE, ("steps",)
     ),
     "cut": Command(
         cmd_cut, "pushout module cutting the variety by a hypersurface", MODULE,
@@ -516,7 +512,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fmt = args.format
     try:
-        for name in ("steps", "max_op_degree", "max_pairs", "max_degree", "attempts"):
+        for name in ("steps", "max_pairs", "max_degree", "attempts"):
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise InputError(f"{name} must be positive", value=value)

@@ -26,19 +26,21 @@ rows).  Those new vectors are minimal generators of a_N, and the Groebner
 basis starts from them.  Only the windows that start at a degree holding a
 minimal H-generator of E are cut: every other E^i is the sum of the
 chi_j E^{i-2}, so by commutation and induction on i an h that kills the
-generator windows kills them all.  Each K_d is kept, keyed by its chain of
-cut sets for degrees 1..d, in a memo the windows of one variety share; the
-window N + 2 has the cut sets of the window N in every degree the window N
-builds, so it solves only its new top degree.
+generator windows kills them all.  `support_variety` builds one E per
+variety and widens it in place, so its memos serve every window: each
+action and each composite is built once, and each K_d is kept, keyed by its
+chain of cut sets for degrees 1..d.  The window N + 2 has the cut sets of
+the window N in every degree the window N builds, so it solves only its new
+top degree.
 
 A degree-d candidate is tested only on E^i with i <= N - 2d, so it is
 tested on every H-generator of E that the window 0..N sees only when
 2d <= N - g_N, g_N the top degree of a minimal H-generator of E in 0..N
 (counted as dim E^i minus the rank of [chi_1 E^{i-2} | ... | chi_c E^{i-2}],
-ranks the windows of one variety share).  `support_variety` therefore
-builds a_N over d <= (N - g_N) / 2 only.  E is finitely generated over H
-(Gulliksen 1974), so g_N settles; a pair of windows is compared only once
-g_N = g_{N+2} with at least two generator-free degrees above it.  The two
+ranks kept on E).  `support_variety` therefore builds a_N over
+d <= (N - g_N) / 2 only.  E is finitely generated over H (Gulliksen 1974),
+so g_N settles; a pair of windows is compared only once g_N = g_{N+2} with
+at least two generator-free degrees above it.  The two
 candidates are then compared up to radical, with the Betti-growth
 complexity estimate as an independent guard on the dimension.
 
@@ -68,15 +70,13 @@ from .resolve import (
 
 class CiOperators:
     """For each j and each middle index i, the chain map t_j^{(i)} mapping
-    resolution step i+1 to step i-1, stored as columns over Q, and E's
-    chi_j: E^{i-1} -> E^{i+1} read off it, keyed (j, i - 1)."""
+    resolution step i+1 to step i-1, stored as columns over Q."""
 
-    __slots__ = ("upto", "cols", "ext_act")
+    __slots__ = ("upto", "cols")
 
     def __init__(self, c: int):
         self.upto = 0
         self.cols = [dict() for _ in range(c)]
-        self.ext_act = {}
 
 
 def lift_and_operators(res: Resolution, upto: int) -> Resolution:
@@ -137,7 +137,7 @@ class ExtKModule:
     no residue zero.  Composites of these maps commute exactly.  The memos
     of composites, of the ranks `generator_counts` reads and of the kernels
     `annihilator_window` solves hold nothing that depends on `steps`, so
-    windows over one resolution may share them."""
+    they stay valid when `widen` raises it."""
 
     __slots__ = ("rs", "steps", "dims", "act", "_composites", "_reached", "_kernels")
 
@@ -171,32 +171,34 @@ class ExtKModule:
         self._composites[(mono, i)] = out
         return out
 
+    def widen(self, res: Resolution, steps: int) -> "ExtKModule":
+        """Extend E in place to degrees 0..steps of `res`, its resolution,
+        building only the actions it lacks; see `ext_k_module`."""
+        one = self.rs.ring._one_mono
+        lift_and_operators(res, steps - 1 if steps >= 2 else 1)
+        self.dims = [len(res.degs[i]) for i in range(steps + 1)]
+        for j, per_i in enumerate(self.act):
+            for lo in range(len(per_i), steps - 1):
+                cols = [{} for _ in range(self.dims[lo])]
+                for c_idx, col in enumerate(operator_columns(res, j, lo)):
+                    for (r, m), v in col.terms.items():
+                        if m == one:
+                            cols[r][c_idx] = v
+                per_i.append(cols)
+        self.steps = steps
+        return self
+
 
 def ext_k_module(res: Resolution, steps: int) -> ExtKModule:
     """E^i = Hom(F_i, k) for i <= steps; the chi_j action is the transpose of
     t_j's constant-term matrix (reducing mod the variables kills everything
     of positive degree, and minimality makes the result independent of the
     lift).  The operators at middle index steps - 1 read d_steps, so the
-    resolution is extended to step `steps` and no further.  Each action is
-    built once and kept with the operators (`support_variety` drops them
-    when it accepts)."""
+    resolution is extended to step `steps` and no further.  A wider window
+    over the same resolution is `widen` on the result, which keeps every
+    action and memo built so far."""
     rs = res.rs
-    one = rs.ring._one_mono
-    lift_and_operators(res, steps - 1 if steps >= 2 else 1)
-    dims = [len(res.degs[i]) for i in range(steps + 1)]
-    memo = res.ops.ext_act
-    act = [[] for _ in range(rs.codim)]
-    for j, per_i in enumerate(act):
-        for lo in range(steps - 1):
-            cols = memo.get((j, lo))
-            if cols is None:
-                cols = memo[j, lo] = [{} for _ in range(dims[lo])]
-                for c_idx, col in enumerate(operator_columns(res, j, lo)):
-                    for (r, m), v in col.terms.items():
-                        if m == one:
-                            cols[r][c_idx] = v
-            per_i.append(cols)
-    return ExtKModule(rs, steps, dims, act)
+    return ExtKModule(rs, 0, [], [[] for _ in range(rs.codim)]).widen(res, steps)
 
 
 class VarietyIdeal:
@@ -286,10 +288,12 @@ def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIde
     """Candidate annihilator a_N: the ideal of the spaces K_d, d <= D
     (default N/2), of homogeneous h of degree d in the chi's whose action
     E^i -> E^{i+2d} vanishes for every window inside the computed range.
-    Always contains the true annihilator.  A degree-d candidate is tested on
-    E^0..E^{N-2d} only, so it can pass while failing on an H-generator of E
-    above degree N - 2d; `support_variety` keeps D <= (N - g_N) / 2, where
-    that cannot happen (see `generator_degree`).
+    It contains every element of ann E of degree <= D, which need not
+    generate ann E when D lies below the degree of one of its minimal
+    generators.  A degree-d candidate is tested on E^0..E^{N-2d} only, so
+    it can pass while failing on an H-generator of E above degree N - 2d;
+    `support_variety` keeps D <= (N - g_N) / 2, where that cannot happen
+    (see `generator_degree`).
 
     Only the windows E^i -> E^{i+2d} at which E has a minimal H-generator
     (`generator_counts`) are cut, which gives the same K_d: every other E^i
@@ -300,10 +304,11 @@ def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIde
     window without a generator, so skipping it changes no basis either.
 
     K_d is solved from K_{d-1} (`_solve_degree`).  Each K_d is kept in the
-    memo of `ext`, which the windows of one `support_variety` share, keyed
-    by its chain of cut sets for degrees 1..d.  Under d <= (N - g_N) / 2 no
-    generator lies in (N - 2d, N + 2 - 2d], so the window N + 2 has the same
-    cut sets as the window N and solves only its new top degree.  The
+    memo of `ext`, keyed by its chain of cut sets for degrees 1..d, and
+    `support_variety` widens one `ext` in place from window to window.
+    Under d <= (N - g_N) / 2 no generator lies in (N - 2d, N + 2 - 2d], so
+    the window N + 2 has the same cut sets as the window N and solves only
+    its new top degree.  The
     generators are the vectors each degree adds beyond the products of the
     degree below: they span K_d modulo chi_1 K_{d-1} + ... + chi_c K_{d-1},
     so the Groebner basis starts from a minimal generating set of the same
@@ -435,63 +440,28 @@ def complexity(pres: ModulePresentation, steps: int = 12) -> int:
     return max(growth(tail[0::2]), growth(tail[1::2]))
 
 
-def _window_args(pres: ModulePresentation, steps, max_steps, max_op_degree) -> tuple:
-    """(N, cap, max_op_degree) of a `support_variety` call with the defaults
-    filled in; the arguments it refuses raise InputError here."""
-    n0 = steps if steps is not None else max(8, 2 * pres.rs.codim + 4)
-    if n0 < 4:
-        raise InputError("window of at least 4 steps required", steps=n0)
-    if max_op_degree is not None and max_op_degree < 1:
-        raise InputError("operator degree cap must be at least 1", max_op_degree=max_op_degree)
-    cap = max_steps if max_steps is not None else n0 + 8
-    if cap < n0 + 2:
-        raise InputError(
-            f"step cap {cap} leaves no room for the window pair ({n0}, {n0 + 2})",
-            steps=n0, max_steps=cap,
-        )
-    return n0, cap, max_op_degree
-
-
-def _known_variety(
-    pres: ModulePresentation,
-    steps: int = None,
-    max_steps: int = None,
-    max_op_degree: int = None,
-):
-    """The ideal `support_variety` last accepted for `pres`, when it was
-    asked with these window arguments (defaults filled in), else None.
-    `cli realize` reads the variety `realize` verified this way instead of
-    computing it a second time."""
-    kept = pres._variety
-    if kept is not None and kept[0] == _window_args(pres, steps, max_steps, max_op_degree):
-        return kept[1]
-    return None
-
-
 def support_variety(
-    pres: ModulePresentation,
-    steps: int = None,
-    max_steps: int = None,
-    max_op_degree: int = None,
+    pres: ModulePresentation, steps: int = None, max_steps: int = None
 ) -> VarietyIdeal:
     """The support variety of M, as the stabilized window annihilator.
 
     For windows N and N+2 the top generator degrees g_N and g_{N+2} are read
     off E (`generator_degree`), and a_N is built over operator degrees
-    d <= (N - g_N) / 2, with `max_op_degree` (at least 1) as a further
-    upper bound.  The
-    pair is rejected unless g_N = g_{N+2} with at least two generator-free
-    degrees above g_N; otherwise a_N and a_{N+2} are accepted when mutually
-    radical-contained with equal dimension, and when that dimension matches
-    the Betti-growth complexity estimate (an independent oracle for
-    under-resolution).  A rejected pair widens the window by 2, a_{N+2}
-    becoming the next a_N, until the cap, where a stabilization error reports
-    both candidates, g and which test rejected the last pair: the generator
-    degree has not settled, the dimensions differ, the radicals differ, or
-    the complexity does not match.  The accepted ideal's meta records
+    d <= (N - g_N) / 2, the bound under which every candidate is tested on
+    every generator the window sees.  The pair is rejected unless
+    g_N = g_{N+2} with at least two generator-free degrees above g_N;
+    otherwise a_N and a_{N+2} are accepted when mutually radical-contained
+    with equal dimension, and when that dimension matches the Betti-growth
+    complexity estimate (an independent oracle for under-resolution).  A
+    rejected pair widens the window by 2, a_{N+2} becoming the next a_N,
+    until the cap, where a stabilization error reports both candidates, g
+    and which test rejected the last pair: the generator degree has not
+    settled, the dimensions differ, the radicals differ, or the complexity
+    does not match.  The accepted ideal's meta records
     stabilized_at (N), steps_used (N+2), the complexity value the guard
     accepted and generator_degree (g).  `max_steps` must leave room for the
-    first pair (at least N + 2).
+    first pair (at least N + 2).  One E is built at the first N and widened
+    in place, so each window builds only the actions it adds.
 
     Over a non-artinian Q, a maximal Cohen-Macaulay module M is replaced by
     its `artinian_reduction` M/x_S M over Q/(x_S), x_S a set of variables
@@ -502,24 +472,28 @@ def support_variety(
     modules (not MCM, or no coordinate subspace gives an artinian quotient)
     are resolved over Q itself.
 
-    The accepted ideal is kept on `pres` with its window arguments, for
-    `_known_variety`."""
-    key = _window_args(pres, steps, max_steps, max_op_degree)
-    n0, cap, _ = key
+    The accepted ideal is kept on `pres` with its window arguments (defaults
+    filled in), and a later call with the same arguments returns it."""
+    n0 = steps if steps is not None else max(8, 2 * pres.rs.codim + 4)
+    if n0 < 4:
+        raise InputError("window of at least 4 steps required", steps=n0)
+    cap = max_steps if max_steps is not None else n0 + 8
+    if cap < n0 + 2:
+        raise InputError(
+            f"step cap {cap} leaves no room for the window pair ({n0}, {n0 + 2})",
+            steps=n0, max_steps=cap,
+        )
+    if pres._variety is not None and pres._variety[0] == (n0, cap):
+        return pres._variety[1]
     owner, pres = pres, artinian_reduction(pres)
     res = resolve_min(pres, n0 + 2)
-    # E's actions (kept with the operators), chi^m: E^i -> E^{i+2d}, the
-    # rank of [chi_1 E^{i-2} | ... ] and K_d for one chain of cut sets do
-    # not depend on the window, so every window reads one memo of each
-    composites, reached, kernels = {}, {}, {}
+    ext = ext_k_module(res, n0)
 
     def window(n):
-        ext = ext_k_module(res, n)
-        ext._composites, ext._reached, ext._kernels = composites, reached, kernels
+        if n > ext.steps:
+            ext.widen(res, n)
         g = generator_degree(ext)
         top = (n - g) // 2
-        if max_op_degree is not None:
-            top = min(top, max_op_degree)
         return g, (annihilator_window(ext, top) if top >= 1 else None)
 
     n = n0
@@ -546,8 +520,7 @@ def support_variety(
                         "complexity": cx,
                         "generator_degree": g_hi,
                     }
-                    owner._variety = (key, a_hi)
-                    res.ops.ext_act.clear()
+                    owner._variety = ((n0, cap), a_hi)
                     return a_hi
                 rejected, why = "complexity", f"the candidates agree, the complexity estimate is {cx}"
         n += 2

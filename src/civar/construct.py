@@ -186,14 +186,18 @@ def pushout_cut(pres: ModulePresentation, theta: ExtElement) -> ModulePresentati
 def realize(rs: RingSpec, etas, verify: bool = True) -> ModulePresentation:
     """Construct a module whose variety is V_H(etas): start from the
     dim-A-th syzygy of the residue field (the full variety, MCM) and cut by
-    each eta in turn.  With verify on, the result's computed variety is
-    checked against the target up to radical."""
+    each eta in turn.  Every eta is checked before the first cut.  With
+    verify on, the result's computed variety is checked against the target
+    up to radical."""
     h_ring = rs.h_ring
     polys = [h_ring.parse(s) if isinstance(s, str) else s for s in etas]
-    current = syzygy_module(residue_field(rs), rs.dim)
     for i, eta in enumerate(polys):
-        if eta.is_zero() or eta.homogeneous_degree() in (None, 0):
+        if eta.is_zero():
+            raise InputError(f"cut element {i} is zero", index=i)
+        if eta.homogeneous_degree() in (None, 0):
             raise InputError(f"cut element {i} must be homogeneous of positive degree", index=i)
+    current = syzygy_module(residue_field(rs), rs.dim)
+    for eta in polys:
         theta = phi(current, eta)
         current = pushout_cut(current, theta)
     if verify:

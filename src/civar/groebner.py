@@ -65,7 +65,9 @@ class Budgets(namedtuple("Budgets", ("max_pairs", "max_degree"), defaults=(50_00
     max_pairs and stops at pair degree max_degree; a degreewise resolution
     step over an artinian ring counts its products x^m * column against
     max_pairs and stops at degree max_degree.  Exceeding one raises
-    ResourceBudgetError; there is no silent truncation.  A named tuple, so
+    ResourceBudgetError, its details naming the budget ("max_pairs" or
+    "max_degree"), its limit and the degree reached; there is no silent
+    truncation.  A named tuple, so
     immutable, and equal to a plain tuple of the same two values."""
 
     __slots__ = ()
@@ -206,15 +208,16 @@ class _Completion:
                 raise ResourceBudgetError(
                     f"S-pair degree {deg} exceeds the degree budget "
                     f"{self.budgets.max_degree}",
-                    degree=deg,
-                    budget=self.budgets.max_degree,
+                    budget="max_degree", limit=self.budgets.max_degree,
+                    degree=deg, pairs=self.pairs_done,
                 )
-            self.pairs_done += 1
-            if self.pairs_done > self.budgets.max_pairs:
+            if self.pairs_done >= self.budgets.max_pairs:
                 raise ResourceBudgetError(
                     f"S-pair budget {self.budgets.max_pairs} exhausted",
-                    budget=self.budgets.max_pairs,
+                    budget="max_pairs", limit=self.budgets.max_pairs,
+                    degree=deg, pairs=self.pairs_done,
                 )
+            self.pairs_done += 1
             mi, mj = self.leads[i][1], self.leads[j][1]
             lcm = mono_lcm(mi, mj)
             if not self.harvest and self._criteria_skip(i, j, comp, lcm, mi, mj):

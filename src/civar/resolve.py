@@ -649,21 +649,9 @@ class Resolution:
             self.diffs.append(nxt)
         return self
 
-    def betti(self, i: int) -> int:
-        if i < 0:
-            raise InputError("negative homological degree")
-        self.extend(i)
-        return len(self.degs[i])
-
     def betti_sequence(self, n: int):
         self.extend(n)
         return [len(self.degs[i]) for i in range(n + 1)]
-
-    def diff(self, i: int):
-        if i < 1:
-            raise InputError("differentials start at index 1")
-        self.extend(i)
-        return self.diffs[i]
 
 
 def resolve_min(pres: ModulePresentation, steps: int = 1) -> Resolution:

@@ -191,7 +191,6 @@ def test_cut_refuses_a_repeated_eta(files, capsys):
 # replaces a default, so a repeat is told apart by counting, not by value
 REPEATABLE_ONCE = {
     "--steps": "variety",
-    "--cap": "variety",
     "--a1": "check-carlson",
     "--a2": "check-carlson",
     "--seed": "decompose",
@@ -408,7 +407,7 @@ def test_ragged_relations_exit_1(files, capsys):
 
 def test_bad_flag_value_exits_1(files, capsys):
     ring, mods, _ = files
-    for flag, name in (("--steps", "steps"), ("--cap", "max_op_degree"), ("--max-pairs", "max_pairs")):
+    for flag, name in (("--steps", "steps"), ("--max-pairs", "max_pairs")):
         code, _, err = run(capsys, ["variety", ring, mods["k"], flag, "0"])
         assert code == 1
         assert f"{name} must be positive" in err
@@ -446,15 +445,16 @@ READS = {
     "validate": set(),
     "resolve": {"--steps"},
     "operators": {"--steps"},
-    "variety": {"--steps", "--cap"},
-    "cut": {"--eta", "--steps", "--cap", "--no-verify", "--out"},
-    "realize": {"--eta", "--steps", "--cap", "--no-verify", "--out"},
+    "variety": {"--steps"},
+    "cut": {"--eta", "--steps", "--no-verify", "--out"},
+    "realize": {"--eta", "--steps", "--no-verify", "--out"},
     "decompose": {"--attempts", "--seed", "--out"},
     "check-carlson": {"--a1", "--a2", "--attempts", "--seed"},
 }
 SHARED = {"--format", "--max-pairs", "--max-degree"}
-# the 31 (subcommand, flag) pairs, among the nine flags any subcommand
-# accepted before, that the subcommand does not read
+# the 34 (subcommand, flag) pairs, among the nine flags any subcommand
+# accepted before, that the subcommand does not read; no subcommand reads
+# --cap, which bounded the operator degree of the annihilator window
 NINE = (
     "--steps", "--cap", "--max-pairs", "--max-degree", "--attempts", "--seed", "--no-verify",
     "--format", "--out",
@@ -512,6 +512,15 @@ def test_zero_polynomials_are_named_as_zero(files, capsys):
     assert err == "error[input]: relation 1 is zero\n  index: 1\n"
 
 
+def test_realize_names_a_zero_cut_element_as_zero(files, capsys):
+    ring, _, _ = files
+    for etas, i in ((["0"], 0), (["chi1", "0"], 1)):
+        argv = ["realize", ring] + [arg for eta in etas for arg in ("--eta", eta)]
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err == f"error[input]: cut element {i} is zero\n  index: {i}\n"
+
+
 def test_premise_failure_exits_1(files, capsys):
     ring, mods, _ = files
     code, _, err = run(
@@ -540,7 +549,7 @@ def test_degree_budget_of_the_degreewise_resolution_exits_2(files, capsys):
 def test_verification_failure_exits_3(files, capsys, monkeypatch):
     ring, mods, _ = files
 
-    def wrong_variety(pres, steps=None, max_op_degree=None):
+    def wrong_variety(pres, steps=None):
         return VarietyIdeal(pres.rs.h_ring, [])
 
     monkeypatch.setattr(cli, "support_variety", wrong_variety)

@@ -349,11 +349,25 @@ def test_support_variety_rejects_a_step_cap_below_the_first_pair(r1):
     assert support_variety(residue_field(r1), steps=8, max_steps=10).meta["steps_used"] == 10
 
 
-def test_support_variety_rejects_an_operator_cap_below_one(r1):
-    # a cap of 0 leaves no operator degree to build the annihilator from
-    for cap in (0, -1):
-        with pytest.raises(InputError):
-            support_variety(residue_field(r1), max_op_degree=cap)
+def test_support_variety_reads_its_own_cache(r1, monkeypatch):
+    """A second call with the same window arguments, defaults filled in,
+    returns the ideal kept on the presentation without computing a window;
+    another window is computed anew."""
+    import civar.cohomology as cohomology
+
+    windows = []
+    real = cohomology.annihilator_window
+    monkeypatch.setattr(
+        cohomology, "annihilator_window", lambda ext, top=None: windows.append(ext.steps) or real(ext, top)
+    )
+    k = residue_field(r1)
+    v = support_variety(k)
+    assert windows == [8, 10]
+    assert support_variety(k) is v and support_variety(k, steps=8, max_steps=16) is v
+    assert windows == [8, 10]
+    w = support_variety(k, steps=10)
+    assert windows == [8, 10, 10, 12]
+    assert w is not v and w.equals(v) and w.meta["stabilized_at"] == 10
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +458,22 @@ def test_variety_of_a_sum_is_the_union_past_degree_0_generators(r3):
     assert v.equals(VarietyIdeal(r3.h_ring, ["chi1*chi3"]))
     assert v.dimension() == 2
     assert v.meta["generator_degree"] == 3
+
+
+def test_variety_of_a_plane_plus_a_line_keeps_both(r3):
+    """M = Q/(x, y) + the realized chi3-axis, so V(M) is the plane chi3 = 0
+    with the chi3-axis, cut out by chi1*chi3 and chi2^2*chi3.  Operators of
+    degree at most 2 miss chi2^2*chi3 and give the two planes V(chi1*chi3),
+    with the same dimension, complexity and N, so no guard would reject
+    them; (0, 1, 1) lies on those planes and off V(M).  The point oracle
+    settles three points."""
+    line = realize(r3, ["chi1", "chi2^2"])
+    m = direct_sum(present_module(r3, (0,), [["x"], ["y"]]), line)
+    v = support_variety(m)
+    assert v.equals(VarietyIdeal(r3.h_ring, ["chi1*chi3", "chi2^2*chi3"]))
+    assert v.meta["generator_degree"] == 2
+    for a, inside in (([0, 1, 1], False), ([0, 0, 1], True), ([1, 1, 0], True)):
+        assert in_variety_by_projective_dimension(m, a) == inside == _vanishes(v.gens, a, r3.p), a
 
 
 def test_stabilization_error_carries_the_generator_degrees(r3):

@@ -215,6 +215,20 @@ def test_realize_rejects_bad_eta(r1):
         realize(r1, ["chi1 + 1"])
 
 
+def test_realize_checks_every_cut_element_before_the_first_cut(r1, monkeypatch):
+    calls = []
+    real = construct.phi
+    monkeypatch.setattr(construct, "phi", lambda pres, h: calls.append(h) or real(pres, h))
+    for etas, message in (
+        (["chi1", "chi1 + chi2^2"], "cut element 1 must be homogeneous of positive degree"),
+        (["chi1", "0"], "cut element 1 is zero"),
+    ):
+        with pytest.raises(InputError) as exc:
+            realize(r1, etas)
+        assert str(exc.value) == message and exc.value.details == {"index": 1}
+    assert calls == []
+
+
 def test_realize_skip_verification(r1):
     got = realize(r1, ["chi2"], verify=False)
     assert support_variety(got).equals(VarietyIdeal(r1.h_ring, ["chi2"]))

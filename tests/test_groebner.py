@@ -282,6 +282,24 @@ def test_budget_exhaustion_raises(pxy):
             configure_budgets(prev)
 
 
+def test_completion_budgets_name_budget_limit_and_degree(pxy):
+    # x^2 - y^2, xy: the first pair has degree 3 and adds y^3, the next
+    # pair has degree 4 and the one after degree 5
+    gens = [pxy.parse("x^2 - y^2"), pxy.parse("x*y")]
+    cases = (
+        (Budgets(max_degree=3), {"budget": "max_degree", "limit": 3, "degree": 4, "pairs": 1}),
+        (Budgets(max_pairs=2), {"budget": "max_pairs", "limit": 2, "degree": 5, "pairs": 2}),
+    )
+    for budgets, details in cases:
+        prev = configure_budgets(budgets)
+        try:
+            with pytest.raises(ResourceBudgetError) as exc:
+                groebner_basis(gens)
+        finally:
+            configure_budgets(prev)
+        assert exc.value.details == details
+
+
 def test_configure_budgets_scopes_defaults(pxy):
     gens = [pxy.parse("x^2 - y^2"), pxy.parse("x*y")]
     prev = configure_budgets(Budgets(max_pairs=50_000, max_degree=1))
