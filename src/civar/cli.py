@@ -31,7 +31,6 @@ from .cohomology import VarietyIdeal, lift_and_operators, support_variety
 from .resolve import (
     ModulePresentation,
     RingSpec,
-    artinian_reduction,
     is_mcm,
     present_module,
     resolve_min,
@@ -275,18 +274,7 @@ def cmd_operators(args, rs, pres):
 
 def cmd_variety(args, rs, pres):
     v = support_variety(pres, steps=args.steps)
-    used = v.meta["steps_used"]
-    # the resolution the variety was read on: over Q, or its artinian reduction
-    res = resolve_min(artinian_reduction(pres), used)
-    return {
-        "annihilator": [str(g) for g in v.gens],
-        "dimension": v.dimension(),
-        "complexity": v.meta["complexity"],
-        "generator_degree": v.meta["generator_degree"],
-        "stabilized_at": v.meta["stabilized_at"],
-        "steps_used": used,
-        "betti": [len(res.degs[i]) for i in range(used + 1)],
-    }
+    return {"annihilator": [str(g) for g in v.gens], "dimension": v.dimension(), **v.meta}
 
 
 def cmd_cut(args, rs, pres):

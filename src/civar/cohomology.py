@@ -44,12 +44,12 @@ at least two generator-free degrees above it.  The two
 candidates are then compared up to radical, with the Betti-growth
 complexity estimate as an independent guard on the dimension.
 
-Over a non-artinian Q the variety of a maximal Cohen-Macaulay module M is
-read on M/x_S M over the artinian Q/(x_S) (`resolve.artinian_reduction`):
-x_S is regular on Q and on M, so the minimal resolution of M and its lifted
-differentials reduce mod x_S to those of M/x_S M, and E and its H-action do
-not change (Avramov-Buchweitz, Invent. Math. 2000).  `complexity` reads the
-same reduction.
+Over a non-artinian Q with a coordinate reduction Q/(x_S)
+(`resolve.RingSpec.reduction`), E is read on Omega^d M / x_S Omega^d M,
+d = dim Q: Omega^d M is maximal Cohen-Macaulay by the depth lemma, so x_S
+is regular on it, its resolution and operators reduce mod x_S, and
+E(Omega^d M) is E(M) from degree d on, a submodule of finite colength with
+the same variety (Avramov-Buchweitz, Invent. Math. 2000).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .groebner import (
     radical_membership,
 )
 from .resolve import (
-    ModulePresentation, Resolution, apply_columns, artinian_reduction, resolve_min,
+    ModulePresentation, Resolution, apply_columns, artinian_reduction, resolve_min, syzygy_module,
 )
 
 
@@ -412,22 +412,29 @@ def generator_degree(ext: ExtKModule) -> int:
     return max((i for i, n in enumerate(generator_counts(ext)) if n), default=0)
 
 
+def _model(pres: ModulePresentation) -> tuple:
+    """(b_0..b_{d-1} of M, the module E is read on), by the route that
+    `support_variety` describes; ([], M) when Q has no coordinate reduction."""
+    d = pres.rs.dim
+    if pres.rs.reduction() is None:
+        return [], pres
+    return resolve_min(pres).betti_sequence(d - 1), artinian_reduction(syzygy_module(pres, d))
+
+
 def complexity(pres: ModulePresentation, steps: int = 12) -> int:
     """Betti-growth estimate: the least r with b_i growing like i^{r-1},
     from successive finite differences of the tail (last half) of the
     computed Betti numbers.  Even and odd positions are differenced
     separately and the maximum taken, which also fits tails that are
     quasi-polynomial of period 2; on exactly polynomial tails it agrees with
-    plain differencing.  A maximal Cohen-Macaulay module over a non-artinian
-    Q is resolved through its `artinian_reduction`, which has the same Betti
-    numbers.  Fewer than 4 steps leave a tail too short to difference (k
-    over F_p[x,y]/(x^2,y^2) would read 0 or 1, not 2) and are refused with
+    plain differencing.  It reads the module `support_variety` reads
+    (`_model`), so b_d..b_{d+steps} of M when Q has a coordinate reduction.
+    Fewer than 4 steps leave a tail too short to difference (k over
+    F_p[x,y]/(x^2,y^2) would read 0 or 1, not 2) and are refused with
     InputError, as `support_variety` refuses such a window."""
     if steps < 4:
         raise InputError("complexity needs at least 4 steps", steps=steps)
-    res = resolve_min(artinian_reduction(pres), steps)
-    seq = [len(res.degs[i]) for i in range(steps + 1)]
-    tail = seq[steps // 2 :]
+    tail = resolve_min(_model(pres)[1], steps).betti_sequence(steps)[steps // 2 :]
 
     def growth(s):
         s = list(s)
@@ -457,20 +464,19 @@ def support_variety(
     until the cap, where a stabilization error reports both candidates, g
     and which test rejected the last pair: the generator degree has not
     settled, the dimensions differ, the radicals differ, or the complexity
-    does not match.  The accepted ideal's meta records
-    stabilized_at (N), steps_used (N+2), the complexity value the guard
-    accepted and generator_degree (g).  `max_steps` must leave room for the
-    first pair (at least N + 2).  One E is built at the first N and widened
-    in place, so each window builds only the actions it adds.
+    does not match.  The accepted ideal's meta records stabilized_at (N),
+    steps_used (N+2), the complexity value the guard accepted,
+    generator_degree (g) and betti, M's Betti numbers b_0..b_{N+2}.
+    `max_steps` must leave room for the first pair (at least N + 2).  One E
+    is built at the first N and widened in place, so each window builds
+    only the actions it adds.
 
-    Over a non-artinian Q, a maximal Cohen-Macaulay module M is replaced by
-    its `artinian_reduction` M/x_S M over Q/(x_S), x_S a set of variables
-    regular on Q and on M, which takes the degreewise resolution.  The
-    minimal resolution of M reduces mod x_S to that of M/x_S M, and the
-    lifted differentials with it, so Ext(M, k) and its H-action, the Betti
-    numbers, and every window, g and verdict above are the same.  Other
-    modules (not MCM, or no coordinate subspace gives an artinian quotient)
-    are resolved over Q itself.
+    The route depends on the ring alone (`_model`).  An artinian Q, or one
+    with no coordinate reduction (F_p[x,y]/(xy)), resolves M itself.  Any
+    other Q resolves d = dim Q steps and reads E(Omega^d M), which is E(M)
+    from degree d on, on its reduction mod x_S: the windows, g and the
+    complexity guard are read there, and betti is b_0..b_{d-1} over Q
+    followed by the reduction's.
 
     The accepted ideal is kept on `pres` with its window arguments (defaults
     filled in), and a later call with the same arguments returns it."""
@@ -485,7 +491,7 @@ def support_variety(
         )
     if pres._variety is not None and pres._variety[0] == (n0, cap):
         return pres._variety[1]
-    owner, pres = pres, artinian_reduction(pres)
+    owner, (head, pres) = pres, _model(pres)
     res = resolve_min(pres, n0 + 2)
     ext = ext_k_module(res, n0)
 
@@ -519,6 +525,7 @@ def support_variety(
                         "steps_used": n + 2,
                         "complexity": cx,
                         "generator_degree": g_hi,
+                        "betti": head + res.betti_sequence(n + 2 - len(head)),
                     }
                     owner._variety = ((n0, cap), a_hi)
                     return a_hi

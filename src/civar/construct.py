@@ -93,6 +93,16 @@ def _compose_down(res, cols_high, level, j):
     return out
 
 
+def _internal_degree(rs: RingSpec, h, what: str = "", **where) -> int:
+    """The internal degree sum_j a_j deg f_j that every monomial chi^a of h
+    must share; InputError naming the degrees and `where` otherwise."""
+    degrees = sorted({sum(a * e for a, e in zip(m, rs.ci_degs)) for _slot, m in h.terms})
+    if len(degrees) != 1:
+        msg = "monomials of mixed internal degree cannot represent one graded map"
+        raise InputError(what + msg, degrees=degrees, **where)
+    return degrees[0]
+
+
 def phi(pres: ModulePresentation, h) -> ExtElement:
     """The image of a homogeneous operator polynomial h in Ext^{2d}(M, M):
     for each monomial chi^a, compose the chain maps t_j in ascending variable
@@ -110,15 +120,7 @@ def phi(pres: ModulePresentation, h) -> ExtElement:
         raise InputError("operator polynomial must be homogeneous")
     if d < 1:
         raise InputError("operator polynomial must have positive degree")
-    internal = {
-        sum(a * rs.ci_degs[j] for j, a in enumerate(m)) for _slot, m in h.terms
-    }
-    if len(internal) != 1:
-        raise InputError(
-            "monomials of mixed internal degree cannot represent one graded map",
-            degrees=sorted(internal),
-        )
-    e = internal.pop()
+    e = _internal_degree(rs, h)
     n = 2 * d
     res = resolve_min(pres, n + 1)
     lift_and_operators(res, n - 1)
@@ -186,9 +188,9 @@ def pushout_cut(pres: ModulePresentation, theta: ExtElement) -> ModulePresentati
 def realize(rs: RingSpec, etas, verify: bool = True) -> ModulePresentation:
     """Construct a module whose variety is V_H(etas): start from the
     dim-A-th syzygy of the residue field (the full variety, MCM) and cut by
-    each eta in turn.  Every eta is checked before the first cut.  With
-    verify on, the result's computed variety is checked against the target
-    up to radical."""
+    each eta in turn.  Every eta is checked before the first cut, its
+    internal degree included.  With verify on, the result's computed
+    variety is checked against the target up to radical."""
     h_ring = rs.h_ring
     polys = [h_ring.parse(s) if isinstance(s, str) else s for s in etas]
     for i, eta in enumerate(polys):
@@ -196,6 +198,7 @@ def realize(rs: RingSpec, etas, verify: bool = True) -> ModulePresentation:
             raise InputError(f"cut element {i} is zero", index=i)
         if eta.homogeneous_degree() in (None, 0):
             raise InputError(f"cut element {i} must be homogeneous of positive degree", index=i)
+        _internal_degree(rs, eta, f"cut element {i}: ", index=i)
     current = syzygy_module(residue_field(rs), rs.dim)
     for eta in polys:
         theta = phi(current, eta)

@@ -42,17 +42,13 @@ columns.  `_map_rows` writes the products straight into the sparse rows of
 these matrices, on the bases of `standard_monomials`.
 
 Over a non-artinian Q of dimension d, support varieties need only Ext(M, k)
-and its operators, and for a maximal Cohen-Macaulay M these can be read over
-an artinian ring (`artinian_reduction`).  `RingSpec.reduction` finds d
-variables x_S whose vanishing leaves a complete intersection of the same
-codimension c, hence artinian: a system of parameters of Q, regular on Q
-because Q is Cohen-Macaulay, and regular on M because M is MCM.  The
-minimal resolution F of M then reduces to the minimal resolution of
-M/x_S M over Q/(x_S), with the same graded Betti numbers, and the lifted
-differentials reduce with it, so Ext and the H-action on it are the same
-(Avramov-Buchweitz, Invent. Math. 2000).  M/x_S M takes the degreewise
-path.  `is_mcm`, which tests Ext(M, Q), and everything whose output is a
-differential over Q (operators, the pushout cut) still resolve M itself.
+and its operators, and for a maximal Cohen-Macaulay M these can be read on
+M/x_S M over an artinian Q/(x_S), x_S d variables regular on Q and on M
+(`RingSpec.reduction`, `artinian_reduction`), which takes the degreewise
+path.  The d-th syzygy of any M is MCM by the depth lemma, a verdict
+`syzygy_module` records, so the variety path tests nothing.  `is_mcm`, which
+tests Ext(M, Q), and everything whose output is a differential over Q
+(operators, the pushout cut) still resolve M itself.
 
 `RingSpec` builds the reduced Groebner basis of (f), `ci_gb`, once, when it
 validates the ring, and every computation over Q passes that one basis down
@@ -618,7 +614,7 @@ class Resolution:
     degree, fed the kernel dimensions of the step before; over any other Q
     it is `syzygies` followed by `minimal_columns`."""
 
-    __slots__ = ("rs", "pres", "pruned", "degs", "diffs", "ops", "_kernel_dims")
+    __slots__ = ("rs", "pres", "pruned", "degs", "diffs", "ops", "_kernel_dims", "_syzygies")
 
     def __init__(self, pres: ModulePresentation):
         self.rs = pres.rs
@@ -629,6 +625,7 @@ class Resolution:
         self.diffs = [None, d1]
         self.ops = None  # filled by the operator-extraction layer
         self._kernel_dims = None  # {t: dim (ker d_i)_t} of the last degreewise step
+        self._syzygies = {}  # {n: the n-th syzygy module}, see `syzygy_module`
 
     def extend(self, n: int):
         while len(self.degs) <= n:
@@ -665,13 +662,17 @@ def resolve_min(pres: ModulePresentation, steps: int = 1) -> Resolution:
 def syzygy_module(pres: ModulePresentation, n: int) -> ModulePresentation:
     """Presentation of the n-th syzygy module read off the minimal
     resolution: generators F_n, relations the columns of d_{n+1}.  n = 0
-    returns the pruned module itself."""
+    returns the pruned module itself.  Kept on the resolution; for n >= dim Q
+    it is MCM or zero (the depth lemma), a verdict recorded for `is_mcm`."""
     if n < 0:
         raise InputError("syzygy index must be nonnegative")
     res = resolve_min(pres, n + 1)
-    if n == 0:
-        return res.pruned
-    return ModulePresentation(pres.rs, res.degs[n], list(res.diffs[n + 1]))
+    syz = res.pruned if n == 0 else res._syzygies.get(n)
+    if syz is None:
+        syz = res._syzygies[n] = ModulePresentation(pres.rs, res.degs[n], list(res.diffs[n + 1]))
+    if n >= pres.rs.dim:
+        syz._mcm = True
+    return syz
 
 
 def apply_columns(cols, v: FreeElt, target_rank: int, target_shifts) -> FreeElt:
@@ -753,10 +754,10 @@ def artinian_reduction(pres: ModulePresentation) -> ModulePresentation:
     as modules over H (Avramov-Buchweitz, Invent. Math. 2000; Eisenbud,
     Trans. AMS 1980).  Without the MCM premise this fails: Q/(y) over
     F_p[x,y]/(x^2) has Betti numbers 1, 1, 0, .. over Q and 1, 0, .. after
-    y = 0."""
+    y = 0.  A verdict `syzygy_module` recorded is read, not tested."""
     if pres._reduced is None:
         red = pres.rs.reduction()
-        if red is None or not is_mcm(pres):
+        if red is None or not (pres._mcm or is_mcm(pres)):
             pres._reduced = pres
         else:
             kept, bar = red

@@ -521,6 +521,17 @@ def test_realize_names_a_zero_cut_element_as_zero(files, capsys):
         assert err == f"error[input]: cut element {i} is zero\n  index: {i}\n"
 
 
+def test_realize_names_a_cut_element_of_mixed_internal_degree(tmp_path, capsys):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"p": 101, "vars": ["x", "y"], "ci": ["x^2", "y^3"]}))
+    code, out, err = run(capsys, ["realize", str(ring), "--eta", "chi1", "--eta", "chi1 + chi2"])
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == (
+        "error[input]: cut element 1: monomials of mixed internal degree cannot represent "
+        "one graded map\n  degrees: [2, 3]\n  index: 1\n"
+    )
+
+
 def test_premise_failure_exits_1(files, capsys):
     ring, mods, _ = files
     code, _, err = run(
@@ -604,6 +615,9 @@ def test_parse_module_text_row_count_mismatch():
 # `variety` reports of each corpus module and of k over
 # R5 = F_101[x,y,z]/(x^2+yz, y^2+xz, z^2), a ring whose relations are not
 # monomials.  Changes to how the engine computes must leave every byte.
+# Over R4, a ring of dimension 1, the variety is read on E of the first
+# syzygy, which is E(M) from degree 1 on, shifted down by one; the
+# `generator_degree` of the R4 `variety` reports counts degrees there.
 PINNED_REPORTS = {
     'R1 A/(x)': (
         "c6022e9363761087ef6a10ed8c0246a9ba9f6f16882e07db53a81537c980633d",
@@ -663,12 +677,12 @@ PINNED_REPORTS = {
     'R4 A/(y)': (
         "bcca3dfb76c9f51aebd3349067d95971194b604b01ae74623cfd76773cdecdef",
         "106e6bd7d68bea6cbe34078de0f5ac3a9b0ccac821f4f1364acbb81cf14b3381",
-        "a379e686eb0ca231cfd1cf5c083b59efeb4d1c39b9c4ee271717070dd50f8a57",
+        "ba73fe38dc01589834da0df1e4f6c9079c5908ac91ee9dd26fcebbe1c6a605c8",
     ),
     'R4 k': (
         "bc96a796e3d902dfb5e34f34d757775bbd27e32de25748912f1168ee8d0d6c7e",
         "8d4315568f646fe6d46c9289c2e7c3adde2bdbb25f63a3e7b22614024bdea4b7",
-        "54c94bdcb04ce75791c0fedf83aeb87dc09d1f025279b0aaea2c5e7a6e2bf800",
+        "81bb3ba3edfed0b14ecda09de8875fdddc748378a4b3183d83344b7db9d3def6",
     ),
     'R5 k': (
         "84fe2150bd283ed21c061b23455480b4f1be4d734155d895c727036724f55b78",

@@ -298,7 +298,11 @@ def test_support_variety_reuses_the_wider_window(r3, monkeypatch):
     # no operator degree to test and its pair is rejected unbuilt
     assert windows == [6, 8]
     assert v.gens == ()
-    assert v.meta == {"stabilized_at": 6, "steps_used": 8, "complexity": 3, "generator_degree": 3}
+    # Tate: b_i = C(i + 2, 2) for k over three squares
+    assert v.meta == {
+        "stabilized_at": 6, "steps_used": 8, "complexity": 3, "generator_degree": 3,
+        "betti": [1, 3, 6, 10, 15, 21, 28, 36, 45],
+    }
 
 
 def test_stabilization_error_names_the_rejecting_test(r1, monkeypatch):
@@ -412,7 +416,11 @@ def test_each_kernel_degree_is_solved_once_per_variety(r3, monkeypatch):
     monkeypatch.setattr(cohomology, "_solve_degree", counted)
     v = support_variety(present_module(r3, (0,), [["x+y"]]))
     assert [str(g) for g in v.gens] == ["chi1 + chi2", "chi3"]
-    assert v.meta == {"stabilized_at": 10, "steps_used": 12, "complexity": 1, "generator_degree": 1}
+    # (x + y)(x - y) = 0 in R3, so the resolution is periodic of rank 1
+    assert v.meta == {
+        "stabilized_at": 10, "steps_used": 12, "complexity": 1, "generator_degree": 1,
+        "betti": [1] * 13,
+    }
     assert solved == [(10, d, (0, 1)) for d in (1, 2, 3, 4)] + [(12, 5, (0, 1))]
 
 

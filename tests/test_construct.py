@@ -229,6 +229,20 @@ def test_realize_checks_every_cut_element_before_the_first_cut(r1, monkeypatch):
     assert calls == []
 
 
+def test_realize_refuses_mixed_internal_degree_before_the_first_cut(monkeypatch):
+    """chi1 shifts internal degrees by 2 and chi2 by 3 over (x^2, y^3), so
+    chi1 + chi2 is no graded map; `realize` names it before any `phi`."""
+    calls = []
+    real = construct.phi
+    monkeypatch.setattr(construct, "phi", lambda pres, h: calls.append(h) or real(pres, h))
+    rs = RingSpec(101, ["x", "y"], ["x^2", "y^3"])
+    with pytest.raises(InputError) as exc:
+        realize(rs, ["chi1", "chi1 + chi2"])
+    assert str(exc.value).startswith("cut element 1: monomials of mixed internal degree")
+    assert exc.value.details == {"degrees": [2, 3], "index": 1}
+    assert calls == []
+
+
 def test_realize_skip_verification(r1):
     got = realize(r1, ["chi2"], verify=False)
     assert support_variety(got).equals(VarietyIdeal(r1.h_ring, ["chi2"]))

@@ -10,9 +10,18 @@ are drawn too, because reducing them would change E (Q/(y) over
 F_101[x,y]/(x^2) has Betti numbers 1, 1, 0, .. over Q and 1, 0, .. mod y);
 they must come back unreduced.  Q/(x) over that ring is MCM without being a
 syzygy, and is reduced.
+
+`support_variety` reads every module over such a ring on the reduction of
+its dim Q-th syzygy, which is MCM by the depth lemma, so it never tests
+MCM.  Its answers are checked against the point oracle of `helpers` on
+drawn modules, over these rings and over F_101[x,y]/(xy), which has no
+coordinate reduction, and the Q-level steps it takes are counted exactly.
 """
 
 import json
+import random
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -38,6 +47,8 @@ from civar.resolve import (
     syzygy_module,
 )
 
+from helpers import in_variety_by_projective_dimension
+
 # no shrinking: every example resolves over Q, and shrinking a failure would
 # resolve many more; the first falsifying example is reported as drawn
 PROPS = settings(
@@ -48,6 +59,7 @@ B = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2", "z^2"])
 DIM2 = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2"])
 MIXED = RingSpec(101, ["x", "y", "z"], ["x^2 + y*z", "y^2"])
 R4 = RingSpec(101, ["x", "y"], ["x^2"])
+XY = RingSpec(101, ["x", "y"], ["x*y"])
 WINDOW = 6
 
 
@@ -65,10 +77,10 @@ def assert_same_ext(pres, n=WINDOW):
 
 
 @st.composite
-def modules(draw):
+def modules(draw, rings=(B, DIM2, MIXED, R4)):
     """A ring and a module over it: k or Q/(g), g a linear or quadratic
     form, as text."""
-    rs = draw(st.sampled_from([B, DIM2, MIXED, R4]))
+    rs = draw(st.sampled_from(rings))
     degree = draw(st.sampled_from([0, 1, 2]))
     if degree == 0:
         return rs, "k"
@@ -128,7 +140,10 @@ def test_no_coordinate_reduction_keeps_the_q_level_path():
     assert is_mcm(pres) and artinian_reduction(pres) is pres
     v = support_variety(pres)
     assert v.gens == () and v.dimension() == 1
-    assert v.meta == {"stabilized_at": 8, "steps_used": 10, "complexity": 1, "generator_degree": 1}
+    assert v.meta == {
+        "stabilized_at": 8, "steps_used": 10, "complexity": 1, "generator_degree": 1,
+        "betti": [2] * 11,
+    }
 
 
 def test_non_mcm_modules_come_back_unchanged():
@@ -172,7 +187,7 @@ def test_mcm_verdict_and_reduction_are_cached(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# no Groebner syzygies past the MCM check
+# Q-level steps of the variety path
 
 
 @pytest.fixture
@@ -189,15 +204,20 @@ def syzygy_calls(monkeypatch):
     return calls
 
 
-def test_variety_of_a_reducible_mcm_module_takes_no_groebner_syzygies(syzygy_calls):
+def test_variety_over_b_takes_one_q_level_step(syzygy_calls):
+    """The first syzygy of k over B is MCM by the depth lemma, recorded by
+    `syzygy_module`: `is_mcm` tests nothing, the variety resolves one step
+    over Q (dim B = 1) before its reduction, and `complexity` reads the
+    same reduction."""
     rs = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2", "z^2"])
     pres = syzygy_module(residue_field(rs), 1)
-    assert is_mcm(pres)
     assert syzygy_calls
     syzygy_calls.clear()
+    assert is_mcm(pres) and syzygy_calls == []
     v = support_variety(pres)
+    assert len(syzygy_calls) == 1
     assert complexity(pres, v.meta["steps_used"]) == 3
-    assert v.dimension() == 3 and syzygy_calls == []
+    assert v.dimension() == 3 and len(syzygy_calls) == 1
 
 
 def test_cli_variety_builds_no_second_q_level_resolution(tmp_path, capsys, syzygy_calls):
@@ -206,11 +226,78 @@ def test_cli_variety_builds_no_second_q_level_resolution(tmp_path, capsys, syzyg
     mod = tmp_path / "m.txt"
     mod.write_text(cli.format_module_file(realize(B, ["chi1 + chi2"], verify=False)))
     syzygy_calls.clear()
+    # an MCM test costs one Q-level step and one Ext(M, Q) kernel
     assert is_mcm(cli.load_module(cli.load_ring(str(ring)), str(mod)))
-    mcm_check = len(syzygy_calls)
+    assert len(syzygy_calls) == 2
     syzygy_calls.clear()
     assert cli.main(["variety", str(ring), str(mod), "--format", "structured"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dimension"] == 2 and doc["annihilator"] == ["chi1 + chi2"]
     assert doc["betti"][:6] == [9, 12, 16, 20, 24, 28]
-    assert len(syzygy_calls) == mcm_check
+    # the variety makes no MCM test: one Q-level step, the first syzygy
+    assert len(syzygy_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# every module, one route per ring
+
+
+def _vanishes(gens, a, p) -> bool:
+    return all(
+        sum(c * prod(pow(x, e, p) for x, e in zip(a, m)) for (_, m), c in g.terms.items()) % p == 0
+        for g in gens
+    )
+
+
+def _points_on(gens, p, c):
+    """The points of V(gens) in P^{c-1}(F_p), first nonzero coordinate 1."""
+    return [
+        a
+        for lead in range(c)
+        for tail in product(range(p), repeat=c - lead - 1)
+        if _vanishes(gens, a := [0] * lead + [1, *tail], p)
+    ]
+
+
+@PROPS
+@given(case=modules(rings=(B, DIM2, MIXED, R4, XY)), syzygy=st.booleans(), seed=st.integers(0, 2**32))
+@example(case=(XY, "k"), syzygy=False, seed=0)
+@example(case=(B, "x"), syzygy=True, seed=0)
+def test_support_variety_agrees_with_the_point_oracle(case, syzygy, seed):
+    """k or Q/(g), or its first syzygy, over the rings above and over
+    F_101[x,y]/(xy), which has no coordinate reduction: at a drawn point on
+    the computed V and at two random points, membership agrees with
+    b_n^{Q_a}(M) != 0 (`helpers.in_variety_by_projective_dimension`)."""
+    rs, form = case
+    base = residue_field(rs) if form == "k" else present_module(rs, (0,), [[form]])
+    pres = syzygy_module(base, 1) if syzygy else base
+    v = support_variety(pres)
+    p, c = rs.p, rs.codim
+    rng = random.Random(seed)
+    on_v = _points_on(v.gens, p, c)
+    points = [rng.choice(on_v)] if on_v else []
+    while len(points) < len(on_v[:1]) + 2:
+        if any(a := [rng.randrange(p) for _ in range(c)]):
+            points.append(a)
+    for a in points:
+        assert in_variety_by_projective_dimension(pres, a) == _vanishes(v.gens, a, p), (a, v)
+
+
+def test_varieties_make_no_mcm_test(monkeypatch):
+    """With both MCM tests broken, fresh MCM and non-MCM modules over B and
+    R4 still get their varieties."""
+    for name in ("is_mcm", "_ext_into_q_vanishes"):
+        monkeypatch.setattr(resolve, name, lambda pres: pytest.fail("MCM test on the variety path"))
+    cases = [
+        (residue_field(B), [], 3),
+        (present_module(B, (0,), [["w"]]), ["chi1", "chi2", "chi3"], 0),
+        (present_module(B, (0,), [["x"]]), ["chi2", "chi3"], 1),
+        (syzygy_module(residue_field(B), 1), [], 3),
+        (realize(B, ["chi1 + chi2"], verify=False), ["chi1 + chi2"], 2),
+        (residue_field(R4), [], 1),
+        (present_module(R4, (0,), [["y"]]), ["chi1"], 0),
+        (present_module(R4, (0,), [["x"]]), [], 1),
+    ]
+    for pres, gens, dim in cases:
+        v = support_variety(pres)
+        assert ([str(g) for g in v.gens], v.dimension()) == (gens, dim), pres
