@@ -1,5 +1,5 @@
-"""Exact arithmetic over a prime field: polynomials and free-module elements,
-monomial orders, sparse linear algebra, and univariate factorization.
+"""Exact arithmetic over a prime field: polynomials and free-module elements
+under degrevlex, sparse linear algebra, and univariate factorization.
 
 Scalars are integer residues modulo an odd prime p.  Polynomials and
 free-module elements are one class, `FreeElt`, whose terms form one
@@ -126,52 +126,14 @@ def mono_deg(a: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
-#
-# An order is a key function: monomials compare by their keys, larger key
-# meaning larger monomial.  Only global orders appear here, so 1 is always
-# the smallest monomial.
-
-
-class Order:
-    """A monomial order, packaged as a sort key."""
-
-    __slots__ = ("name", "key")
-
-    def __init__(self, name: str, key):
-        self.name = name
-        self.key = key
-
-    def __repr__(self):
-        return f"Order({self.name})"
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Order) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
+# the monomial order
 
 
 def _drl_key(m: tuple):
-    # graded, ties broken by smallest last exponent: the usual degrevlex.
+    """Sort key of degrevlex, the one monomial order: larger key, larger
+    monomial.  Graded, ties broken by the smallest last exponent; 1 is the
+    smallest monomial."""
     return (sum(m), tuple(map(neg, reversed(m))))
-
-
-DEGREVLEX = Order("degrevlex", _drl_key)
-
-
-def elimination_order(block: int) -> Order:
-    """Block order whose first `block` variables dominate the rest; degrevlex
-    inside each block.  Any monomial containing a leading-block variable is
-    larger than every monomial free of them, which is the elimination
-    property the intersection and radical routines rely on."""
-
-    def key(m, _b=block):
-        return (_drl_key(m[:_b]), _drl_key(m[_b:]))
-
-    return Order(f"elim{block}", key)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +148,16 @@ def _valid_ident(s: str) -> bool:
 
 
 class PolyRing:
-    """F_p[x_1, ..., x_n] with a fixed monomial order."""
+    """F_p[x_1, ..., x_n] under degrevlex (`_drl_key`).  p must be an
+    integer, an odd prime below 2^31."""
 
-    __slots__ = ("p", "vars", "order", "nvars", "_index", "_one_mono", "_monos")
+    __slots__ = ("p", "vars", "nvars", "_index", "_one_mono", "_monos")
 
-    def __init__(self, p: int, variables, order: Order = DEGREVLEX):
-        if isinstance(p, int) and p >= 1 << 31:
+    def __init__(self, p: int, variables):
+        if not is_integer(p):
+            raise InputError(f"p must be an integer, got {type(p).__name__} {p!r}")
+        p = int(p)
+        if p >= 1 << 31:
             # `is_odd_prime` tests by trial division, which past this bound
             # takes too long
             raise InputError(f"p = {p} is too large: the prime must be below 2^31")
@@ -207,7 +173,6 @@ class PolyRing:
             raise InputError(f"repeated variable in {variables}")
         self.p = p
         self.vars = variables
-        self.order = order
         self.nvars = len(variables)
         self._index = {v: i for i, v in enumerate(variables)}
         self._one_mono = mono_one(self.nvars)
@@ -248,8 +213,8 @@ class PolyRing:
         return [self.gen(i) for i in range(self.nvars)]
 
     def monomials_of_degree(self, d: int):
-        """All exponent tuples of total degree d, sorted descending in the
-        ring order (deterministic enumeration used all over the place).
+        """All exponent tuples of total degree d, sorted descending in
+        degrevlex (deterministic enumeration used all over the place).
         Enumerated once per degree and kept on the ring; the list returned
         is that shared one, so callers must not change it."""
         if d < 0:
@@ -267,7 +232,7 @@ class PolyRing:
                 rec(i + 1, left - e, acc + [e])
 
         rec(0, d, [])
-        out.sort(key=self.order.key, reverse=True)
+        out.sort(key=_drl_key, reverse=True)
         self._monos[d] = out
         return out
 
@@ -281,19 +246,14 @@ class PolyRing:
     def __eq__(self, other):
         if self is other:
             return True
-        return (
-            isinstance(other, PolyRing)
-            and self.p == other.p
-            and self.vars == other.vars
-            and self.order == other.order
-        )
+        return isinstance(other, PolyRing) and self.p == other.p and self.vars == other.vars
 
     def __hash__(self):
-        return hash((self.p, self.vars, self.order))
+        return hash((self.p, self.vars))
 
     def __repr__(self):
         vs = ",".join(self.vars)
-        return f"F_{self.p}[{vs}]/{self.order.name}"
+        return f"F_{self.p}[{vs}]/degrevlex"
 
 
 class FreeElt:
@@ -362,8 +322,7 @@ class FreeElt:
         position-over-term; None for zero."""
         if not self.terms:
             return None
-        key = self.ring.order.key
-        cm = max(self.terms, key=lambda t: (-t[0], key(t[1])))
+        cm = max(self.terms, key=lambda t: (-t[0], _drl_key(t[1])))
         return cm, self.terms[cm]
 
     # -- arithmetic ----------------------------------------------------------
@@ -474,9 +433,8 @@ class Poly(FreeElt):
     def __str__(self):
         if not self.terms:
             return "0"
-        key = self.ring.order.key
         parts = []
-        for k in sorted(self.terms, key=lambda k: key(k[1]), reverse=True):
+        for k in sorted(self.terms, key=lambda k: _drl_key(k[1]), reverse=True):
             c = self.terms[k]
             factors = []
             for v, e in zip(self.ring.vars, k[1]):

@@ -26,19 +26,17 @@ rows).  Those new vectors are minimal generators of a_N, and the Groebner
 basis starts from them.  Only the windows that start at a degree holding a
 minimal H-generator of E are cut: every other E^i is the sum of the
 chi_j E^{i-2}, so by commutation and induction on i an h that kills the
-generator windows kills them all.  `support_variety` builds one E per
-variety and widens it in place, so its memos serve every window: each
-action and each composite is built once, and each K_d is kept, keyed by its
-chain of cut sets for degrees 1..d.  The window N + 2 has the cut sets of
-the window N in every degree the window N builds, so it solves only its new
-top degree.
+generator windows kills them all.
 
 A degree-d candidate is tested only on E^i with i <= N - 2d, so it is
 tested on every H-generator of E that the window 0..N sees only when
 2d <= N - g_N, g_N the top degree of a minimal H-generator of E in 0..N
 (counted as dim E^i minus the rank of [chi_1 E^{i-2} | ... | chi_c E^{i-2}],
-ranks kept on E).  `support_variety` therefore builds a_N over
-d <= (N - g_N) / 2 only.  E is finitely generated over H (Gulliksen 1974),
+ranks kept on E).  `annihilator_window` therefore builds a_N over
+d <= (N - g_N) / 2 only, every degree cut at the same windows.
+`support_variety` builds one E per variety and widens it in place, so each
+action and each composite is built once, and each K_d once per set of
+generator degrees.  E is finitely generated over H (Gulliksen 1974),
 so g_N settles; a pair of windows is compared only once g_N = g_{N+2} with
 at least two generator-free degrees above it.  The two
 candidates are then compared up to radical, with the Betti-growth
@@ -207,11 +205,12 @@ class VarietyIdeal:
     inputs produce byte-identical output; the basis is kept for membership
     and dimension.  All predicates are radical-invariant: containment is
     generator-wise radical membership, the union is the ideal product, the
-    intersection the ideal sum."""
+    intersection the ideal sum.  `meta` starts empty; `support_variety`
+    fills it on the ideal it accepts."""
 
     __slots__ = ("h_ring", "gens", "meta", "_gb", "_dim")
 
-    def __init__(self, h_ring, gens, meta=None):
+    def __init__(self, h_ring, gens):
         self.h_ring = h_ring
         polys = []
         for i, g in enumerate(gens):
@@ -225,7 +224,7 @@ class VarietyIdeal:
             polys.append(g)
         self._gb = groebner_basis(polys) if polys else None
         self.gens = tuple(self._gb.scalar_elements()) if polys else ()
-        self.meta = meta or {}
+        self.meta = {}
         self._dim = None
 
     def _check(self, other: "VarietyIdeal"):
@@ -258,7 +257,7 @@ class VarietyIdeal:
         if not self.gens or not other.gens:
             # either side is the full space
             return VarietyIdeal(self.h_ring, ())
-        prod = ideal_ops(list(self.gens), list(other.gens), "product", self.h_ring)
+        prod = ideal_ops(list(self.gens), list(other.gens), self.h_ring)
         return VarietyIdeal(self.h_ring, prod)
 
     def intersect(self, other: "VarietyIdeal") -> "VarietyIdeal":
@@ -284,16 +283,17 @@ class VarietyIdeal:
         return f"VarietyIdeal(({inside}))"
 
 
-def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIdeal:
-    """Candidate annihilator a_N: the ideal of the spaces K_d, d <= D
-    (default N/2), of homogeneous h of degree d in the chi's whose action
-    E^i -> E^{i+2d} vanishes for every window inside the computed range.
-    It contains every element of ann E of degree <= D, which need not
-    generate ann E when D lies below the degree of one of its minimal
-    generators.  A degree-d candidate is tested on E^0..E^{N-2d} only, so
-    it can pass while failing on an H-generator of E above degree N - 2d;
-    `support_variety` keeps D <= (N - g_N) / 2, where that cannot happen
-    (see `generator_degree`).
+def annihilator_window(ext: ExtKModule) -> VarietyIdeal:
+    """Candidate annihilator a_N: the ideal of the spaces K_d, d <= D =
+    (N - g_N) / 2, of homogeneous h of degree d in the chi's whose action
+    E^i -> E^{i+2d} vanishes for every window inside the computed range,
+    g_N being the top degree of a minimal H-generator of E in 0..N
+    (`generator_degree`).  It contains every element of ann E of degree
+    <= D, which need not generate ann E when D lies below the degree of
+    one of its minimal generators.  A degree-d candidate is tested on
+    E^0..E^{N-2d} only; D is the largest degree at which that range holds
+    every generator the window sees, so no candidate passes while failing
+    on one.  A window with D < 1 is refused with InputError.
 
     Only the windows E^i -> E^{i+2d} at which E has a minimal H-generator
     (`generator_counts`) are cut, which gives the same K_d: every other E^i
@@ -302,35 +302,34 @@ def annihilator_window(ext: ExtKModule, max_op_degree: int = None) -> VarietyIde
     kills E^{i-2}.  By induction on i, an h that kills the generator
     windows kills every window; and the kernel cut so far already kills a
     window without a generator, so skipping it changes no basis either.
+    Since N - 2d >= g_N, every degree d <= D is cut at the same set G_N,
+    all of E's generator degrees in 0..N.
 
-    K_d is solved from K_{d-1} (`_solve_degree`).  Each K_d is kept in the
-    memo of `ext`, keyed by its chain of cut sets for degrees 1..d, and
-    `support_variety` widens one `ext` in place from window to window.
-    Under d <= (N - g_N) / 2 no generator lies in (N - 2d, N + 2 - 2d], so
-    the window N + 2 has the same cut sets as the window N and solves only
-    its new top degree.  The
-    generators are the vectors each degree adds beyond the products of the
-    degree below: they span K_d modulo chi_1 K_{d-1} + ... + chi_c K_{d-1},
-    so the Groebner basis starts from a minimal generating set of the same
-    ideal."""
-    rs = ext.rs
-    D = ext.steps // 2 if max_op_degree is None else max_op_degree
-    if D < 1 or D > ext.steps // 2:
+    K_d is solved from K_{d-1} (`_solve_degree`) and kept in the memo of
+    `ext`, keyed by (G_N, d); `support_variety` widens one `ext` in place,
+    so a wider window with the same generator degrees solves only its new
+    top degree.  The generators are the vectors each degree adds beyond
+    the products of the degree below: they span K_d modulo
+    chi_1 K_{d-1} + ... + chi_c K_{d-1}, so the Groebner basis starts from
+    a minimal generating set of the same ideal."""
+    n = ext.steps
+    cuts = tuple(i for i, count in enumerate(generator_counts(ext)) if count)
+    g = cuts[-1] if cuts else 0
+    if n - g < 2:
         raise InputError(
-            f"operator degree cap {D} outside [1, {ext.steps // 2}]", cap=D
+            f"window N = {n} with top generator degree g = {g} leaves no operator degree",
+            steps=n, generator_degree=g,
         )
-    counts = generator_counts(ext)
     found = []
     # K_0 is taken as 0, which only leaves U_1 empty
-    basis, chain = [], ()
-    for d in range(1, D + 1):
-        chain += (tuple(i for i in range(ext.steps - 2 * d + 1) if counts[i]),)
-        got = ext._kernels.get(chain)
+    basis = []
+    for d in range(1, (n - g) // 2 + 1):
+        got = ext._kernels.get((cuts, d))
         if got is None:
-            got = ext._kernels[chain] = _solve_degree(ext, d, chain[-1], basis)
+            got = ext._kernels[cuts, d] = _solve_degree(ext, d, cuts, basis)
         basis, new = got
         found += new
-    return VarietyIdeal(rs.h_ring, found)
+    return VarietyIdeal(ext.rs.h_ring, found)
 
 
 def _solve_degree(ext: ExtKModule, d: int, cuts, below: list) -> tuple:
@@ -447,9 +446,7 @@ def complexity(pres: ModulePresentation, steps: int = 12) -> int:
     return max(growth(tail[0::2]), growth(tail[1::2]))
 
 
-def support_variety(
-    pres: ModulePresentation, steps: int = None, max_steps: int = None
-) -> VarietyIdeal:
+def support_variety(pres: ModulePresentation, steps: int = None) -> VarietyIdeal:
     """The support variety of M, as the stabilized window annihilator.
 
     For windows N and N+2 the top generator degrees g_N and g_{N+2} are read
@@ -461,13 +458,13 @@ def support_variety(
     with equal dimension, and when that dimension matches the Betti-growth
     complexity estimate (an independent oracle for under-resolution).  A
     rejected pair widens the window by 2, a_{N+2} becoming the next a_N,
-    until the cap, where a stabilization error reports both candidates, g
+    up to N + 2 = N_0 + 8 for the first window N_0 (`steps`, by default
+    max(8, 2c + 4)), where a stabilization error reports both candidates, g
     and which test rejected the last pair: the generator degree has not
     settled, the dimensions differ, the radicals differ, or the complexity
     does not match.  The accepted ideal's meta records stabilized_at (N),
     steps_used (N+2), the complexity value the guard accepted,
-    generator_degree (g) and betti, M's Betti numbers b_0..b_{N+2}.
-    `max_steps` must leave room for the first pair (at least N + 2).  One E
+    generator_degree (g) and betti, M's Betti numbers b_0..b_{N+2}.  One E
     is built at the first N and widened in place, so each window builds
     only the actions it adds.
 
@@ -478,18 +475,13 @@ def support_variety(
     complexity guard are read there, and betti is b_0..b_{d-1} over Q
     followed by the reduction's.
 
-    The accepted ideal is kept on `pres` with its window arguments (defaults
-    filled in), and a later call with the same arguments returns it."""
+    The accepted ideal is kept on `pres` with N_0, and a later call with the
+    same N_0 returns it."""
     n0 = steps if steps is not None else max(8, 2 * pres.rs.codim + 4)
     if n0 < 4:
         raise InputError("window of at least 4 steps required", steps=n0)
-    cap = max_steps if max_steps is not None else n0 + 8
-    if cap < n0 + 2:
-        raise InputError(
-            f"step cap {cap} leaves no room for the window pair ({n0}, {n0 + 2})",
-            steps=n0, max_steps=cap,
-        )
-    if pres._variety is not None and pres._variety[0] == (n0, cap):
+    cap = n0 + 8
+    if pres._variety is not None and pres._variety[0] == n0:
         return pres._variety[1]
     owner, (head, pres) = pres, _model(pres)
     res = resolve_min(pres, n0 + 2)
@@ -499,8 +491,7 @@ def support_variety(
         if n > ext.steps:
             ext.widen(res, n)
         g = generator_degree(ext)
-        top = (n - g) // 2
-        return g, (annihilator_window(ext, top) if top >= 1 else None)
+        return g, (annihilator_window(ext) if n - g >= 2 else None)
 
     n = n0
     g_lo, a_lo = window(n)
@@ -527,7 +518,7 @@ def support_variety(
                         "generator_degree": g_hi,
                         "betti": head + res.betti_sequence(n + 2 - len(head)),
                     }
-                    owner._variety = ((n0, cap), a_hi)
+                    owner._variety = (n0, a_hi)
                     return a_hi
                 rejected, why = "complexity", f"the candidates agree, the complexity estimate is {cx}"
         n += 2

@@ -22,6 +22,7 @@ from collections import namedtuple
 
 from .arith import (
     FreeElt,
+    _drl_key,
     _eliminate,
     _transpose,
     add_terms,
@@ -127,8 +128,7 @@ def phi(pres: ModulePresentation, h) -> ExtElement:
     b0 = len(res.degs[0])
     shifts0 = res.degs[0]
     total = [FreeElt(rs.ring, b0, {}, shifts0) for _ in range(len(res.degs[n]))]
-    key = rs.h_ring.order.key
-    for (_slot, m), coeff in sorted(h.terms.items(), key=lambda t: key(t[0][1]), reverse=True):
+    for (_slot, m), coeff in sorted(h.terms.items(), key=lambda t: _drl_key(t[0][1]), reverse=True):
         # factors ascending variable index from level 0 upward; composition
         # is built from the top level downward
         js = [j for j in range(rs.codim) for _ in range(m[j])]

@@ -4,7 +4,7 @@ Generators are `arith.FreeElt`s, whose terms map (component, exponent tuple)
 to a nonzero residue; the generators of an ideal are `Poly`s, the rank-1
 elements, so ideals and submodules take the same paths.  The module order is
 position-over-term: a term in a lower component beats any term in a higher
-one, ties within a component broken by the ring's monomial order.  Because
+one, ties within a component broken by degrevlex.  Because
 the leading components form an elimination block under this order, syzygies
 drop out of a single completion run: each generator is given an inert tail
 recording how the current element was assembled from the input, and any
@@ -54,8 +54,8 @@ from contextvars import ContextVar
 from itertools import combinations
 
 from .arith import (
-    FreeElt, Poly, PolyRing, _sub_shifted, add_terms, elimination_order, fp_inv, is_integer,
-    mono_deg, mono_div, mono_lcm,
+    FreeElt, Poly, PolyRing, _drl_key, _sub_shifted, add_terms, fp_inv, is_integer, mono_deg,
+    mono_div, mono_lcm,
 )
 from .errors import InputError, ResourceBudgetError
 
@@ -150,7 +150,6 @@ class _Completion:
         self.track = track
         self.harvest = harvest
         self.budgets = _current_budgets.get()
-        self.monokey = ring.order.key
         # parallel arrays for the basis
         self.leads = []  # (comp, mono)
         self.polys = []  # term dicts
@@ -164,7 +163,7 @@ class _Completion:
         self.harvested = []  # tail dicts of elements that died
 
     def termkey(self, t):
-        return (-t[0], self.monokey(t[1]))
+        return (-t[0], _drl_key(t[1]))
 
     # -- basis growth ------------------------------------------------------
 
@@ -189,7 +188,7 @@ class _Completion:
             lcm = mono_lcm(self.leads[other][1], lead[1])
             deg = mono_deg(lcm) + self.shifts[comp]
             heapq.heappush(
-                self.queue, (deg, self.monokey(lcm), comp, other, idx)
+                self.queue, (deg, _drl_key(lcm), comp, other, idx)
             )
         self.leads.append(lead)
         self.polys.append(terms)
@@ -441,11 +440,10 @@ def normal_form(v, gb: GroebnerBasis):
     first matching basis element, so the output is deterministic."""
     if not isinstance(v, FreeElt) or v.ring != gb.ring or v.rank != gb.rank:
         raise InputError("element does not live in the basis's free module")
-    key = gb.ring.order.key
     terms = dict(v.terms)
     tail = {}
     result = {}
-    _divide(terms, tail, gb._reducers, lambda t: (-t[0], key(t[1])), gb.ring.p, result)
+    _divide(terms, tail, gb._reducers, lambda t: (-t[0], _drl_key(t[1])), gb.ring.p, result)
     rem = FreeElt(gb.ring, gb.rank, result, gb.shifts)
     # the tail's slots are basis indices: one cofactor row per element
     return rem, FreeElt(gb.ring, len(gb.elements), tail).components()
@@ -575,7 +573,7 @@ def radical_membership(g: Poly, gens, ring: PolyRing = None) -> bool:
             raise InputError(f"{f} lives over {f.ring}, not over {ring}")
     if g.is_zero():
         return True
-    ext = PolyRing(ring.p, ring.vars + (_fresh_name(set(ring.vars)),), ring.order)
+    ext = PolyRing(ring.p, ring.vars + (_fresh_name(set(ring.vars)),))
     idx = list(range(ring.nvars))
     lifted = [f.map_to(ext, idx) for f in gens if not f.is_zero()]
     t = ext.gen(ext.nvars - 1)
@@ -584,49 +582,17 @@ def radical_membership(g: Poly, gens, ring: PolyRing = None) -> bool:
     return any(m == ext._one_mono for (_c, m) in gb.leads)
 
 
-def ideal_ops(a, b, op: str, ring: PolyRing = None) -> list[Poly]:
-    """Sum, product, or intersection of two ideals, returned as the reduced
-    Groebner basis in the original ring (deterministic generators)."""
+def ideal_ops(a, b, ring: PolyRing = None) -> list[Poly]:
+    """The product of two ideals, returned as the reduced Groebner basis
+    (deterministic generators).  `ring` names the ring when both ideals are
+    zero; it must be a `PolyRing` or None."""
+    if ring is not None and not isinstance(ring, PolyRing):
+        raise InputError(f"ideal_ops takes a PolyRing or None as its ring, got {ring!r}")
     a = [f for f in a if not f.is_zero()]
     b = [f for f in b if not f.is_zero()]
-    if ring is None:
-        pool = a + b
-        if not pool:
-            raise InputError("ideal_ops on two zero ideals needs an explicit ring")
-        ring = pool[0].ring
-    if op == "sum":
-        gens = a + b
-    elif op == "product":
-        gens = [f * g for f in a for g in b]
-    elif op == "intersection":
-        return _ideal_intersection(a, b, ring)
-    else:
-        raise InputError(f"unknown ideal operation {op!r}")
+    if ring is None and not a and not b:
+        raise InputError("ideal_ops on two zero ideals needs an explicit ring")
+    gens = [f * g for f in a for g in b]
     if not gens:
         return []
-    gb = groebner_basis(gens, _allow_inhomogeneous=True)
-    return gb.scalar_elements()
-
-
-def _ideal_intersection(a, b, ring):
-    if not a or not b:
-        return []
-    tname = _fresh_name(set(ring.vars))
-    ext = PolyRing(ring.p, (tname,) + ring.vars, elimination_order(1))
-    idx = [i + 1 for i in range(ring.nvars)]
-    t = ext.gen(0)
-    one_minus_t = ext.one() - t
-    gens = [t * f.map_to(ext, idx) for f in a]
-    gens += [one_minus_t * g.map_to(ext, idx) for g in b]
-    gb = groebner_basis(gens, _allow_inhomogeneous=True)
-    # t does not occur in the kept elements, so sending it anywhere drops it
-    drop_t = [0] + list(range(ring.nvars))
-    kept = [
-        Poly(ext, e.terms).map_to(ring, drop_t)
-        for e in gb.elements
-        if all(m[0] == 0 for _slot, m in e.terms)
-    ]
-    if not kept:
-        return []
-    gb2 = groebner_basis(kept, _allow_inhomogeneous=True)
-    return gb2.scalar_elements()
+    return groebner_basis(gens, _allow_inhomogeneous=True).scalar_elements()

@@ -68,7 +68,7 @@ from __future__ import annotations
 from itertools import combinations, groupby, product
 
 from .arith import (
-    DEGREVLEX, FreeElt, Poly, PolyRing, _eliminate, _sub_shifted, _transpose, fp_inv, is_integer,
+    FreeElt, Poly, PolyRing, _drl_key, _eliminate, _sub_shifted, _transpose, fp_inv, is_integer,
     matmul, mono_deg, mono_div, mono_mul, mono_one, nullspace,
 )
 from .errors import InputError, InternalError, ResourceBudgetError
@@ -124,7 +124,7 @@ class RingSpec:
     )
 
     def __init__(self, p: int, variables, ci):
-        self.ring = PolyRing(p, tuple(variables), DEGREVLEX)
+        self.ring = PolyRing(p, tuple(variables))
         polys = []
         for i, src in enumerate(ci):
             f = self.ring.parse(src) if isinstance(src, str) else src
@@ -153,7 +153,7 @@ class RingSpec:
             )
         self.ci = tuple(polys)
         self.ci_degs = tuple(f.homogeneous_degree() for f in polys)
-        self.h_ring = PolyRing(p, tuple(f"chi{j+1}" for j in range(len(polys))), DEGREVLEX)
+        self.h_ring = PolyRing(p, tuple(f"chi{j+1}" for j in range(len(polys))))
         self._std_cache = {}
         self._mul_cache = {}
         self._action_cache = {}
@@ -198,7 +198,7 @@ class RingSpec:
         n = self.ring.nvars
         for cut in combinations(range(n - 1, -1, -1), self.dim):
             kept = tuple(v for v in range(n) if v not in cut)
-            ring = PolyRing(self.p, tuple(self.ring.vars[v] for v in kept), DEGREVLEX)
+            ring = PolyRing(self.p, tuple(self.ring.vars[v] for v in kept))
             ci = [Poly(ring, _on_kept(f.terms, kept)) for f in self.ci]
             try:
                 bar = RingSpec(self.p, ring.vars, ci)
@@ -833,7 +833,7 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
         for m in product(*(range(b) for b in bound[c])):
             if all(mono_div(m, l) is None for l in comp_leads):
                 basis.append((c, m))
-    basis.sort(key=lambda k: (mono_deg(k[1]) + pres.gens[k[0]], k[0], ring.order.key(k[1])))
+    basis.sort(key=lambda k: (mono_deg(k[1]) + pres.gens[k[0]], k[0], _drl_key(k[1])))
     index = {k: i for i, k in enumerate(basis)}
     degs = tuple(mono_deg(m) + pres.gens[c] for (c, m) in basis)
     actions = []

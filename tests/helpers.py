@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from civar.arith import Poly, fp_inv, mono_div, mono_lcm, mono_mul
+from civar.arith import Poly, _drl_key, fp_inv, mono_div, mono_lcm, mono_mul
 from civar.cohomology import ExtKModule, VarietyIdeal
 from civar.groebner import FreeElt, groebner_basis, normal_form
 from civar.resolve import RingSpec, _offsets, present_module, resolve_min
@@ -23,7 +23,7 @@ def naive_reduce(v, elements):
         return v
     ring = v.ring
     p = ring.p
-    key = ring.order.key
+    key = _drl_key
     leads = [e.lead() for e in elements]
     terms = dict(v.terms)
     out = {}
@@ -128,7 +128,7 @@ def str_reference(ring, a):
     """The text of a polynomial: terms largest first, coefficient 1 and
     exponent 1 omitted, "0" for no terms."""
     parts = []
-    for m in sorted(a, key=ring.order.key, reverse=True):
+    for m in sorted(a, key=_drl_key, reverse=True):
         factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(ring.vars, m) if e]
         if a[m] != 1 or not factors:
             factors.insert(0, str(a[m]))
@@ -391,15 +391,15 @@ def dense(columns, rows):
     return out
 
 
-def annihilator_reference(ext, max_op_degree=None):
-    """The window annihilator the plain way: in each degree d, one
+def annihilator_reference(ext, top):
+    """The window annihilator the plain way: in each degree d <= top, one
     nullspace over the coefficients of all degree-d monomials, of every
     block E^i -> E^{i+2d} stacked, and every degree's whole kernel handed
-    to the Groebner basis.  `annihilator_window` must give the same ideal."""
+    to the Groebner basis.  `annihilator_window` must give the same ideal
+    at its bound top = (N - g_N) / 2."""
     h_ring = ext.rs.h_ring
-    D = ext.steps // 2 if max_op_degree is None else max_op_degree
     found = []
-    for d in range(1, D + 1):
+    for d in range(1, top + 1):
         monos = h_ring.monomials_of_degree(d)
         blocks = []
         for i in range(ext.steps - 2 * d + 1):
@@ -530,7 +530,7 @@ def kernel_generators_reference(rs, cols, degs, target_shifts, image_dims=None):
     return for the same arguments, on dense matrices."""
     p = rs.p
     rank = len(degs)
-    order = rs.ring.order.key
+    order = _drl_key
     kernel_dims, gens, below = {}, [], None
     for t in range(min(degs) + 1, max(degs) + rs.socle_degree + 1):
         at, width = _offsets(rs, degs, t)

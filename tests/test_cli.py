@@ -261,7 +261,7 @@ def test_realize_computes_the_variety_once(files, capsys, monkeypatch):
     windows = []
     real = cohomology.annihilator_window
     monkeypatch.setattr(
-        cohomology, "annihilator_window", lambda ext, cap=None: windows.append(ext.steps) or real(ext, cap)
+        cohomology, "annihilator_window", lambda ext: windows.append(ext.steps) or real(ext)
     )
     for extra, want in (([], [8, 10]), (["--steps", "8"], [8, 10]), (["--steps", "10"], [8, 10, 10, 12])):
         windows.clear()
@@ -419,6 +419,16 @@ def test_prime_beyond_int64_linear_algebra_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, ["validate", str(ring)])
     assert code == 1
     assert "2^31" in err
+
+
+def test_prime_that_is_not_an_integer_exits_1(tmp_path, capsys):
+    """A quoted p is refused as a non-integer, not as "not an odd prime"."""
+    ring = tmp_path / "quoted.json"
+    ring.write_text(json.dumps({"p": "101", "vars": ["x"], "ci": ["x^2"]}))
+    code, _, err = run(capsys, ["validate", str(ring)])
+    assert code == 1
+    assert "p must be an integer, got str '101'" in err
+    assert "odd prime" not in err
 
 
 def test_internal_error_exits_4(files, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from civar.cohomology import (
     complexity,
     ext_k_module,
     generator_counts,
+    generator_degree,
     lift_and_operators,
     operator_columns,
     support_variety,
@@ -209,12 +210,16 @@ def test_variety_contains_element_refuses_another_ring(r1):
 
 
 def test_annihilator_window_caps(r1):
-    ext = ext_k_module(resolve_min(residue_field(r1), 9), 8)
-    with pytest.raises(InputError):
-        annihilator_window(ext, 0)
-    with pytest.raises(InputError):
-        annihilator_window(ext, 5)  # 5 > 8/2
-    a = annihilator_window(ext, 2)
+    """The window bounds its own operator degrees by D = (N - g_N) / 2 and
+    refuses a window with D < 1, naming N and g: E(k) over R1 has minimal
+    H-generators up to degree 2, so N = 3 leaves no operator degree."""
+    res = resolve_min(residue_field(r1), 9)
+    ext = ext_k_module(res, 3)
+    with pytest.raises(InputError) as exc:
+        annihilator_window(ext)
+    assert exc.value.details == {"steps": 3, "generator_degree": 2}
+    assert "N = 3" in str(exc.value) and "g = 2" in str(exc.value)
+    a = annihilator_window(ext.widen(res, 8))
     assert a.gens == ()  # k has zero annihilator
 
 
@@ -229,16 +234,21 @@ def test_annihilator_window_shrinks(r1):
 
 
 def test_annihilator_window_matches_the_reference(corpus):
-    """On every corpus module, every window N in 4..12 and every cap, the
-    degree loop gives the ideal of the plain one-nullspace-per-degree
-    reference: the same reduced Groebner basis."""
+    """On every corpus module and every window N in 4..12, the degree loop
+    gives the ideal of the plain one-nullspace-per-degree reference over
+    d <= (N - g_N) / 2: the same reduced Groebner basis, whose degree-d part
+    is K_d for every such d.  A window with no such d is refused."""
     for name, pres in corpus:
         res = resolve_min(pres, 12)
         for n in (4, 6, 8, 10, 12):
             ext = ext_k_module(res, n)
-            for cap in range(1, n // 2 + 1):
-                got = annihilator_window(ext, cap).gens
-                assert got == annihilator_reference(ext, cap).gens, (name, n, cap)
+            top = (n - generator_degree(ext)) // 2
+            if top < 1:
+                with pytest.raises(InputError):
+                    annihilator_window(ext)
+                continue
+            got = annihilator_window(ext).gens
+            assert got == annihilator_reference(ext, top).gens, (name, n)
 
 
 def test_annihilator_of_zero_module(r1):
@@ -288,9 +298,9 @@ def test_support_variety_reuses_the_wider_window(r3, monkeypatch):
     windows = []
     real = cohomology.annihilator_window
 
-    def counted(ext, max_op_degree=None):
+    def counted(ext):
         windows.append(ext.steps)
-        return real(ext, max_op_degree)
+        return real(ext)
 
     monkeypatch.setattr(cohomology, "annihilator_window", counted)
     v = support_variety(residue_field(r3), steps=4)
@@ -312,7 +322,7 @@ def test_stabilization_error_names_the_rejecting_test(r1, monkeypatch):
 
     monkeypatch.setattr(cohomology, "complexity", lambda pres, steps=12: 1)
     with pytest.raises(StabilizationError) as exc:
-        support_variety(residue_field(r1), max_steps=10)
+        support_variety(residue_field(r1))
     details = exc.value.details
     assert details["rejected"] == "complexity"
     assert (details["dim_lo"], details["dim_hi"], details["complexity"]) == (2, 2, 1)
@@ -344,30 +354,21 @@ def test_support_variety_min_steps_guard(r1):
         support_variety(residue_field(r1), steps=2)
 
 
-def test_support_variety_rejects_a_step_cap_below_the_first_pair(r1):
-    # the first pair of windows is (N, N + 2); a cap below N + 2 used to be
-    # ignored, and R1 k came back accepted at N = 8 with steps_used 10
-    with pytest.raises(InputError) as exc:
-        support_variety(residue_field(r1), steps=8, max_steps=6)
-    assert exc.value.details == {"steps": 8, "max_steps": 6}
-    assert support_variety(residue_field(r1), steps=8, max_steps=10).meta["steps_used"] == 10
-
-
 def test_support_variety_reads_its_own_cache(r1, monkeypatch):
-    """A second call with the same window arguments, defaults filled in,
+    """A second call with the same first window, the default filled in,
     returns the ideal kept on the presentation without computing a window;
-    another window is computed anew."""
+    another first window is computed anew."""
     import civar.cohomology as cohomology
 
     windows = []
     real = cohomology.annihilator_window
     monkeypatch.setattr(
-        cohomology, "annihilator_window", lambda ext, top=None: windows.append(ext.steps) or real(ext, top)
+        cohomology, "annihilator_window", lambda ext: windows.append(ext.steps) or real(ext)
     )
     k = residue_field(r1)
     v = support_variety(k)
     assert windows == [8, 10]
-    assert support_variety(k) is v and support_variety(k, steps=8, max_steps=16) is v
+    assert support_variety(k) is v and support_variety(k, steps=8) is v
     assert windows == [8, 10]
     w = support_variety(k, steps=10)
     assert windows == [8, 10, 10, 12]
@@ -388,16 +389,16 @@ def test_generator_counts_of_q_mod_xy(r1):
 def test_annihilator_window_cuts_at_every_generator_degree(r1):
     """The windows are cut only where E has a minimal H-generator; the
     reference cuts every window.  For M = Q^2 / (xy e1, x e1 + y e2), E has
-    generators in degrees 0 to 4.  K_{N/2 - 1} is cut at E^0, E^1 and E^2,
-    and only the cut at E^2 empties it: a cut that skipped degree 2 would
-    keep every monomial of that degree."""
+    generators in degrees 0 to 4, and each window N agrees with the
+    reference at its bound (N - 4) / 2.  Under that bound no single skipped
+    generator degree changes this module's ideal; the shifted quotients of
+    `test_properties` are where a skipped cut shows."""
     m = present_module(r1, (0, 0), [["x*y", "0"], ["x", "y"]])
     res = resolve_min(m, 11)
     assert generator_counts(ext_k_module(res, 10))[:6] == [2, 1, 1, 2, 1, 0]
     for n in (6, 8, 10):
         ext = ext_k_module(res, n)
-        for cap in range(1, n // 2 + 1):
-            assert annihilator_window(ext, cap).gens == annihilator_reference(ext, cap).gens, (n, cap)
+        assert annihilator_window(ext).gens == annihilator_reference(ext, (n - 4) // 2).gens, n
 
 
 def test_each_kernel_degree_is_solved_once_per_variety(r3, monkeypatch):
@@ -484,15 +485,20 @@ def test_variety_of_a_plane_plus_a_line_keeps_both(r3):
         assert in_variety_by_projective_dimension(m, a) == inside == _vanishes(v.gens, a, r3.p), a
 
 
-def test_stabilization_error_carries_the_generator_degrees(r3):
-    # E(k) over R3 has H-generators up to degree 3: at N = 4 only one
-    # generator-free degree lies above them, so the pair (4, 6) is rejected
+def test_stabilization_error_carries_the_generator_degrees(r3, monkeypatch):
+    """A top generator degree that never settles (here g_N = N - 1) rejects
+    every pair, up to the last pair (N_0 + 6, N_0 + 8), with no window
+    built; the error carries that pair's generator degrees."""
+    import civar.cohomology as cohomology
+
+    monkeypatch.setattr(cohomology, "generator_degree", lambda ext: ext.steps - 1)
+    monkeypatch.setattr(cohomology, "annihilator_window", None)
     with pytest.raises(StabilizationError) as exc:
-        support_variety(residue_field(r3), steps=4, max_steps=6)
+        support_variety(residue_field(r3), steps=4)
     details = exc.value.details
-    assert details["rejected"] == "generators"
-    assert (details["generator_degree_lo"], details["generator_degree_hi"]) == (3, 3)
-    assert "top generator degree is 3 at N = 4 and 3 at N = 6" in str(exc.value)
+    assert (details["rejected"], details["steps"]) == ("generators", 12)
+    assert (details["generator_degree_lo"], details["generator_degree_hi"]) == (9, 11)
+    assert "top generator degree is 9 at N = 10 and 11 at N = 12" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

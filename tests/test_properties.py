@@ -531,11 +531,12 @@ def test_lost_exactness_is_an_internal_error(monkeypatch):
 # the window annihilator on E = H/I, whose annihilator is I
 #
 # E^0 = k generates E = H/I (placed in even degrees, `helpers.quotient_ext`),
-# so a degree-d operator with 2d <= N kills every window exactly when it
-# kills 1 in E^0, that is when it lies in I_d.  The window annihilator with
-# cap D is therefore the ideal spanned by I_1..I_D, which the generators of
-# I of degree at most D generate.  Equal reduced Groebner bases compare the
-# ideals themselves, not their radicals.
+# so g_N = 0 and a degree-d operator with 2d <= N kills every window exactly
+# when it kills 1 in E^0, that is when it lies in I_d.  The window
+# annihilator, over d <= D = N/2, is therefore the ideal spanned by
+# I_1..I_D, which the generators of I of degree at most D generate.  Equal
+# reduced Groebner bases compare the ideals themselves, not their radicals,
+# and so every degree d <= D.
 
 H_RINGS = {
     2: RingSpec(101, ["x", "y"], ["x^2", "y^2"]),
@@ -545,9 +546,8 @@ H_RINGS = {
 
 def assert_annihilator_is_the_ideal(rs, gens, steps):
     ext = quotient_ext(rs, gens, steps)
-    for cap in range(1, steps // 2 + 1):
-        want = VarietyIdeal(rs.h_ring, [g for g in gens if g.degree() <= cap])
-        assert annihilator_window(ext, cap).gens == want.gens, (cap, [str(g) for g in gens])
+    want = VarietyIdeal(rs.h_ring, [g for g in gens if g.degree() <= steps // 2])
+    assert annihilator_window(ext).gens == want.gens, [str(g) for g in gens]
 
 
 def test_annihilator_of_a_quotient_pinned():
@@ -561,18 +561,19 @@ def test_annihilator_of_shifted_quotients_cuts_every_generator_degree():
     """E = H/(chi1) + H/(chi2)[-1] + H/(chi1 + chi2)[-2] + H/(chi1 + 2 chi2)[-3]
     has one minimal generator in each degree 0..3, each with its own line
     as annihilator, so K_3 is zero and the annihilator is generated by the
-    product of the four forms, which the window N = 12 sees from d = 4 on
-    (4 <= 12 - 2 * 4).  A cut that skipped any one generator degree would
+    product of the four forms, which the window N = 12 sees at its bound
+    D = (12 - 3) / 2 = 4.  A cut that skipped any one generator degree would
     keep the product of the other three in K_3."""
     rs = H_RINGS[2]
     forms = [rs.h_ring.parse(f) for f in ("chi1", "chi2", "chi1 + chi2", "chi1 + 2*chi2")]
     ext = shifted_quotients(rs, [([f], g) for g, f in enumerate(forms)], 12)
     assert generator_counts(ext) == [1, 1, 1, 1] + [0] * 9
-    for cap in range(1, 7):
-        assert annihilator_window(ext, cap).gens == annihilator_reference(ext, cap).gens, cap
-    assert annihilator_window(ext, 3).gens == ()
+    got = annihilator_window(ext).gens
+    assert got == annihilator_reference(ext, 4).gens
+    # K_3, kept in the memo of E, is zero; K_4 is spanned by the product
+    assert ext._kernels[(0, 1, 2, 3), 3][0] == []
     product = forms[0] * forms[1] * forms[2] * forms[3]
-    assert annihilator_window(ext, 4).gens == VarietyIdeal(rs.h_ring, [product]).gens
+    assert got == VarietyIdeal(rs.h_ring, [product]).gens
 
 
 @settings(PROPS, max_examples=20)

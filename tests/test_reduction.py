@@ -179,8 +179,12 @@ def test_the_reduced_ring_is_built_once_and_not_at_construction(monkeypatch):
 
 
 def test_mcm_verdict_and_reduction_are_cached(monkeypatch):
-    pres = syzygy_module(residue_field(B), 1)
+    """Q/(x) over F_101[x,y]/(x^2) is MCM but not a syzygy, so no verdict is
+    recorded for it: `artinian_reduction` runs the Ext test once, and later
+    calls read the verdict and the reduction kept on the presentation."""
+    pres = present_module(R4, (0,), [["x"]])
     red = artinian_reduction(pres)
+    assert red is not pres
     monkeypatch.setattr(resolve, "_ext_into_q_vanishes", lambda p: pytest.fail("asked again"))
     assert is_mcm(pres)
     assert artinian_reduction(pres) is red

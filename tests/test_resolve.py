@@ -38,6 +38,15 @@ def test_ring_rejects_even_and_composite_characteristic():
         RingSpec(91, ["x"], ["x^2"])
 
 
+def test_ring_refuses_a_characteristic_that_is_not_an_integer():
+    """A string, a float or a bool is refused for its type, before the prime
+    test could call it "not an odd prime" (101 is one)."""
+    for p, shown in (("101", "str '101'"), (101.0, "float 101.0"), (True, "bool True")):
+        with pytest.raises(InputError) as exc:
+            RingSpec(p, ["x"], ["x^2"])
+        assert str(exc.value) == f"p must be an integer, got {shown}"
+
+
 def test_ring_rejects_bad_relations():
     with pytest.raises(InputError):
         RingSpec(101, ["x", "y"], ["x^2 + y"])  # inhomogeneous
