@@ -257,7 +257,7 @@ class VarietyIdeal:
         if not self.gens or not other.gens:
             # either side is the full space
             return VarietyIdeal(self.h_ring, ())
-        prod = ideal_ops(list(self.gens), list(other.gens), self.h_ring)
+        prod = ideal_ops(self.gens, other.gens)
         return VarietyIdeal(self.h_ring, prod)
 
     def intersect(self, other: "VarietyIdeal") -> "VarietyIdeal":
@@ -313,13 +313,13 @@ def annihilator_window(ext: ExtKModule) -> VarietyIdeal:
     chi_1 K_{d-1} + ... + chi_c K_{d-1}, so the Groebner basis starts from
     a minimal generating set of the same ideal."""
     n = ext.steps
-    cuts = tuple(i for i, count in enumerate(generator_counts(ext)) if count)
-    g = cuts[-1] if cuts else 0
+    g = generator_degree(ext)
     if n - g < 2:
         raise InputError(
             f"window N = {n} with top generator degree g = {g} leaves no operator degree",
             steps=n, generator_degree=g,
         )
+    cuts = tuple(i for i, count in enumerate(generator_counts(ext)) if count)
     found = []
     # K_0 is taken as 0, which only leaves U_1 empty
     basis = []
@@ -499,7 +499,7 @@ def support_variety(pres: ModulePresentation, steps: int = None) -> VarietyIdeal
         g_hi, a_hi = window(n + 2)
         dims = (None, None)
         cx = None
-        if g_lo != g_hi or n - g_lo < 2:
+        if g_lo != g_hi or a_lo is None:
             rejected = "generators"
             why = f"the top generator degree is {g_lo} at N = {n} and {g_hi} at N = {n + 2}"
         else:

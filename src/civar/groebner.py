@@ -582,17 +582,10 @@ def radical_membership(g: Poly, gens, ring: PolyRing = None) -> bool:
     return any(m == ext._one_mono for (_c, m) in gb.leads)
 
 
-def ideal_ops(a, b, ring: PolyRing = None) -> list[Poly]:
+def ideal_ops(a, b) -> list[Poly]:
     """The product of two ideals, returned as the reduced Groebner basis
-    (deterministic generators).  `ring` names the ring when both ideals are
-    zero; it must be a `PolyRing` or None."""
-    if ring is not None and not isinstance(ring, PolyRing):
-        raise InputError(f"ideal_ops takes a PolyRing or None as its ring, got {ring!r}")
-    a = [f for f in a if not f.is_zero()]
-    b = [f for f in b if not f.is_zero()]
-    if ring is None and not a and not b:
-        raise InputError("ideal_ops on two zero ideals needs an explicit ring")
-    gens = [f * g for f in a for g in b]
+    (deterministic generators); [] when either ideal is zero."""
+    gens = [f * g for f in a for g in b if not f.is_zero() and not g.is_zero()]
     if not gens:
         return []
     return groebner_basis(gens, _allow_inhomogeneous=True).scalar_elements()

@@ -386,19 +386,31 @@ def test_generator_counts_of_q_mod_xy(r1):
     assert generator_counts(ext)[:5] == [1, 1, 2, 1, 0]
 
 
-def test_annihilator_window_cuts_at_every_generator_degree(r1):
-    """The windows are cut only where E has a minimal H-generator; the
-    reference cuts every window.  For M = Q^2 / (xy e1, x e1 + y e2), E has
-    generators in degrees 0 to 4, and each window N agrees with the
-    reference at its bound (N - 4) / 2.  Under that bound no single skipped
-    generator degree changes this module's ideal; the shifted quotients of
-    `test_properties` are where a skipped cut shows."""
+def test_annihilator_window_cuts_at_every_generator_degree(r1, monkeypatch):
+    """The windows are cut only where E has a minimal H-generator, and at
+    every such degree, the top one g_N included; the reference cuts every
+    window.  For M = Q^2 / (xy e1, x e1 + y e2), E has generators in
+    degrees 0 to 4: every kernel degree of each window N is solved against
+    exactly the cuts 0..4, and the ideal agrees with the reference at the
+    bound (N - 4) / 2."""
     m = present_module(r1, (0, 0), [["x*y", "0"], ["x", "y"]])
     res = resolve_min(m, 11)
     assert generator_counts(ext_k_module(res, 10))[:6] == [2, 1, 1, 2, 1, 0]
+    import civar.cohomology as cohomology
+
+    real = cohomology._solve_degree
+    solved = []
+
+    def spy(ext, d, cuts, below):
+        solved.append((d, cuts))
+        return real(ext, d, cuts, below)
+
+    monkeypatch.setattr(cohomology, "_solve_degree", spy)
     for n in (6, 8, 10):
         ext = ext_k_module(res, n)
+        solved.clear()
         assert annihilator_window(ext).gens == annihilator_reference(ext, (n - 4) // 2).gens, n
+        assert solved == [(d, (0, 1, 2, 3, 4)) for d in range(1, (n - 4) // 2 + 1)], n
 
 
 def test_each_kernel_degree_is_solved_once_per_variety(r3, monkeypatch):
