@@ -57,6 +57,13 @@ def is_integer(v) -> bool:
     return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
 
 
+def require_integer(what: str, v, **where) -> None:
+    """InputError unless v is an integer (`is_integer`): a count or degree
+    given as a float, a string or a bool is refused, never truncated."""
+    if not is_integer(v):
+        raise InputError(f"{what} is {v!r}, not an integer", **where)
+
+
 def fp_inv(a: int, p: int) -> int:
     a %= p
     if a == 0:

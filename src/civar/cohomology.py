@@ -52,7 +52,7 @@ the same variety (Avramov-Buchweitz, Invent. Math. 2000).
 
 from __future__ import annotations
 
-from .arith import FreeElt, _eliminate, _sub_shifted, matmul, mono_mul, nullspace
+from .arith import FreeElt, _eliminate, _sub_shifted, matmul, mono_mul, nullspace, require_integer
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
     _leads_dimension,
@@ -431,6 +431,7 @@ def complexity(pres: ModulePresentation, steps: int = 12) -> int:
     Fewer than 4 steps leave a tail too short to difference (k over
     F_p[x,y]/(x^2,y^2) would read 0 or 1, not 2) and are refused with
     InputError, as `support_variety` refuses such a window."""
+    require_integer("steps", steps)
     if steps < 4:
         raise InputError("complexity needs at least 4 steps", steps=steps)
     tail = resolve_min(_model(pres)[1], steps).betti_sequence(steps)[steps // 2 :]
@@ -478,6 +479,7 @@ def support_variety(pres: ModulePresentation, steps: int = None) -> VarietyIdeal
     The accepted ideal is kept on `pres` with N_0, and a later call with the
     same N_0 returns it."""
     n0 = steps if steps is not None else max(8, 2 * pres.rs.codim + 4)
+    require_integer("steps", n0)
     if n0 < 4:
         raise InputError("window of at least 4 steps required", steps=n0)
     cap = n0 + 8

@@ -24,7 +24,6 @@ from .arith import (
     FreeElt,
     _drl_key,
     _eliminate,
-    _transpose,
     add_terms,
     factor_univariate,
     matmul,
@@ -32,6 +31,7 @@ from .arith import (
     poly1_divmod,
     poly1_mul,
     poly1_xgcd,
+    require_integer,
     rref,
 )
 from .errors import (
@@ -48,7 +48,6 @@ from .resolve import (
     RingSpec,
     apply_columns,
     direct_sum,
-    is_mcm,
     present_from_vector_model,
     prune_units,
     residue_field,
@@ -80,72 +79,66 @@ class ExtElement:
         self.h = h
 
 
-def _compose_down(res, cols_high, level, j):
-    """Precompose: given a map F_m -> F_{level+2} (columns cols_high in
-    F_{level+2}) apply t_j: F_{level+2} -> F_{level} to every column."""
-    rs = res.rs
-    t_cols = res.ops.cols[j][level + 1]
-    rank = len(res.degs[level])
-    shifts = res.degs[level]
-    out = []
-    for col in cols_high:
-        w = apply_columns(t_cols, col, rank, shifts)
-        out.append(rs.qnf_elt(w) if w.terms else w)
-    return out
+def _apply(rs: RingSpec, cols, v, shifts):
+    """v's image under the map with these columns, into the free module on
+    generators of degrees `shifts`, reduced modulo the ring's relations."""
+    w = apply_columns(cols, v, len(shifts), shifts)
+    return rs.qnf_elt(w) if w.terms else w
 
 
-def _internal_degree(rs: RingSpec, h, what: str = "", **where) -> int:
-    """The internal degree sum_j a_j deg f_j that every monomial chi^a of h
-    must share; InputError naming the degrees and `where` otherwise."""
+def _cut_element(rs: RingSpec, h, what: str, **where):
+    """(2d, e) for an operator polynomial h that lives in rs's operator ring,
+    is nonzero and homogeneous of degree d >= 1, and whose monomials chi^a
+    share one internal degree e = sum_j a_j deg f_j.  Otherwise InputError
+    naming h as `what`, with `where` among its details."""
+    if h.ring != rs.h_ring:
+        raise InputError(f"{what} lives in a different ring", **where)
+    if h.is_zero():
+        raise InputError(f"{what} must be nonzero", **where)
+    d = h.homogeneous_degree()
+    if d in (None, 0):
+        raise InputError(f"{what} must be homogeneous of positive degree", **where)
     degrees = sorted({sum(a * e for a, e in zip(m, rs.ci_degs)) for _slot, m in h.terms})
     if len(degrees) != 1:
-        msg = "monomials of mixed internal degree cannot represent one graded map"
-        raise InputError(what + msg, degrees=degrees, **where)
-    return degrees[0]
+        msg = f"{what}: monomials of mixed internal degree cannot represent one graded map"
+        raise InputError(msg, degrees=degrees, **where)
+    return 2 * d, degrees[0]
 
 
 def phi(pres: ModulePresentation, h) -> ExtElement:
-    """The image of a homogeneous operator polynomial h in Ext^{2d}(M, M):
-    for each monomial chi^a, compose the chain maps t_j in ascending variable
-    index starting at step 0 (lowest factor acts last in the composite,
-    nearest F_0), then combine with h's coefficients.  The result is a
-    cocycle by construction; that is asserted, not assumed."""
+    """The image of a homogeneous operator polynomial h in Ext^{2d}(M, M),
+    h checked by `_cut_element` and built by `_ext_element`."""
     rs = pres.rs
     h = rs.h_ring.parse(h) if isinstance(h, str) else h
-    if h.ring != rs.h_ring:
-        raise InputError("operator polynomial lives in a different ring")
-    if h.is_zero():
-        raise InputError("operator polynomial must be nonzero")
-    d = h.homogeneous_degree()
-    if d is None:
-        raise InputError("operator polynomial must be homogeneous")
-    if d < 1:
-        raise InputError("operator polynomial must have positive degree")
-    e = _internal_degree(rs, h)
-    n = 2 * d
+    return _ext_element(pres, h, *_cut_element(rs, h, "operator polynomial"))
+
+
+def _ext_element(pres: ModulePresentation, h, n: int, e: int) -> ExtElement:
+    """phi for a checked h of Ext degree n and internal degree e: for each
+    monomial chi^a, compose the chain maps t_j in ascending variable index
+    starting at step 0 (lowest factor acts last in the composite, nearest
+    F_0), then combine with h's coefficients.  The result is a cocycle by
+    construction; that is asserted, not assumed."""
+    rs = pres.rs
     res = resolve_min(pres, n + 1)
     lift_and_operators(res, n - 1)
-    b0 = len(res.degs[0])
     shifts0 = res.degs[0]
-    total = [FreeElt(rs.ring, b0, {}, shifts0) for _ in range(len(res.degs[n]))]
+    total = [FreeElt(rs.ring, len(shifts0), {}, shifts0) for _ in range(len(res.degs[n]))]
     for (_slot, m), coeff in sorted(h.terms.items(), key=lambda t: _drl_key(t[0][1]), reverse=True):
         # factors ascending variable index from level 0 upward; composition
-        # is built from the top level downward
+        # is built from the top level downward, t_j: F_{level+2} -> F_level
         js = [j for j in range(rs.codim) for _ in range(m[j])]
         level = n - 2
         cols = res.ops.cols[js[-1]][level + 1]
         for j in reversed(js[:-1]):
             level -= 2
-            cols = _compose_down(res, cols, level, j)
+            cols = [_apply(rs, res.ops.cols[j][level + 1], col, res.degs[level]) for col in cols]
         for c in range(len(total)):
             total[c] = total[c] + cols[c].scale(coeff)
     # cocycle audit: T must send im d_{n+1} into im d_1
     oracle = SubmoduleOracle(list(res.diffs[1]), quotient=rs.ci_gb)
     for c, v in enumerate(res.diffs[n + 1]):
-        w = apply_columns(total, v, b0, shifts0)
-        if w.terms:
-            w = rs.qnf_elt(w)
-        if not oracle.contains(w):
+        if not oracle.contains(_apply(rs, total, v, shifts0)):
             raise InternalError("chain map failed the cocycle condition", column=c)
     return ExtElement(pres, res, n, e, total, h)
 
@@ -167,42 +160,28 @@ def pushout_cut(pres: ModulePresentation, theta: ExtElement) -> ModulePresentati
     rank = len(gens)
     nt = len(top)
     cols = []
-    for c, v in enumerate(res.diffs[n]):
-        terms = dict(v.terms)
-        tcol = theta.cols[c]
-        for (r, m), cf in tcol.terms.items():
-            key = (nt + r, m)
-            cur = (terms.get(key, 0) - cf) % rs.p
-            if cur:
-                terms[key] = cur
-            else:
-                terms.pop(key, None)
-        cols.append(FreeElt(rs.ring, rank, terms, gens))
+    for v, tcol in zip(res.diffs[n], theta.cols):
+        below = {(nt + r, m): cf for (r, m), cf in tcol.terms.items()}
+        cols.append(FreeElt(rs.ring, rank, add_terms(v.terms, below, -1, rs.p), gens))
     for v in res.diffs[1]:
         terms = {(nt + r, m): cf for (r, m), cf in v.terms.items()}
         cols.append(FreeElt(rs.ring, rank, terms, gens))
-    raw = ModulePresentation(rs, gens, cols)
-    return prune_units(raw)
+    return prune_units(ModulePresentation(rs, gens, cols))
 
 
 def realize(rs: RingSpec, etas, verify: bool = True) -> ModulePresentation:
     """Construct a module whose variety is V_H(etas): start from the
     dim-A-th syzygy of the residue field (the full variety, MCM) and cut by
-    each eta in turn.  Every eta is checked before the first cut, its
-    internal degree included.  With verify on, the result's computed
-    variety is checked against the target up to radical."""
+    each eta in turn.  Every eta is checked (`_cut_element`) before the
+    first cut, and only there.  With verify on, the result's computed
+    variety is checked against the target up to radical; it stays cached on
+    the result (`support_variety`)."""
     h_ring = rs.h_ring
     polys = [h_ring.parse(s) if isinstance(s, str) else s for s in etas]
-    for i, eta in enumerate(polys):
-        if eta.is_zero():
-            raise InputError(f"cut element {i} is zero", index=i)
-        if eta.homogeneous_degree() in (None, 0):
-            raise InputError(f"cut element {i} must be homogeneous of positive degree", index=i)
-        _internal_degree(rs, eta, f"cut element {i}: ", index=i)
+    degrees = [_cut_element(rs, eta, f"cut element {i}", index=i) for i, eta in enumerate(polys)]
     current = syzygy_module(residue_field(rs), rs.dim)
-    for eta in polys:
-        theta = phi(current, eta)
-        current = pushout_cut(current, theta)
+    for eta, (n, e) in zip(polys, degrees):
+        current = pushout_cut(current, _ext_element(current, eta, n, e))
     if verify:
         got = support_variety(current)
         want = VarietyIdeal(h_ring, polys)
@@ -323,18 +302,23 @@ def _column_space_by_degree(mat, degs, p):
 
 def _restrict(actions, basis, p):
     """Actions in the coordinates of the given basis vectors, as sparse
-    columns; requires the subspace to be closed under every action."""
-    s = len(basis)
+    columns.  The basis is reduced (`_column_space_by_degree`): vector i is
+    1 at its pivot, its least index, and every other vector is 0 there, so
+    an image's coordinates are its entries at the pivots.  An image those
+    coordinates do not rebuild exactly leaves the span, which is then not
+    closed under the action."""
+    pivots = [min(v) for v in basis]
     out = []
     for cols in actions:
-        rows, piv = rref(_transpose(basis + matmul(basis, cols, p), len(cols)), p)
-        if any(pc >= s for pc in piv):
-            raise InternalError("projector image is not action-stable")
-        restricted = [{} for _ in range(s)]
-        for i, row in enumerate(rows):
-            for k, v in row.items():
-                if k >= s:
-                    restricted[k - s][i] = v
+        restricted = []
+        for image in matmul(basis, cols, p):
+            coords = {i: image[c] for i, c in enumerate(pivots) if c in image}
+            rebuilt = {}
+            for i, a in coords.items():
+                rebuilt = add_terms(rebuilt, basis[i], a, p)
+            if rebuilt != image:
+                raise InternalError("projector image is not action-stable")
+            restricted.append(coords)
         out.append(restricted)
     return out
 
@@ -391,6 +375,7 @@ def decompose(
     idempotent splitting of the graded endomorphism algebra.  Deterministic
     for a fixed seed.  Summands are returned as minimal presentations,
     sorted by (dimension, generator degrees, relation text)."""
+    require_integer("attempts", attempts)
     vm = vector_model(pres)
     rs = pres.rs
     p = rs.p
@@ -461,17 +446,20 @@ def check_carlson(
     indecomposable, yet its projective variety over the closure is two
     conjugate points, since 2 is not a square mod 101.
 
-    Premise violations (not finite length, not MCM, split does not match
-    V(M), intersection not trivial) raise PremiseError.  A summand whose
-    variety fits in neither or both sides contradicts the statement and
-    raises VerificationError; budget-flagged summands make that test
-    inconclusive and raise ResourceBudgetError instead."""
+    Premise violations raise PremiseError: M of infinite length; M not MCM,
+    which a nonzero M of finite length is exactly when dim Q > 0 (its depth
+    is 0); pieces that do not cover V(M); pieces that meet outside the
+    origin.  A summand whose variety fits in neither or both sides
+    contradicts the statement and raises VerificationError; budget-flagged
+    summands make that test inconclusive and raise ResourceBudgetError
+    instead."""
     rs = pres.rs
     try:
-        vector_model(pres)
+        length = vector_model(pres).dim
     except InputError as exc:
         raise PremiseError(f"module must have finite length: {exc}") from exc
-    if not is_mcm(pres):
+    if length and rs.dim:
+        # a nonzero module of finite length has depth 0 < dim Q
         raise PremiseError("module is not maximal Cohen-Macaulay")
     if a1.h_ring != rs.h_ring or a2.h_ring != rs.h_ring:
         raise InputError("variety ideals live in a different operator ring")

@@ -68,8 +68,8 @@ from __future__ import annotations
 from itertools import combinations, groupby, product
 
 from .arith import (
-    FreeElt, Poly, PolyRing, _drl_key, _eliminate, _sub_shifted, _transpose, fp_inv, is_integer,
-    matmul, mono_deg, mono_div, mono_mul, mono_one, nullspace,
+    FreeElt, Poly, PolyRing, _drl_key, _eliminate, _sub_shifted, _transpose, fp_inv,
+    matmul, mono_deg, mono_div, mono_mul, mono_one, nullspace, require_integer,
 )
 from .errors import InputError, InternalError, ResourceBudgetError
 from .groebner import (
@@ -322,8 +322,7 @@ def present_module(rs: RingSpec, gen_degrees, relations) -> ModulePresentation:
     there); entries are reduced modulo (f); zero columns are dropped."""
     gens = tuple(gen_degrees)
     for i, d in enumerate(gens):
-        if not is_integer(d):
-            raise InputError(f"generator degree {i} is {d!r}, not an integer", index=i)
+        require_integer(f"generator degree {i}", d, index=i)
     gens = tuple(map(int, gens))
     rank = len(gens)
     cols = []
@@ -654,6 +653,7 @@ class Resolution:
 def resolve_min(pres: ModulePresentation, steps: int = 1) -> Resolution:
     """The minimal free resolution, computed out to d_steps and cached on the
     presentation, so later calls only extend."""
+    require_integer("steps", steps)
     if pres._resolution is None:
         pres._resolution = Resolution(pres)
     return pres._resolution.extend(steps)
@@ -664,6 +664,7 @@ def syzygy_module(pres: ModulePresentation, n: int) -> ModulePresentation:
     resolution: generators F_n, relations the columns of d_{n+1}.  n = 0
     returns the pruned module itself.  Kept on the resolution; for n >= dim Q
     it is MCM or zero (the depth lemma), a verdict recorded for `is_mcm`."""
+    require_integer("syzygy index", n)
     if n < 0:
         raise InputError("syzygy index must be nonnegative")
     res = resolve_min(pres, n + 1)

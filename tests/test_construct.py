@@ -9,15 +9,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from civar.errors import (
     InputError,
+    InternalError,
     PremiseError,
     VerificationError,
 )
-from civar import construct
+from civar import construct, resolve
+from civar.arith import matmul
 from civar.cohomology import VarietyIdeal, support_variety
 from civar.construct import (
     _eval_matrix,
     _graded_endo_basis,
     _min_poly,
+    _restrict,
     check_carlson,
     decompose,
     phi,
@@ -57,16 +60,19 @@ def test_phi_zero_class(r1):
     assert all(c.is_zero() for c in th.cols)
 
 
-def test_phi_rejects_bad_inputs(r1):
+def test_phi_rejects_bad_inputs(r1, r3):
     k = residue_field(r1)
-    with pytest.raises(InputError):
-        phi(k, "chi1 + chi2^2")  # inhomogeneous
-    with pytest.raises(InputError):
-        phi(k, "3")  # degree 0
-    for zero in ("0", "chi1 - chi1"):
+    for h, message in (
+        (r3.h_ring.parse("chi1"), "lives in a different ring"),
+        ("0", "must be nonzero"),
+        ("chi1 - chi1", "must be nonzero"),
+        ("chi1 + chi2^2", "must be homogeneous of positive degree"),
+        ("3", "must be homogeneous of positive degree"),
+    ):
         with pytest.raises(InputError) as exc:
-            phi(k, zero)
-        assert str(exc.value) == "operator polynomial must be nonzero"
+            phi(k, h)
+        assert str(exc.value) == "operator polynomial " + message
+        assert exc.value.details == {}
 
 
 @pytest.mark.parametrize(
@@ -215,26 +221,38 @@ def test_realize_rejects_bad_eta(r1):
         realize(r1, ["chi1 + 1"])
 
 
-def test_realize_checks_every_cut_element_before_the_first_cut(r1, monkeypatch):
+def count_cuts(monkeypatch):
+    """The calls `realize` makes to build or apply a cut, recorded by name."""
     calls = []
-    real = construct.phi
-    monkeypatch.setattr(construct, "phi", lambda pres, h: calls.append(h) or real(pres, h))
-    for etas, message in (
-        (["chi1", "chi1 + chi2^2"], "cut element 1 must be homogeneous of positive degree"),
-        (["chi1", "0"], "cut element 1 is zero"),
+    for name in ("phi", "_ext_element", "pushout_cut"):
+        real = getattr(construct, name)
+        monkeypatch.setattr(
+            construct, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a)
+        )
+    return calls
+
+
+def test_realize_checks_every_cut_element_before_the_first_cut(r1, r3, monkeypatch):
+    """A bad element at position 1 is named, with its index, before chi1 at
+    position 0 is cut: no phi, no chain map and no pushout runs."""
+    calls = count_cuts(monkeypatch)
+    for eta, message in (
+        (r3.h_ring.parse("chi1"), "lives in a different ring"),
+        ("0", "must be nonzero"),
+        ("chi1 + chi2^2", "must be homogeneous of positive degree"),
+        ("3", "must be homogeneous of positive degree"),
     ):
         with pytest.raises(InputError) as exc:
-            realize(r1, etas)
-        assert str(exc.value) == message and exc.value.details == {"index": 1}
+            realize(r1, ["chi1", eta])
+        assert str(exc.value) == "cut element 1 " + message
+        assert exc.value.details == {"index": 1}
     assert calls == []
 
 
 def test_realize_refuses_mixed_internal_degree_before_the_first_cut(monkeypatch):
     """chi1 shifts internal degrees by 2 and chi2 by 3 over (x^2, y^3), so
-    chi1 + chi2 is no graded map; `realize` names it before any `phi`."""
-    calls = []
-    real = construct.phi
-    monkeypatch.setattr(construct, "phi", lambda pres, h: calls.append(h) or real(pres, h))
+    chi1 + chi2 is no graded map; `realize` names it before any cut."""
+    calls = count_cuts(monkeypatch)
     rs = RingSpec(101, ["x", "y"], ["x^2", "y^3"])
     with pytest.raises(InputError) as exc:
         realize(rs, ["chi1", "chi1 + chi2"])
@@ -415,6 +433,53 @@ def test_decompose_deterministic(r1):
     ]
 
 
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_split_restricts_every_action_to_its_summand(r1, r3, data):
+    """Every split of A/(l) (+) N, l a drawn linear form over R1 or R3 and N
+    one more copy of A/(l), k, or A/(l') for another drawn l', restricts
+    each action X to the summand's basis B as the X_s with X B = B X_s,
+    which is what keeps the summands' models exact.  The first two N give
+    summands whose bases are not coordinate vectors."""
+    rs = data.draw(st.sampled_from([r1, r3]))
+    forms = st.lists(st.integers(0, rs.p - 1), min_size=rs.ring.nvars, max_size=rs.ring.nvars)
+
+    def cyclic():
+        coeffs = data.draw(forms.filter(any))
+        form = " + ".join(f"{a}*{v}" for a, v in zip(coeffs, rs.ring.vars) if a)
+        return present_module(rs, (0,), [[form]])
+
+    m = cyclic()
+    other = data.draw(st.sampled_from(["copy", "k", "cyclic"]))
+    n = {"copy": lambda: m, "k": lambda: residue_field(rs), "cyclic": cyclic}[other]()
+
+    seen = []
+    real = construct._restrict
+
+    def restrict(actions, basis, p):
+        restricted = real(actions, basis, p)
+        seen.append((actions, basis, restricted))
+        return restricted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_restrict", restrict)
+        decompose(direct_sum(m, n))
+    assert seen
+    for actions, basis, restricted in seen:
+        for cols, small in zip(actions, restricted):
+            assert matmul(basis, cols, rs.p) == matmul(small, basis, rs.p)
+
+
+def test_restrict_refuses_a_basis_that_is_not_action_stable(r1):
+    """Over A/(x), the socle spanned by y is closed under x and y and the
+    degree-0 line spanned by 1 is not: y sends 1 to y."""
+    vm = vector_model(present_module(r1, (0,), [["x"]]))
+    one, y = ({vm.degs.index(d): 1} for d in (0, 1))
+    assert _restrict(vm.actions, [y], r1.p) == [[{}], [{}]]
+    with pytest.raises(InternalError, match="not action-stable"):
+        _restrict(vm.actions, [one], r1.p)
+
+
 def endo_basis_by_loop(degs, actions, p):
     """The commutant equations X Z_d = Z_{d+1} X written out entry by
     entry on dense matrices, as the reference for `_graded_endo_basis`."""
@@ -540,6 +605,19 @@ def test_carlson_premise_infinite_length(r4):
             VarietyIdeal(r4.h_ring, ["chi1"]),
             VarietyIdeal(r4.h_ring, []),
         )
+
+
+def test_carlson_premise_mcm_is_read_off_the_ring(r4, monkeypatch):
+    """k over R4 and over B = F_101[x,y,z,w]/(x^2, y^2, z^2) has finite
+    length, so depth 0 < dim Q: it is refused as not MCM with no MCM test."""
+    for name in ("is_mcm", "_ext_into_q_vanishes"):
+        monkeypatch.setattr(resolve, name, lambda pres: pytest.fail("MCM test run"))
+    b = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2", "z^2"])
+    for rs in (r4, b):
+        k = present_module(rs, (0,), [[v] for v in rs.ring.vars])
+        with pytest.raises(PremiseError) as exc:
+            check_carlson(k, VarietyIdeal(rs.h_ring, ["chi1"]), VarietyIdeal(rs.h_ring, []))
+        assert str(exc.value) == "module is not maximal Cohen-Macaulay"
 
 
 def test_carlson_single_sided_split(r1):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from civar.arith import PolyRing
+from civar.cohomology import complexity, support_variety
+from civar.construct import decompose
 from civar.errors import InputError, ResourceBudgetError
 from civar.groebner import Budgets, FreeElt, configure_budgets, groebner_basis, normal_form
 from civar.resolve import (
@@ -141,6 +143,31 @@ def test_generator_degrees_must_be_integers(r1, degrees):
         assert f"generator degree {bad} " in str(exc.value)
     gens = free_module(r1, [np.int64(2), 3]).gens
     assert gens == (2, 3) and all(type(d) is int for d in gens)
+
+
+# every library count, given as a float, a string or a bool, which once
+# raised a bare TypeError, was compared with a number or ran: (test id,
+# call, the message's head)
+COUNTS = [
+    ("variety-float", lambda m: support_variety(m, steps=8.5), "steps is 8.5"),
+    ("variety-str", lambda m: support_variety(m, steps="8"), "steps is '8'"),
+    ("variety-bool", lambda m: support_variety(m, steps=True), "steps is True"),
+    ("complexity-float", lambda m: complexity(m, 6.5), "steps is 6.5"),
+    ("syzygy-float", lambda m: syzygy_module(m, 1.5), "syzygy index is 1.5"),
+    ("decompose-float", lambda m: decompose(m, attempts=2.5), "attempts is 2.5"),
+    ("resolve-float", lambda m: resolve_min(m, 2.5), "steps is 2.5"),
+    ("resolve-bool", lambda m: resolve_min(m, True), "steps is True"),
+]
+
+
+@pytest.mark.parametrize("call, named", [c[1:] for c in COUNTS], ids=[c[0] for c in COUNTS])
+def test_counts_must_be_integers(r1, call, named):
+    """Refused as InputError before any work starts."""
+    m = direct_sum(present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]]))
+    with pytest.raises(InputError) as exc:
+        call(m)
+    assert str(exc.value) == named + ", not an integer"
+    assert m._resolution is None
 
 
 def test_present_module_mixed_gen_degrees(r1):
