@@ -6,14 +6,17 @@ Trans. AMS 260, 1980): differentials over Q already carry normal-form
 entries, so read them over the ambient ring P and compose two consecutive
 ones.  The composite d~ d~ must reduce to zero modulo (f), and the ring's
 normal-form table, which records x^m - NF(x^m) = sum_j c_{m,j} f_j for every
-monomial it holds, lifts it term by term to an exact identity
-d~ d~ = sum_j f_j t~_j.  The t~_j depend on the lift only up to a syzygy of
-f_1..f_c; those are Koszul, with entries in (f), so reducing t~_j modulo (f)
-gives well-defined chain maps of degree -2.  Their constant-term matrices
-(transposed) are the chi_j action on E, kept as sparse columns: the actions
-of k over a complete intersection are mostly zero (0.03 % of the cells
-nonzero for k over five squares), so no dense matrix is formed, and every
-elimination on E is `arith._eliminate` on sparse rows.
+monomial it holds, lifts it to an exact identity d~ d~ = sum_j f_j t~_j.
+Both maps are split by monomial into scalar blocks, so the composite is a
+sum of block products, one per pair of monomials, and each table entry is
+read once per monomial of the composite and applied to a whole block, for
+every step lifted in one call.  The t~_j depend on the lift only up to a
+syzygy of f_1..f_c; those are Koszul, with entries in (f), so reducing t~_j
+modulo (f) gives well-defined chain maps of degree -2.  Their constant-term
+matrices (transposed) are the chi_j action on E, kept as sparse columns:
+the actions of k over a complete intersection are mostly zero (0.03 % of
+the cells nonzero for k over five squares), so no dense matrix is formed,
+and every elimination on E is `arith._eliminate` on sparse rows.
 
 The annihilator is approximated by window linear algebra: for each degree d
 the space K_d of homogeneous h with h-action zero on all composable windows
@@ -52,7 +55,7 @@ the same variety (Avramov-Buchweitz, Invent. Math. 2000).
 
 from __future__ import annotations
 
-from .arith import FreeElt, _eliminate, _sub_shifted, matmul, mono_mul, nullspace, require_integer
+from .arith import FreeElt, _eliminate, matmul, mono_mul, nullspace, require_integer
 from .errors import InputError, InternalError, StabilizationError
 from .groebner import (
     _leads_dimension,
@@ -62,7 +65,7 @@ from .groebner import (
     radical_membership,
 )
 from .resolve import (
-    ModulePresentation, Resolution, apply_columns, artinian_reduction, resolve_min, syzygy_module,
+    ModulePresentation, Resolution, artinian_reduction, resolve_min, syzygy_module,
 )
 
 
@@ -77,50 +80,160 @@ class CiOperators:
         self.cols = [dict() for _ in range(c)]
 
 
+def _blocks(cols) -> dict:
+    """The columns of a map, each a {(row, monomial): residue} term dict,
+    split by monomial into sparse scalar blocks {monomial: {column: {row:
+    residue}}}."""
+    out = {}
+    for k, col in enumerate(cols):
+        for (r, m), v in col.terms.items():
+            blk = out.get(m)
+            if blk is None:
+                out[m] = {k: {r: v}}
+            elif k in blk:
+                blk[k][r] = v
+            else:
+                blk[k] = {r: v}
+    return out
+
+
+def _add_block(out: dict, key, c: int, blk: dict) -> None:
+    """out[key] += c * blk on blocks {(step, column, row): integer},
+    unreduced."""
+    dst = out.get(key)
+    if dst is None:
+        out[key] = {at: c * v for at, v in blk.items()}
+    else:
+        for at, v in blk.items():
+            dst[at] = dst.get(at, 0) + c * v
+
+
+def _settle(blocks: dict, p: int) -> dict:
+    """Blocks {key: {(step, column, row): integer}}, keyed by a monomial or
+    by (j, monomial), reduced mod p, with no zero residue and no empty
+    block."""
+    out = {}
+    for m, blk in blocks.items():
+        blk = {at: x for at, v in blk.items() if (x := v % p)}
+        if blk:
+            out[m] = blk
+    return out
+
+
 def lift_and_operators(res: Resolution, upto: int) -> Resolution:
-    """Extract the operators at middle indices 1..upto: express each column
-    w of the composite d~_i d~_{i+1} (read over the ambient ring) exactly as
-    sum_j f_j u_j, with the u_j read from the normal-form table of `ci_gb`,
-    and store t_j = NF(u_j).  A nonzero normal form of w means the resolution
-    is broken, and a lift that fails to reproduce w means the table is;
-    both are internal invariant violations, never user error."""
+    """Extract the operators at middle indices 1..upto on monomial blocks.
+    With d~_i and d~_{i+1} read over the ambient ring and split by monomial
+    (`_blocks`), the composite is W = sum_mu x^mu W^(mu), W^(mu) the sum of
+    the scalar products D_i^(m) D_{i+1}^(m') over m + m' = mu.  The blocks of
+    every step not yet lifted are kept together, keyed (step, column, row),
+    and lifted at once (`_lift`).  A nonzero NF(W) means the resolution is
+    broken, and a lift that fails to reproduce W means the table is; both
+    are internal invariant violations, never user error, reported at the
+    first step and column where a column-by-column lift would fail
+    (`_refuse`)."""
     rs = res.rs
     res.extend(upto + 1)
     if res.ops is None:
         res.ops = CiOperators(rs.codim)
     ops = res.ops
-    gb = rs.ci_gb
-    for i in range(ops.upto + 1, upto + 1):
-        lo_rank = len(res.degs[i - 1])
-        lo_shifts = res.degs[i - 1]
-        t_cols = [[] for _ in range(rs.codim)]
-        for c_idx, v in enumerate(res.diffs[i + 1]):
-            w = apply_columns(res.diffs[i], v, lo_rank, lo_shifts)
-            rem = gb.reduce_terms(w.terms)
-            if rem:
-                raise InternalError(
-                    "composite differential does not vanish modulo the "
-                    "defining relations (broken resolution)",
-                    step=i,
-                    column=c_idx,
-                    row=min(r for (r, _m) in rem),
-                )
-            u = gb.lift_terms(w.terms)
-            # exactness audit: sum_j f_j u_j must reproduce w identically
-            check = {}
-            for f, uj in zip(rs.ci, u):
-                for (_slot, m), cf in f.terms.items():
-                    _sub_shifted(check, uj, -cf, m, rs.p)
-            if check != w.terms:
-                raise InternalError(
-                    "operator extraction lost exactness", step=i, column=c_idx
-                )
-            for j, uj in enumerate(u):
-                t_cols[j].append(FreeElt(rs.ring, lo_rank, gb.reduce_terms(uj), lo_shifts))
-        for j in range(rs.codim):
-            ops.cols[j][i] = t_cols[j]
+    steps = range(ops.upto + 1, upto + 1)
+    p = rs.p
+    w = {}
+    up = None
+    for i in steps:
+        down = up if up is not None else _blocks(res.diffs[i])
+        up = _blocks(res.diffs[i + 1])
+        for m2, blk2 in up.items():
+            for m1, blk1 in down.items():
+                dst = w.setdefault(mono_mul(m1, m2), {})
+                for k, col in blk2.items():
+                    for c, a in col.items():
+                        src = blk1.get(c)
+                        if src is not None:
+                            for r, v in src.items():
+                                at = (i, k, r)
+                                dst[at] = dst.get(at, 0) + a * v
+    w = _settle(w, p)
+    cols = [{i: [{} for _ in res.diffs[i + 1]] for i in steps} for _ in rs.ci]
+    for (j, nu), blk in (_lift(rs, w) if w else {}).items():
+        for (i, k, r), v in blk.items():
+            if x := v % p:
+                cols[j][i][k][r, nu] = x
+    for j, per_step in enumerate(cols):
+        for i, terms in per_step.items():
+            lo = res.degs[i - 1]
+            ops.cols[j][i] = [FreeElt(rs.ring, len(lo), t, lo) for t in terms]
     ops.upto = max(ops.upto, upto)
     return res
+
+
+def _lift(rs, w: dict) -> dict:
+    """The blocks of t_1..t_c, keyed (j, monomial), for the composite blocks
+    w: NF(x^mu) and the quotients c_{mu,j} with
+    x^mu - NF(x^mu) = sum_j c_{mu,j} f_j are read from the normal-form table
+    of `ci_gb` once per monomial, by one `lift_terms` and one `reduce_terms`
+    call whose slots index the monomials, and applied to whole blocks.  That
+    is exact because NF and the lift are linear: u_j = sum_mu c_{mu,j} W^(mu),
+    and t_j = NF(u_j) the same way.  NF(W) must vanish, and sum_j f_j u_j
+    must reproduce W identically."""
+    gb, p = rs.ci_gb, rs.p
+    blocks = list(w.values())
+    nw = len(blocks)
+    probe = {(s, mu): 1 for s, mu in enumerate(w)}
+    u = {}
+    for j, quot in enumerate(gb.lift_terms(probe)):
+        for (s, mm), c in quot.items():
+            _add_block(u, (j, mm), c, blocks[s])
+    u = _settle(u, p)
+    # one more table read for NF(W), slots below nw, and for the monomials
+    # of the u_j, slots from nw on
+    slot = {}
+    for _j, mm in u:
+        if mm not in slot:
+            slot[mm] = s = nw + len(slot)
+            probe[s, mm] = 1
+    nfw, nfs = {}, [[] for _ in slot]
+    for (s, nu), c in gb.reduce_terms(probe).items():
+        if s < nw:
+            _add_block(nfw, nu, c, blocks[s])
+        else:
+            nfs[s - nw].append((nu, c))
+    # exactness audit: sum_j f_j u_j must reproduce W identically
+    check = {}
+    for (j, mm), blk in u.items():
+        for (_slot, fm), fc in rs.ci[j].terms.items():
+            _add_block(check, mono_mul(fm, mm), fc, blk)
+    nfw = _settle(nfw, p) if nfw else nfw
+    check = _settle(check, p)
+    if nfw or check != w:
+        _refuse(w, nfw, check)
+    t = {}
+    for (j, mm), blk in u.items():
+        for nu, c in nfs[slot[mm] - nw]:
+            _add_block(t, (j, nu), c, blk)
+    return t
+
+
+def _refuse(w: dict, nfw: dict, check: dict):
+    """Raise the error a column-by-column lift, step by step, meets first:
+    the first (step, column) with a nonzero normal form of the composite w
+    is broken, the first where the audit `check` differs from w lost
+    exactness, and a broken column fails its audit too."""
+    broken = min((at[:2] for blk in nfw.values() for at in blk), default=None)
+    lost = min(
+        (at[:2] for mu in w.keys() | check.keys()
+         for at, _v in w.get(mu, {}).items() ^ check.get(mu, {}).items()),
+        default=None,
+    )
+    if broken is not None and (lost is None or broken <= lost):
+        raise InternalError(
+            "composite differential does not vanish modulo the "
+            "defining relations (broken resolution)",
+            step=broken[0],
+            column=broken[1],
+            row=min(at[2] for blk in nfw.values() for at in blk if at[:2] == broken),
+        )
+    raise InternalError("operator extraction lost exactness", step=lost[0], column=lost[1])
 
 
 def operator_columns(res: Resolution, j: int, lo: int):

@@ -146,7 +146,10 @@ def _ext_element(pres: ModulePresentation, h, n: int, e: int) -> ExtElement:
 def pushout_cut(pres: ModulePresentation, theta: ExtElement) -> ModulePresentation:
     """The module K cutting M's variety by theta's hypersurface: cokernel of
     [[d_n, 0], [-T, d_1]] into F_{n-1} (+) F_0, the F_0 generators shifted up
-    by theta's internal degree, then unit-pruned."""
+    by theta's internal degree, then unit-pruned.  K fits in an exact
+    sequence 0 -> M -> K -> Omega^{n-1} M -> 0, so when M is maximal
+    Cohen-Macaulay by a recorded verdict, so is K (the depth lemma), and K
+    carries that verdict for `is_mcm`."""
     if theta.pres is not pres:
         raise InputError("the Ext element was built on a different module")
     rs = pres.rs
@@ -166,7 +169,10 @@ def pushout_cut(pres: ModulePresentation, theta: ExtElement) -> ModulePresentati
     for v in res.diffs[1]:
         terms = {(nt + r, m): cf for (r, m), cf in v.terms.items()}
         cols.append(FreeElt(rs.ring, rank, terms, gens))
-    return prune_units(ModulePresentation(rs, gens, cols))
+    out = prune_units(ModulePresentation(rs, gens, cols))
+    if pres._mcm:
+        out._mcm = True
+    return out
 
 
 def realize(rs: RingSpec, etas, verify: bool = True) -> ModulePresentation:
@@ -452,7 +458,9 @@ def check_carlson(
     origin.  A summand whose variety fits in neither or both sides
     contradicts the statement and raises VerificationError; budget-flagged
     summands make that test inconclusive and raise ResourceBudgetError
-    instead."""
+    instead.  A count of attempts that is not an integer is refused first,
+    before any premise is checked."""
+    require_integer("attempts", attempts)
     rs = pres.rs
     try:
         length = vector_model(pres).dim

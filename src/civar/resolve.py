@@ -12,13 +12,16 @@ s = sum(deg f_j - 1), so the kernel of d_i: F_i -> F_{i-1} lives in
 degrees min e + 1 .. max e + s, e the degrees of F_i's generators.  There
 it is computed one degree t at a time: the span of x_v * K_{t-1} first,
 and, where that falls short of dim K_t, the nullspace of d_i in degree t.
-The kernel vectors outside the span are the new minimal generators.  Exactness gives
-dim K_t = dim (F_i)_t - dim K'_t, K' the kernel of the step before, so
-from the second step on the nullspace is needed only in the lowest degree
-and wherever new generators appear.  Every vector of this path is a
-{position: residue} dict with no zero residue, every product is read from
-the multiplication table of Q (`RingSpec.multiples`), and every
-elimination is `arith._eliminate` on such rows: no dense matrix is formed.
+The kernel vectors outside the span are the new minimal generators.
+Exactness gives dim K_t = dim (F_i)_t - dim K'_t, K' the kernel of the
+step before, so from the second step on the nullspace is needed only in
+the lowest degree and wherever new generators appear, and the span is
+certified by its leads before anything is eliminated: products with
+distinct first columns are independent, so dim K_t of them are a basis of
+K_t.  Every vector of this path is a {position: residue} dict with no zero
+residue, every product is read from the multiplication table of Q
+(`RingSpec.multiples`), and every elimination is `arith._eliminate` on
+such rows: no dense matrix is formed.
 
 Every other Q takes the Groebner path: `syzygies` over Q, then a minimal
 generating set of them (`minimal_columns`).  Minimality is decided by
@@ -528,15 +531,18 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
     (`_variable_products`, K_{t-1} as sparse rows) is eliminated first.
     When `image_dims` gives the rank of the map in every degree (for a
     resolution, the kernel dimensions of the step before), dim K_t is
-    known, and a span of that dimension is K_t, with nothing new.
-    Otherwise K_t is the `nullspace` of the matrix of (F)_t -> (G)_t
-    (`_map_rows`), and the new generators are its basis vectors at the free
-    columns where the span, restricted to those columns, has no pivot.  A
-    vector's
+    known, and a span of that dimension is K_t, with nothing new.  Then
+    the products are first kept one per distinct first column: rows with
+    distinct first columns are independent, so dim K_t of them are a basis
+    of K_t and nothing is eliminated.  Where the span falls short, K_t is
+    the `nullspace` of the matrix of (F)_t -> (G)_t (`_map_rows`), and the
+    new generators are its basis vectors at the free columns where the
+    span, restricted to those columns, has no pivot.  A vector's
     position-over-term lead is its first column: the generators are made
     monic there and ordered by it, largest lead first.  The span is read
-    only through its pivots and as the next degree's x_v * K_{t-1}, so its
-    pivot rows serve as the basis of K_t when it is all of K_t.  Every
+    only through its pivots and as the next degree's x_v * K_{t-1}, which
+    depend on its row space alone, so its pivot rows, or the rows with
+    distinct leads, serve as the basis of K_t when it is all of K_t.  Every
     degree counts against the degree budget and every product x^m * column
     against the pair budget; either raises ResourceBudgetError naming the
     budget, `step` and the degree reached."""
@@ -562,7 +568,17 @@ def kernel_generators(rs: RingSpec, cols, degs, target_shifts, step: int, image_
             continue
         span = None
         if below is not None:
-            tails = _eliminate(_variable_products(rs, below, degs, t, at), p)
+            rows = _variable_products(rs, below, degs, t, at)
+            if known is not None:
+                # rows with distinct first columns are independent
+                leads = {}
+                for row in rows:
+                    leads.setdefault(min(row), row)
+                if len(leads) == known:
+                    kernel_dims[t] = known
+                    below = list(leads.values())
+                    continue
+            tails = _eliminate(rows, p)
             span = [{c: 1, **tails[c]} for c in sorted(tails)]
             if known == len(span):
                 kernel_dims[t] = known

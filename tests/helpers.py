@@ -13,7 +13,7 @@ import numpy as np
 from civar.arith import Poly, _drl_key, fp_inv, mono_div, mono_lcm, mono_mul
 from civar.cohomology import ExtKModule, VarietyIdeal
 from civar.groebner import FreeElt, groebner_basis, normal_form
-from civar.resolve import RingSpec, _offsets, present_module, resolve_min
+from civar.resolve import RingSpec, _offsets, apply_columns, present_module, resolve_min
 
 
 def naive_reduce(v, elements):
@@ -575,3 +575,32 @@ def kernel_generators_reference(rs, cols, degs, target_shifts, image_dims=None):
         gens += [g for _lead, g in new]
         below = (basis, at)
     return gens, kernel_dims
+
+
+def operators_reference(res, upto):
+    """The columns of t_j at middle indices 1..upto, {i: columns} per j,
+    lifted one column at a time: each column w of d~_i d~_{i+1}, read over
+    the ambient ring by `apply_columns`, is checked to reduce to zero,
+    lifted to sum_j f_j u_j by `lift_terms` and audited term by term, and
+    t_j = NF(u_j).  `lift_and_operators` works on monomial blocks instead
+    and must give the same columns."""
+    rs = res.rs
+    res.extend(upto + 1)
+    gb = rs.ci_gb
+    out = [{} for _ in range(rs.codim)]
+    for i in range(1, upto + 1):
+        lo_rank, lo_shifts = len(res.degs[i - 1]), res.degs[i - 1]
+        t_cols = [[] for _ in range(rs.codim)]
+        for v in res.diffs[i + 1]:
+            w = apply_columns(res.diffs[i], v, lo_rank, lo_shifts)
+            assert not gb.reduce_terms(w.terms)
+            u = gb.lift_terms(w.terms)
+            check = FreeElt(rs.ring, lo_rank, {}, lo_shifts)
+            for f, uj in zip(rs.ci, u):
+                check = check + times(FreeElt(rs.ring, lo_rank, uj, lo_shifts), f)
+            assert check == w
+            for j, uj in enumerate(u):
+                t_cols[j].append(FreeElt(rs.ring, lo_rank, gb.reduce_terms(uj), lo_shifts))
+        for j in range(rs.codim):
+            out[j][i] = t_cols[j]
+    return out

@@ -267,6 +267,36 @@ def test_realize_computes_the_variety_once(files, capsys, monkeypatch):
     assert windows == [8, 10]
 
 
+# sha256 of the structured `realize` report over R4 = F_101[x,y]/(x^2) and
+# over B = F_101[x,y,z,w]/(x^2, y^2, z^2), as printed while `is_mcm` still
+# tested the result
+PINNED_REALIZE = {
+    ("R4", "chi1"): (
+        ["x", "y"], ["x^2"], "a2e2d5d63cb3da1b7b427aa266819e87e73885a4a531f57a562aa4a664db5d7e"
+    ),
+    ("B", "chi1 + 2*chi2 + 3*chi3"): (
+        ["x", "y", "z", "w"], ["x^2", "y^2", "z^2"],
+        "38369f5a183857cde7f9fa45cdb4e5ef4282ce496d00ceef8531aa184d92a723",
+    ),
+}
+
+
+@pytest.mark.parametrize("ring_name, eta", sorted(PINNED_REALIZE))
+def test_realize_reads_the_mcm_verdict_of_its_cuts(tmp_path, capsys, monkeypatch, ring_name, eta):
+    """Each cut K of an MCM module M fits in 0 -> M -> K -> Omega^{n-1} M
+    -> 0, so it is MCM too; `pushout_cut` records that, and the report's
+    is_mcm runs no Ext test over a non-artinian ring."""
+    import civar.resolve as resolve
+
+    monkeypatch.setattr(resolve, "_ext_into_q_vanishes", lambda pres: pytest.fail("Ext test run"))
+    variables, ci, digest = PINNED_REALIZE[ring_name, eta]
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"p": 101, "vars": variables, "ci": ci}))
+    code, out, _ = run(capsys, ["realize", str(ring), "--eta", eta, "--format", "structured"])
+    assert code == 0 and json.loads(out)["is_mcm"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cached_parser_keeps_no_state_between_calls(files, capsys):
     """`main` reuses one parser for the whole process: no call may see what
     an earlier one parsed, however that call ended."""

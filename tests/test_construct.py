@@ -567,6 +567,19 @@ def test_carlson_axis_split(r1, monkeypatch):
     assert res.v2.equals(VarietyIdeal(r1.h_ring, ["chi1"]))
 
 
+def test_carlson_refuses_attempts_before_any_variety(r1, monkeypatch):
+    """An attempt count that is not an integer is refused at entry, before
+    the premises: no support variety is computed."""
+    m = direct_sum(
+        present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]])
+    )
+    monkeypatch.setattr(construct, "support_variety", lambda *a: pytest.fail("variety computed"))
+    with pytest.raises(InputError, match="attempts is 2.5"):
+        check_carlson(
+            m, VarietyIdeal(r1.h_ring, ["chi2"]), VarietyIdeal(r1.h_ring, ["chi1"]), attempts=2.5
+        )
+
+
 def test_carlson_free_summands_are_neutral(r1):
     m = direct_sum(
         direct_sum(present_module(r1, (0,), [["x"]]), free_module(r1, (2,))),

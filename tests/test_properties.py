@@ -62,6 +62,7 @@ from helpers import (
     kernel_generators_reference,
     minimal_columns_reference,
     naive_reduce,
+    operators_reference,
     prune_units_reference,
     quotient_ext,
     random_column,
@@ -498,6 +499,48 @@ def test_operators_are_chain_maps(rs, module):
                 down = compose(res.diffs[i - 1], t[i][c], rank, shifts)
                 up = compose(t[i - 1], v, rank, shifts)
                 assert rs.qnf_elt(down) == rs.qnf_elt(up), (j, i, c)
+
+
+# the corpus rings R1 and R3, R5, T and two rings whose relations have mixed
+# degrees, where the operators have entries of positive degree
+LIFT_RINGS = {
+    "R1": RingSpec(101, ["x", "y"], ["x^2", "y^2"]),
+    "R3": RingSpec(101, ["x", "y", "z"], ["x^2", "y^2", "z^2"]),
+    "R5": R5,
+    "T": UNREDUCED,
+    "x3 y2": RingSpec(101, ["x", "y"], ["x^3", "y^2"]),
+    "x2 y2 z3": RingSpec(101, ["x", "y", "z"], ["x^2", "y^2", "z^3"]),
+}
+
+
+@st.composite
+def lift_inputs(draw, rs):
+    """A module over rs (k, or Q/(g) for a drawn form g of degree 1 to 3,
+    nonzero in Q), a depth 6..8 and a first depth at or below it, so some
+    draws lift in two calls as a widened window does."""
+    degree = draw(st.sampled_from([0, 1, 2, 3]))
+    if degree:
+        g = draw(homogeneous(rs.ring, degree))
+        assume(not rs.qnf(g).is_zero())
+        pres = present_module(rs, (0,), [[g]])
+    else:
+        pres = residue_field(rs)
+    depth = draw(st.integers(6, 8))
+    return pres, draw(st.integers(1, depth)), depth
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_RINGS))
+@settings(PROPS, max_examples=5)
+@given(data=st.data())
+def test_block_lift_matches_the_column_lift(name, data):
+    pres, first, depth = data.draw(lift_inputs(LIFT_RINGS[name]))
+    res = resolve_min(pres, depth + 1)
+    want = operators_reference(res, depth)
+    lift_and_operators(res, first)
+    lift_and_operators(res, depth)
+    for j in range(pres.rs.codim):
+        for i in range(1, depth + 1):
+            assert res.ops.cols[j][i] == want[j][i], (j, i)
 
 
 def test_operator_columns_pinned_on_wide():

@@ -6,11 +6,13 @@ import pytest
 
 from civar.arith import PolyRing
 from civar.cohomology import complexity, support_variety
-from civar.construct import decompose
+from civar import resolve
+from civar.construct import decompose, realize
 from civar.errors import InputError, ResourceBudgetError
 from civar.groebner import Budgets, FreeElt, configure_budgets, groebner_basis, normal_form
 from civar.resolve import (
     ModulePresentation,
+    Resolution,
     RingSpec,
     direct_sum,
     free_module,
@@ -24,9 +26,9 @@ from civar.resolve import (
     syzygy_module,
     vector_model,
 )
-from civar.resolve import _offsets, _variable_products
+from civar.resolve import _offsets, _variable_products, kernel_generators
 
-from helpers import dense, seeded, times
+from helpers import dense, kernel_generators_reference, seeded, times
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +205,45 @@ def test_betti_residue_field_r3(r3):
     res = resolve_min(residue_field(r3), 6)
     # binomial(i + 2, 2)
     assert [len(res.degs[i]) for i in range(7)] == [1, 3, 6, 10, 15, 21, 28]
+
+
+def test_spans_certified_by_their_leads_need_no_elimination(r3, monkeypatch):
+    """From the third step on the kernel dimensions of the step before are
+    known, and over R3 the products x_v * K_{t-1} of k's resolution have as
+    many distinct first columns as dim K_t in every degree above a step's
+    lowest: those rows are a basis, and no span is eliminated.  The lowest
+    degree of each step takes one nullspace."""
+    res = resolve_min(residue_field(r3), 2)
+    spans, kernels = [], []
+    for name, seen in (("_eliminate", spans), ("nullspace", kernels)):
+        real = getattr(resolve, name)
+        monkeypatch.setattr(resolve, name, lambda *a, _f=real, _s=seen: _s.append(1) or _f(*a))
+    res.extend(9)
+    assert spans == [] and len(kernels) == 7
+    assert res.betti_sequence(9) == [(i + 1) * (i + 2) // 2 for i in range(10)]
+
+
+def test_spans_whose_leads_collide_keep_the_resolution(monkeypatch):
+    """Over A = F_32003[x,y,z]/(x^2, y^2, z^2) the products spanning the
+    kernels of a plane's resolution share first columns in some degrees,
+    which fall back to elimination; the generators match the dense
+    reference step by step, and the Betti numbers are 2i + 3."""
+    a = RingSpec(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"])
+    plane = realize(a, ["chi1 + 2*chi2 + 3*chi3"], verify=False)
+    res = Resolution(plane)
+    spans = []
+    real = resolve._eliminate
+    monkeypatch.setattr(resolve, "_eliminate", lambda *a: spans.append(1) or real(*a))
+    cols, degs, dims = res.diffs[1], res.degs, None
+    for step in range(2, 8):
+        got = kernel_generators(a, cols, degs[-1], degs[-2], step, dims)
+        want = kernel_generators_reference(a, cols, degs[-1], degs[-2], dims)
+        assert [g.terms for g in got[0]] == [g.terms for g in want[0]], step
+        assert got[1] == want[1], step
+        cols, dims = got
+        degs = degs + [tuple(c.degree() for c in cols)]
+    assert spans
+    assert resolve_min(plane, 12).betti_sequence(12) == [2 * i + 3 for i in range(13)]
 
 
 def test_betti_residue_field_r4(r4):
