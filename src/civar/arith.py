@@ -154,6 +154,15 @@ def _valid_ident(s: str) -> bool:
     return bool(s) and s[0] not in "0123456789" and set(s) <= _IDENT_OK
 
 
+def _exponents(nvars: int, d: int) -> list:
+    """Every exponent tuple of nvars >= 1 entries summing to d.  A module
+    function: a recursive closure refers to itself, a reference cycle that
+    only the cyclic collector frees."""
+    if nvars == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d, -1, -1) for rest in _exponents(nvars - 1, d - e)]
+
+
 class PolyRing:
     """F_p[x_1, ..., x_n] under degrevlex (`_drl_key`).  p must be an
     integer, an odd prime below 2^31."""
@@ -229,16 +238,7 @@ class PolyRing:
         out = self._monos.get(d)
         if out is not None:
             return out
-        out = []
-
-        def rec(i, left, acc):
-            if i == self.nvars - 1:
-                out.append(tuple(acc + [left]))
-                return
-            for e in range(left, -1, -1):
-                rec(i + 1, left - e, acc + [e])
-
-        rec(0, d, [])
+        out = _exponents(self.nvars, d)
         out.sort(key=_drl_key, reverse=True)
         self._monos[d] = out
         return out

@@ -51,6 +51,16 @@ d = dim Q: Omega^d M is maximal Cohen-Macaulay by the depth lemma, so x_S
 is regular on it, its resolution and operators reduce mod x_S, and
 E(Omega^d M) is E(M) from degree d on, a submodule of finite colength with
 the same variety (Avramov-Buchweitz, Invent. Math. 2000).
+
+A direct sum needs no resolution of its own: the minimal resolution of
+M (+) N is the sum of theirs, its operators are block-diagonal, and so
+E(M (+) N) = E(M) (+) E(N) as graded H-modules (Avramov-Buchweitz).  E is
+built on a list of resolutions, one per summand, each action placing part s
+after the earlier parts' basis vectors in both its degrees; one module is
+the one-part list.  The window loop (`_sum_variety`) runs on that E and
+adds the parts' Betti numbers for its guard and meta, so a module known as
+a sum (the summands `construct.decompose` returns) gets the variety its
+own resolution would give, generators and meta alike.
 """
 
 from __future__ import annotations
@@ -282,19 +292,31 @@ class ExtKModule:
         self._composites[(mono, i)] = out
         return out
 
-    def widen(self, res: Resolution, steps: int) -> "ExtKModule":
-        """Extend E in place to degrees 0..steps of `res`, its resolution,
-        building only the actions it lacks; see `ext_k_module`."""
+    def widen(self, parts, steps: int) -> "ExtKModule":
+        """Extend E in place to degrees 0..steps of the direct sum of the
+        resolutions `parts`, building only the actions it lacks; see
+        `ext_k_module`.  E of a direct sum is the direct sum of the parts'
+        E, so dims[i] adds up their b_i and each action is block-diagonal:
+        part s takes the basis vectors of E^i after the earlier parts' b_i,
+        in every degree i.  A single resolution is the one-part sum."""
         one = self.rs.ring._one_mono
-        lift_and_operators(res, steps - 1 if steps >= 2 else 1)
-        self.dims = [len(res.degs[i]) for i in range(steps + 1)]
+        for res in parts:
+            lift_and_operators(res, steps - 1 if steps >= 2 else 1)
+        betti = [[len(res.degs[i]) for i in range(steps + 1)] for res in parts]
+        self.dims = [sum(b[i] for b in betti) for i in range(steps + 1)]
         for j, per_i in enumerate(self.act):
             for lo in range(len(per_i), steps - 1):
-                cols = [{} for _ in range(self.dims[lo])]
-                for c_idx, col in enumerate(operator_columns(res, j, lo)):
-                    for (r, m), v in col.terms.items():
-                        if m == one:
-                            cols[r][c_idx] = v
+                cols = []
+                # the rows of E^{lo+2} that the parts before this one take
+                below = 0
+                for res, b in zip(parts, betti):
+                    block = [{} for _ in range(b[lo])]
+                    for c_idx, col in enumerate(operator_columns(res, j, lo)):
+                        for (r, m), v in col.terms.items():
+                            if m == one:
+                                block[r][below + c_idx] = v
+                    cols += block
+                    below += b[lo + 2]
                 per_i.append(cols)
         self.steps = steps
         return self
@@ -309,7 +331,7 @@ def ext_k_module(res: Resolution, steps: int) -> ExtKModule:
     over the same resolution is `widen` on the result, which keeps every
     action and memo built so far."""
     rs = res.rs
-    return ExtKModule(rs, 0, [], [[] for _ in range(rs.codim)]).widen(res, steps)
+    return ExtKModule(rs, 0, [], [[] for _ in range(rs.codim)]).widen([res], steps)
 
 
 class VarietyIdeal:
@@ -534,23 +556,27 @@ def _model(pres: ModulePresentation) -> tuple:
 
 
 def complexity(pres: ModulePresentation, steps: int = 12) -> int:
-    """Betti-growth estimate: the least r with b_i growing like i^{r-1},
-    from successive finite differences of the tail (last half) of the
-    computed Betti numbers.  Even and odd positions are differenced
-    separately and the maximum taken, which also fits tails that are
-    quasi-polynomial of period 2; on exactly polynomial tails it agrees with
-    plain differencing.  It reads the module `support_variety` reads
-    (`_model`), so b_d..b_{d+steps} of M when Q has a coordinate reduction.
-    Fewer than 4 steps leave a tail too short to difference (k over
-    F_p[x,y]/(x^2,y^2) would read 0 or 1, not 2) and are refused with
-    InputError, as `support_variety` refuses such a window."""
+    """Betti-growth estimate (`_betti_growth`) on the Betti numbers of the
+    module `support_variety` reads (`_model`), so b_d..b_{d+steps} of M
+    when Q has a coordinate reduction.  Fewer than 4 steps leave a tail too
+    short to difference (k over F_p[x,y]/(x^2,y^2) would read 0 or 1, not
+    2) and are refused with InputError, as `support_variety` refuses such a
+    window."""
     require_integer("steps", steps)
     if steps < 4:
         raise InputError("complexity needs at least 4 steps", steps=steps)
-    tail = resolve_min(_model(pres)[1], steps).betti_sequence(steps)[steps // 2 :]
+    return _betti_growth(resolve_min(_model(pres)[1], steps).betti_sequence(steps))
+
+
+def _betti_growth(betti) -> int:
+    """The least r with b_i growing like i^{r-1}, from successive finite
+    differences of the tail b_{s//2}..b_s of betti = b_0..b_s.  Even and
+    odd positions are differenced separately and the maximum taken, which
+    also fits tails that are quasi-polynomial of period 2; on exactly
+    polynomial tails it agrees with plain differencing."""
+    tail = betti[(len(betti) - 1) // 2 :]
 
     def growth(s):
-        s = list(s)
         count = 0
         while s and any(s):
             s = [b - a for a, b in zip(s, s[1:])]
@@ -590,17 +616,34 @@ def support_variety(pres: ModulePresentation, steps: int = None) -> VarietyIdeal
     followed by the reduction's.
 
     The accepted ideal is kept on `pres` with N_0, and a later call with the
-    same N_0 returns it."""
-    n0 = steps if steps is not None else max(8, 2 * pres.rs.codim + 4)
+    same N_0 returns it.  M is the one-part sum of `_sum_variety`, which
+    runs the windows."""
+    return _sum_variety(pres, [pres], steps)
+
+
+def _sum_variety(owner: ModulePresentation, parts, steps: int = None) -> VarietyIdeal:
+    """`support_variety` of owner = parts[0] (+) ... (+) parts[-1], over
+    one ring, read on the parts' resolutions: E(owner) is the direct sum of
+    the parts' E (`ExtKModule.widen`), their Betti numbers add up to the
+    owner's, and a model of each part (`_model`) gives one of the sum, so
+    the windows, g, the complexity guard and meta are those of owner's own
+    resolution.  The accepted ideal is kept on the owner, and on the part
+    of a one-part sum.  That owner is this sum is the caller's word, not
+    checked here; with no part, the owner is zero."""
+    rs = owner.rs
+    n0 = steps if steps is not None else max(8, 2 * rs.codim + 4)
     require_integer("steps", n0)
     if n0 < 4:
         raise InputError("window of at least 4 steps required", steps=n0)
     cap = n0 + 8
-    if pres._variety is not None and pres._variety[0] == n0:
-        return pres._variety[1]
-    owner, (head, pres) = pres, _model(pres)
-    res = resolve_min(pres, n0 + 2)
-    ext = ext_k_module(res, n0)
+    if owner._variety is not None and owner._variety[0] == n0:
+        return owner._variety[1]
+    red = rs.reduction()
+    models = [_model(part) for part in parts]
+    head = [sum(h[i] for h, _m in models) for i in range(rs.dim if red is not None else 0)]
+    res = [resolve_min(m, n0 + 2) for _h, m in models]
+    bar = red[1] if red is not None else rs
+    ext = ExtKModule(bar, 0, [], [[] for _ in range(bar.codim)]).widen(res, n0)
 
     def window(n):
         if n > ext.steps:
@@ -624,16 +667,20 @@ def support_variety(pres: ModulePresentation, steps: int = None) -> VarietyIdeal
             elif not (a_lo.contains_variety(a_hi) and a_hi.contains_variety(a_lo)):
                 rejected, why = "radical", "the candidates differ up to radical"
             else:
-                cx = complexity(pres, n + 2)
+                betti = [sum(len(r.degs[i]) for r in res) for i in range(n + 3)]
+                cx = _betti_growth(betti)
                 if cx == dims[1]:
                     a_hi.meta = {
                         "stabilized_at": n,
                         "steps_used": n + 2,
                         "complexity": cx,
                         "generator_degree": g_hi,
-                        "betti": head + res.betti_sequence(n + 2 - len(head)),
+                        "betti": head + betti[: n + 3 - len(head)],
                     }
                     owner._variety = (n0, a_hi)
+                    if len(parts) == 1:
+                        # a one-part sum is its part: the same E, the same windows
+                        parts[0]._variety = owner._variety
                     return a_hi
                 rejected, why = "complexity", f"the candidates agree, the complexity estimate is {cx}"
         n += 2

@@ -42,7 +42,7 @@ from .errors import (
     VerificationError,
 )
 from .groebner import SubmoduleOracle
-from .cohomology import VarietyIdeal, lift_and_operators, support_variety
+from .cohomology import VarietyIdeal, _sum_variety, lift_and_operators, support_variety
 from .resolve import (
     ModulePresentation,
     RingSpec,
@@ -452,14 +452,21 @@ def check_carlson(
     indecomposable, yet its projective variety over the closure is two
     conjugate points, since 2 is not a square mod 101.
 
-    Premise violations raise PremiseError: M of infinite length; M not MCM,
-    which a nonzero M of finite length is exactly when dim Q > 0 (its depth
-    is 0); pieces that do not cover V(M); pieces that meet outside the
-    origin.  A summand whose variety fits in neither or both sides
-    contradicts the statement and raises VerificationError; budget-flagged
-    summands make that test inconclusive and raise ResourceBudgetError
-    instead.  A count of attempts that is not an integer is refused first,
-    before any premise is checked."""
+    The checks run in this order.  A count of attempts that is not an
+    integer is refused first, with InputError.  Then PremiseError for M of
+    infinite length, and for M not MCM, which a nonzero M of finite length
+    is exactly when dim Q > 0 (its depth is 0); InputError for pieces over
+    another operator ring.  Then M is decomposed, and V(M) is read on the
+    summands' resolutions (`cohomology._sum_variety`: E(M) is the direct
+    sum of their E), so M itself is never resolved.  PremiseError follows
+    for pieces that do not cover V(M) and for pieces that meet outside the
+    origin.  Each summand's variety comes from its own resolution; one
+    that fits in neither or both sides contradicts the statement and
+    raises VerificationError, and budget-flagged summands make that test
+    inconclusive and raise ResourceBudgetError instead.  A group of two or
+    more summands has its variety read on its summands' resolutions too,
+    and a group of one is that summand; both must reproduce their piece,
+    or VerificationError."""
     require_integer("attempts", attempts)
     rs = pres.rs
     try:
@@ -471,7 +478,8 @@ def check_carlson(
         raise PremiseError("module is not maximal Cohen-Macaulay")
     if a1.h_ring != rs.h_ring or a2.h_ring != rs.h_ring:
         raise InputError("variety ideals live in a different operator ring")
-    vm_variety = support_variety(pres)
+    dec = decompose(pres, attempts=attempts, seed=seed)
+    vm_variety = _sum_variety(pres, dec.summands)
     if not a1.union(a2).equals(vm_variety):
         raise PremiseError(
             "the two pieces do not cover the module's variety",
@@ -483,12 +491,9 @@ def check_carlson(
             "the two pieces intersect nontrivially",
             intersection=[str(g) for g in a1.intersect(a2).gens],
         )
-    dec = decompose(pres, attempts=attempts, seed=seed)
     group1, group2, free = [], [], []
-    varieties = []
     for i, sub in enumerate(dec.summands):
         v = support_variety(sub)
-        varieties.append(v)
         if v.is_trivial():
             free.append(i)
             continue
@@ -517,10 +522,11 @@ def check_carlson(
     c2 = _direct_sum_of(rs, [dec.summands[i] for i in group2])
 
     def group_variety(group, c):
-        if len(group) == 1:
-            # c is that summand itself, whose variety the loop above read
-            return varieties[group[0]]
-        return support_variety(c) if c.rank else VarietyIdeal(rs.h_ring, list(rs.h_ring.gens()))
+        if not group:
+            return VarietyIdeal(rs.h_ring, list(rs.h_ring.gens()))
+        # a one-summand group is that summand, whose variety the loop above
+        # kept on it
+        return _sum_variety(c, [dec.summands[i] for i in group])
 
     v1 = group_variety(group1, c1)
     v2 = group_variety(group2, c2)

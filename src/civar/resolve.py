@@ -629,11 +629,10 @@ class Resolution:
     degree, fed the kernel dimensions of the step before; over any other Q
     it is `syzygies` followed by `minimal_columns`."""
 
-    __slots__ = ("rs", "pres", "pruned", "degs", "diffs", "ops", "_kernel_dims", "_syzygies")
+    __slots__ = ("rs", "pruned", "degs", "diffs", "ops", "_kernel_dims", "_syzygies")
 
     def __init__(self, pres: ModulePresentation):
         self.rs = pres.rs
-        self.pres = pres
         self.pruned = prune_units(pres)
         d1 = minimal_columns(self.rs, self.pruned.relations, self.pruned.gens)
         self.degs = [tuple(self.pruned.gens), tuple(c.degree() for c in d1)]
@@ -775,7 +774,8 @@ def artinian_reduction(pres: ModulePresentation) -> ModulePresentation:
     if pres._reduced is None:
         red = pres.rs.reduction()
         if red is None or not (pres._mcm or is_mcm(pres)):
-            pres._reduced = pres
+            # M itself, kept as False: a slot holding M would tie M to itself
+            pres._reduced = False
         else:
             kept, bar = red
             cols = [
@@ -783,7 +783,7 @@ def artinian_reduction(pres: ModulePresentation) -> ModulePresentation:
                 for col in pres.relations
             ]
             pres._reduced = present_module(bar, pres.gens, cols)
-    return pres._reduced
+    return pres._reduced or pres
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from civar.errors import InputError, StabilizationError
 from civar.groebner import normal_form
 from civar.cohomology import (
     VarietyIdeal,
+    _sum_variety,
     annihilator_window,
     complexity,
     ext_k_module,
@@ -23,6 +24,7 @@ from civar.cohomology import (
 )
 from civar.construct import realize
 from civar.resolve import (
+    ModulePresentation,
     RingSpec,
     direct_sum,
     free_module,
@@ -219,7 +221,7 @@ def test_annihilator_window_caps(r1):
         annihilator_window(ext)
     assert exc.value.details == {"steps": 3, "generator_degree": 2}
     assert "N = 3" in str(exc.value) and "g = 2" in str(exc.value)
-    a = annihilator_window(ext.widen(res, 8))
+    a = annihilator_window(ext.widen([res], 8))
     assert a.gens == ()  # k has zero annihilator
 
 
@@ -320,7 +322,7 @@ def test_stabilization_error_names_the_rejecting_test(r1, monkeypatch):
     that never matches is what rejects them, and the error says so."""
     import civar.cohomology as cohomology
 
-    monkeypatch.setattr(cohomology, "complexity", lambda pres, steps=12: 1)
+    monkeypatch.setattr(cohomology, "_betti_growth", lambda betti: 1)
     with pytest.raises(StabilizationError) as exc:
         support_variety(residue_field(r1))
     details = exc.value.details
@@ -454,6 +456,58 @@ def test_each_action_of_e_is_built_once_per_variety(r3, monkeypatch):
     v = support_variety(present_module(r3, (0,), [["x+y"]]))
     assert v.meta["steps_used"] == 12
     assert sorted(built) == [(j, lo) for j in range(3) for lo in range(11)]
+
+
+# a line and a plane in chi-space over F_32003[x,y,z]/(x^2, y^2, z^2), three
+# draws, each line meeting its plane only at the origin
+LINES_AND_PLANES = [
+    (
+        ["19153*chi1 + 16506*chi2 + 23238*chi3", "4275*chi1 + 2783*chi2 + 16485*chi3"],
+        ["2909*chi1 + 24476*chi2 + 5477*chi3"],
+    ),
+    (
+        ["31760*chi1 + 10291*chi2 + 24692*chi3", "31115*chi1 + 2432*chi2 + 2730*chi3"],
+        ["12502*chi1 + 4526*chi2 + 9652*chi3"],
+    ),
+    (
+        ["19236*chi1 + 9934*chi2 + 7551*chi3", "15477*chi1 + 13641*chi2 + 18182*chi3"],
+        ["228*chi1 + 21490*chi2 + 2876*chi3"],
+    ),
+]
+
+
+def _sums(r1, r3):
+    """(label, parts) for twelve sums of two modules."""
+    a = RingSpec(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"])
+    out = []
+    for n, (line, plane) in enumerate(LINES_AND_PLANES, 1):
+        m_line = realize(a, line, verify=False)
+        out.append((f"A line+plane {n}", [m_line, realize(a, plane, verify=False)]))
+        out.append((f"A line+line {n}", [m_line, realize(a, line, verify=False)]))
+    for name, rs in (("R1", r1), ("R3", r3)):
+        ax = present_module(rs, (0,), [["x"]])
+        ay = present_module(rs, (0,), [["y"]])
+        k = residue_field(rs)
+        out.append((f"{name} k+A/(x)", [k, ax]))
+        out.append((f"{name} A/(x)+A/(y)", [ax, ay]))
+        out.append((f"{name} k+k", [k, residue_field(rs)]))
+    return out
+
+
+def test_variety_of_a_sum_is_read_on_its_parts(r1, r3):
+    """E(M (+) N) = E(M) (+) E(N) as graded H-modules (Avramov-Buchweitz,
+    Invent. Math. 2000), so the variety read on the parts' resolutions is
+    the one M (+) N's own resolution gives, generators and meta both: the
+    same windows, g, complexity and Betti numbers, and the same ideal."""
+    sums = _sums(r1, r3)
+    assert len(sums) == 12
+    for label, parts in sums:
+        parts = [ModulePresentation(m.rs, m.gens, m.relations) for m in parts]
+        m = direct_sum(*parts)
+        want = support_variety(ModulePresentation(m.rs, m.gens, m.relations))
+        got = _sum_variety(m, parts)
+        assert (got.gens, got.meta) == (want.gens, want.meta), label
+        assert m._resolution is None and support_variety(m) is got, label
 
 
 def test_variety_of_q_mod_xy_is_the_plane(r1):

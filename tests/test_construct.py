@@ -1,6 +1,7 @@
 """Ext elements, hypersurface cuts, realization, idempotent splitting, and
 the disjoint-split check."""
 
+import gc
 from collections import Counter
 
 import numpy as np
@@ -29,6 +30,7 @@ from civar.construct import (
 )
 from civar.resolve import (
     RingSpec,
+    artinian_reduction,
     direct_sum,
     free_module,
     hilbert_function,
@@ -543,41 +545,69 @@ def test_decompose_needs_finite_length(r4):
 # check_carlson
 
 
-def test_carlson_axis_split(r1, monkeypatch):
-    """Each group holds one summand, whose variety the summand loop already
-    read: one variety per object, M's and the two summands'."""
-    m = direct_sum(
-        present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]])
-    )
-    seen = []
-
-    def counted(pres, *args, **kwargs):
-        seen.append(id(pres))
-        return support_variety(pres, *args, **kwargs)
-
-    monkeypatch.setattr(construct, "support_variety", counted)
+def test_carlson_axis_split(r1):
+    """V(M) and the variety of every group of two or more summands are read
+    on the summands' resolutions: neither M nor such a group sum is
+    resolved.  A one-summand group is that summand, resolved for its own
+    variety."""
+    ax, ay = present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]])
+    m = direct_sum(ax, ay)
     res = check_carlson(
         m, VarietyIdeal(r1.h_ring, ["chi2"]), VarietyIdeal(r1.h_ring, ["chi1"])
     )
-    assert len(seen) == len(set(seen)) == 3
+    assert m._resolution is None
     assert res.verdict is True
     assert len(res.group1) == 1 and len(res.group2) == 1
     assert res.free == []
     assert res.v1.equals(VarietyIdeal(r1.h_ring, ["chi2"]))
     assert res.v2.equals(VarietyIdeal(r1.h_ring, ["chi1"]))
+    doubled = direct_sum(direct_sum(ax, ay), ax)
+    res = check_carlson(
+        doubled, VarietyIdeal(r1.h_ring, ["chi2"]), VarietyIdeal(r1.h_ring, ["chi1"])
+    )
+    assert (len(res.group1), len(res.group2)) == (2, 1)
+    assert doubled._resolution is None and res.c1._resolution is None
+    assert res.v1.equals(VarietyIdeal(r1.h_ring, ["chi2"]))
 
 
 def test_carlson_refuses_attempts_before_any_variety(r1, monkeypatch):
     """An attempt count that is not an integer is refused at entry, before
-    the premises: no support variety is computed."""
+    the premises: no support variety is computed and nothing decomposed."""
     m = direct_sum(
         present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]])
     )
-    monkeypatch.setattr(construct, "support_variety", lambda *a: pytest.fail("variety computed"))
+    for name in ("support_variety", "_sum_variety", "decompose"):
+        monkeypatch.setattr(construct, name, lambda *a, **k: pytest.fail("called before the check"))
     with pytest.raises(InputError, match="attempts is 2.5"):
         check_carlson(
             m, VarietyIdeal(r1.h_ring, ["chi2"]), VarietyIdeal(r1.h_ring, ["chi1"]), attempts=2.5
         )
+
+
+def test_no_reference_cycles_outlive_a_computation():
+    """Nothing a resolution, a variety or a Carlson split leaves behind
+    needs the cyclic collector: with it disabled, every object dies with
+    its last reference, so a collection afterwards finds no garbage.  The
+    rings are fresh, so their lazily filled tables are built here too."""
+    gc.collect()
+    gc.disable()
+    try:
+        for ci in (["x^2", "y^2"], ["x^2"]):
+            rs = RingSpec(101, ["x", "y"], ci)
+            m = present_module(rs, (0,), [["x"]])
+            resolve_min(m, 4)
+            support_variety(m)
+            # Q/(y) is not MCM over F_101[x,y]/(x^2), so it is its own reduction
+            artinian_reduction(present_module(rs, (0,), [["y"]]))
+            del m, rs
+        assert gc.collect() == 0
+        r1 = RingSpec(101, ["x", "y"], ["x^2", "y^2"])
+        m = direct_sum(present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]]))
+        check_carlson(m, VarietyIdeal(r1.h_ring, ["chi2"]), VarietyIdeal(r1.h_ring, ["chi1"]))
+        del m
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_carlson_free_summands_are_neutral(r1):
