@@ -100,16 +100,6 @@ def _sub_shifted(acc: dict, src: dict, coeff: int, q: tuple, p: int) -> None:
 # ---------------------------------------------------------------------------
 # monomials: exponent tuples of fixed length
 
-MONO_ONE_CACHE: dict[int, tuple] = {}
-
-
-def mono_one(n: int) -> tuple:
-    m = MONO_ONE_CACHE.get(n)
-    if m is None:
-        m = MONO_ONE_CACHE[n] = (0,) * n
-    return m
-
-
 def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
 
@@ -191,7 +181,7 @@ class PolyRing:
         self.vars = variables
         self.nvars = len(variables)
         self._index = {v: i for i, v in enumerate(variables)}
-        self._one_mono = mono_one(self.nvars)
+        self._one_mono = (0,) * self.nvars
         self._monos = {}
 
     # -- construction -------------------------------------------------------
@@ -220,7 +210,11 @@ class PolyRing:
 
     def gen(self, i) -> "Poly":
         if isinstance(i, str):
+            if i not in self._index:
+                raise InputError(f"unknown variable {i!r}", variables=list(self.vars))
             i = self._index[i]
+        elif not is_integer(i) or not 0 <= i < self.nvars:
+            raise InputError(f"variable index {i!r} outside 0..{self.nvars - 1}")
         e = [0] * self.nvars
         e[i] = 1
         return Poly(self, {(0, tuple(e)): 1})

@@ -57,10 +57,10 @@ M (+) N is the sum of theirs, its operators are block-diagonal, and so
 E(M (+) N) = E(M) (+) E(N) as graded H-modules (Avramov-Buchweitz).  E is
 built on a list of resolutions, one per summand, each action placing part s
 after the earlier parts' basis vectors in both its degrees; one module is
-the one-part list.  The window loop (`_sum_variety`) runs on that E and
-adds the parts' Betti numbers for its guard and meta, so a module known as
-a sum (the summands `construct.decompose` returns) gets the variety its
-own resolution would give, generators and meta alike.
+the one-part list.  `resolve.direct_sum` records the summands of the sum it
+builds, and `support_variety` runs its windows on their E and adds their
+Betti numbers for its guard and meta, so a sum gets the variety its own
+resolution would give, generators and meta alike.
 """
 
 from __future__ import annotations
@@ -615,29 +615,24 @@ def support_variety(pres: ModulePresentation, steps: int = None) -> VarietyIdeal
     complexity guard are read there, and betti is b_0..b_{d-1} over Q
     followed by the reduction's.
 
+    A sum built by `resolve.direct_sum` is read on the summands it records:
+    E of the sum is the sum of their E (`ExtKModule.widen`), their Betti
+    numbers add up, and a model of each (`_model`) gives one of the sum, so
+    the windows, g, the complexity guard and meta are those of the sum's
+    own resolution, which is never built.  Any other presentation is its
+    own one part.
+
     The accepted ideal is kept on `pres` with N_0, and a later call with the
-    same N_0 returns it.  M is the one-part sum of `_sum_variety`, which
-    runs the windows."""
-    return _sum_variety(pres, [pres], steps)
-
-
-def _sum_variety(owner: ModulePresentation, parts, steps: int = None) -> VarietyIdeal:
-    """`support_variety` of owner = parts[0] (+) ... (+) parts[-1], over
-    one ring, read on the parts' resolutions: E(owner) is the direct sum of
-    the parts' E (`ExtKModule.widen`), their Betti numbers add up to the
-    owner's, and a model of each part (`_model`) gives one of the sum, so
-    the windows, g, the complexity guard and meta are those of owner's own
-    resolution.  The accepted ideal is kept on the owner, and on the part
-    of a one-part sum.  That owner is this sum is the caller's word, not
-    checked here; with no part, the owner is zero."""
-    rs = owner.rs
+    same N_0 returns it."""
+    rs = pres.rs
     n0 = steps if steps is not None else max(8, 2 * rs.codim + 4)
     require_integer("steps", n0)
     if n0 < 4:
         raise InputError("window of at least 4 steps required", steps=n0)
     cap = n0 + 8
-    if owner._variety is not None and owner._variety[0] == n0:
-        return owner._variety[1]
+    if pres._variety is not None and pres._variety[0] == n0:
+        return pres._variety[1]
+    parts = pres._parts or (pres,)
     red = rs.reduction()
     models = [_model(part) for part in parts]
     head = [sum(h[i] for h, _m in models) for i in range(rs.dim if red is not None else 0)]
@@ -677,10 +672,7 @@ def _sum_variety(owner: ModulePresentation, parts, steps: int = None) -> Variety
                         "generator_degree": g_hi,
                         "betti": head + betti[: n + 3 - len(head)],
                     }
-                    owner._variety = (n0, a_hi)
-                    if len(parts) == 1:
-                        # a one-part sum is its part: the same E, the same windows
-                        parts[0]._variety = owner._variety
+                    pres._variety = (n0, a_hi)
                     return a_hi
                 rejected, why = "complexity", f"the candidates agree, the complexity estimate is {cx}"
         n += 2

@@ -42,7 +42,7 @@ from .errors import (
     VerificationError,
 )
 from .groebner import SubmoduleOracle
-from .cohomology import VarietyIdeal, _sum_variety, lift_and_operators, support_variety
+from .cohomology import VarietyIdeal, lift_and_operators, support_variety
 from .resolve import (
     ModulePresentation,
     RingSpec,
@@ -372,6 +372,12 @@ def _split_once(degs, actions, p, rng, attempts):
     return "unknown", None, None
 
 
+def _require_attempts(attempts) -> None:
+    require_integer("attempts", attempts)
+    if attempts < 1:
+        raise InputError("attempts must be positive", value=attempts)
+
+
 def decompose(
     pres: ModulePresentation,
     attempts: int = DEFAULT_ATTEMPTS,
@@ -381,7 +387,7 @@ def decompose(
     idempotent splitting of the graded endomorphism algebra.  Deterministic
     for a fixed seed.  Summands are returned as minimal presentations,
     sorted by (dimension, generator degrees, relation text)."""
-    require_integer("attempts", attempts)
+    _require_attempts(attempts)
     vm = vector_model(pres)
     rs = pres.rs
     p = rs.p
@@ -452,22 +458,23 @@ def check_carlson(
     indecomposable, yet its projective variety over the closure is two
     conjugate points, since 2 is not a square mod 101.
 
-    The checks run in this order.  A count of attempts that is not an
-    integer is refused first, with InputError.  Then PremiseError for M of
-    infinite length, and for M not MCM, which a nonzero M of finite length
-    is exactly when dim Q > 0 (its depth is 0); InputError for pieces over
-    another operator ring.  Then M is decomposed, and V(M) is read on the
-    summands' resolutions (`cohomology._sum_variety`: E(M) is the direct
-    sum of their E), so M itself is never resolved.  PremiseError follows
-    for pieces that do not cover V(M) and for pieces that meet outside the
+    The checks run in this order.  A count of attempts that is not a
+    positive integer is refused first, with InputError.  Then PremiseError
+    for M of infinite length, and for M not MCM, which a nonzero M of finite
+    length is exactly when dim Q > 0 (its depth is 0); InputError for
+    pieces over another operator ring.  Then M is decomposed, and V(M) is
+    the variety of the direct sum of the summands (`resolve.direct_sum`),
+    which `support_variety` reads on their resolutions: neither M nor the
+    sum is resolved, and V(M) is not kept on M.  PremiseError follows for
+    pieces that do not cover V(M) and for pieces that meet outside the
     origin.  Each summand's variety comes from its own resolution; one
     that fits in neither or both sides contradicts the statement and
     raises VerificationError, and budget-flagged summands make that test
-    inconclusive and raise ResourceBudgetError instead.  A group of two or
-    more summands has its variety read on its summands' resolutions too,
-    and a group of one is that summand; both must reproduce their piece,
-    or VerificationError."""
-    require_integer("attempts", attempts)
+    inconclusive and raise ResourceBudgetError instead.  A group is the
+    direct sum of its summands, its variety read the same way, or the zero
+    module with the origin when empty; each must reproduce its piece, or
+    VerificationError."""
+    _require_attempts(attempts)
     rs = pres.rs
     try:
         length = vector_model(pres).dim
@@ -479,7 +486,8 @@ def check_carlson(
     if a1.h_ring != rs.h_ring or a2.h_ring != rs.h_ring:
         raise InputError("variety ideals live in a different operator ring")
     dec = decompose(pres, attempts=attempts, seed=seed)
-    vm_variety = _sum_variety(pres, dec.summands)
+    # a zero M has no summands and is its own empty sum
+    vm_variety = support_variety(direct_sum(*dec.summands) if dec.summands else pres)
     if not a1.union(a2).equals(vm_variety):
         raise PremiseError(
             "the two pieces do not cover the module's variety",
@@ -518,18 +526,14 @@ def check_carlson(
                 variety=[str(g) for g in v.gens],
             )
         (group1 if in1 else group2).append(i)
-    c1 = _direct_sum_of(rs, [dec.summands[i] for i in group1])
-    c2 = _direct_sum_of(rs, [dec.summands[i] for i in group2])
-
-    def group_variety(group, c):
-        if not group:
-            return VarietyIdeal(rs.h_ring, list(rs.h_ring.gens()))
-        # a one-summand group is that summand, whose variety the loop above
-        # kept on it
-        return _sum_variety(c, [dec.summands[i] for i in group])
-
-    v1 = group_variety(group1, c1)
-    v2 = group_variety(group2, c2)
+    sums = []
+    for group in (group1, group2):
+        if group:
+            c = direct_sum(*(dec.summands[i] for i in group))
+            sums.append((c, support_variety(c)))
+        else:
+            sums.append((ModulePresentation(rs, (), ()), VarietyIdeal(rs.h_ring, rs.h_ring.gens())))
+    (c1, v1), (c2, v2) = sums
     ok1 = v1.equals(a1) if c1.rank else a1.is_trivial()
     ok2 = v2.equals(a2) if c2.rank else a2.is_trivial()
     if not (ok1 and ok2):
@@ -552,12 +556,3 @@ def check_carlson(
         v2=v2,
         verdict=True,
     )
-
-
-def _direct_sum_of(rs: RingSpec, parts):
-    if not parts:
-        return ModulePresentation(rs, (), ())
-    acc = parts[0]
-    for nxt in parts[1:]:
-        acc = direct_sum(acc, nxt)
-    return acc

@@ -72,7 +72,7 @@ from itertools import combinations, groupby, product
 
 from .arith import (
     FreeElt, Poly, PolyRing, _drl_key, _eliminate, _sub_shifted, _transpose, fp_inv,
-    matmul, mono_deg, mono_div, mono_mul, mono_one, nullspace, require_integer,
+    matmul, mono_deg, mono_div, mono_mul, nullspace, require_integer,
 )
 from .errors import InputError, InternalError, ResourceBudgetError
 from .groebner import (
@@ -283,11 +283,12 @@ class ModulePresentation:
     homogeneous relation columns.  Instances are immutable; derived data
     (resolution, vector model, the relation submodule's Groebner basis, the
     MCM verdict, the artinian reduction, the last support variety accepted
-    with its window arguments) is cached on the instance."""
+    with its window arguments) is cached on the instance; a `direct_sum`
+    records its summands in `_parts`."""
 
     __slots__ = (
         "rs", "gens", "relations", "_resolution", "_model", "_sub_gb", "_mcm", "_reduced",
-        "_variety",
+        "_variety", "_parts",
     )
 
     def __init__(self, rs: RingSpec, gens, relations):
@@ -300,6 +301,7 @@ class ModulePresentation:
         self._mcm = None
         self._reduced = None
         self._variety = None
+        self._parts = ()
 
     @property
     def rank(self) -> int:
@@ -369,20 +371,27 @@ def free_module(rs: RingSpec, degrees) -> ModulePresentation:
     return present_module(rs, degrees, ())
 
 
-def direct_sum(a: ModulePresentation, b: ModulePresentation) -> ModulePresentation:
-    if a.rs != b.rs:
+def direct_sum(first: ModulePresentation, *rest: ModulePresentation) -> ModulePresentation:
+    """first (+) rest[0] (+) ..., each module's rows after the earlier
+    modules' generators.  The sum records its summands, flattened, in
+    `_parts` for `support_variety`.  One module is returned itself; modules
+    over different rings are refused with InputError."""
+    if not rest:
+        return first
+    mods = (first, *rest)
+    if any(m.rs != first.rs for m in rest):
         raise InputError("direct sum of modules over different rings")
-    ra = a.rank
-    gens = a.gens + b.gens
-    rank = len(gens)
+    gens = tuple(d for m in mods for d in m.gens)
     cols = []
-    for col in a.relations:
-        cols.append(FreeElt(a.rs.ring, rank, dict(col.terms), gens))
-    for col in b.relations:
-        cols.append(
-            FreeElt(a.rs.ring, rank, {(c + ra, m): v for (c, m), v in col.terms.items()}, gens)
-        )
-    return ModulePresentation(a.rs, gens, cols)
+    below = 0
+    for m in mods:
+        for col in m.relations:
+            terms = {(c + below, mono): v for (c, mono), v in col.terms.items()}
+            cols.append(FreeElt(first.rs.ring, len(gens), terms, gens))
+        below += m.rank
+    out = ModulePresentation(first.rs, gens, cols)
+    out._parts = tuple(part for m in mods for part in (m._parts or (m,)))
+    return out
 
 
 def prune_units(pres: ModulePresentation) -> ModulePresentation:
@@ -826,7 +835,7 @@ def vector_model(pres: ModulePresentation) -> VectorModel:
         return vm
     gb = pres.relation_submodule_gb()
     leads = gb.leads
-    one = mono_one(ring.nvars)
+    one = ring._one_mono
     bound = [[0] * ring.nvars for _ in range(rank)]
     for c in range(rank):
         comp_leads = [m for (cc, m) in leads if cc == c]

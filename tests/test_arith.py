@@ -65,6 +65,13 @@ def test_prime_bound_of_the_linear_algebra():
         PolyRing((1 << 61) - 1, ("x",))  # refused before any trial division
 
 
+def test_gen_refuses_unknown_variables(ring):
+    assert ring.gen("y") == ring.gen(1)
+    for bad in ("q", 3, -1, 1.0):
+        with pytest.raises(InputError):
+            ring.gen(bad)
+
+
 def test_fp_inv():
     rng = seeded("fp_inv")
     for _ in range(50):

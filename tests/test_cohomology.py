@@ -12,7 +12,6 @@ from civar.errors import InputError, StabilizationError
 from civar.groebner import normal_form
 from civar.cohomology import (
     VarietyIdeal,
-    _sum_variety,
     annihilator_window,
     complexity,
     ext_k_module,
@@ -494,18 +493,36 @@ def _sums(r1, r3):
     return out
 
 
-def test_variety_of_a_sum_is_read_on_its_parts(r1, r3):
+def _non_artinian_sums(r4):
+    """(label, parts) for six sums over rings of positive dimension, one of
+    them with no coordinate reduction, the last an object summed with
+    itself."""
+    b = RingSpec(101, ["x", "y", "z", "w"], ["x^2", "y^2", "z^2"])
+    xy = RingSpec(101, ["x", "y"], ["x*y"])
+    line = realize(b, ["chi1", "chi2"], verify=False)
+    k = residue_field(b)
+    return [
+        ("B line+k", [line, k]),
+        ("B plane+line", [realize(b, ["chi1 + chi2"], verify=False), line]),
+        ("R4 k+A/(y)", [residue_field(r4), present_module(r4, (0,), [["y"]])]),
+        ("R4 k+k", [residue_field(r4), residue_field(r4)]),
+        ("XY k+A/(x)", [residue_field(xy), present_module(xy, (0,), [["x"]])]),
+        ("B k+k", [k, k]),
+    ]
+
+
+def test_variety_of_a_sum_is_read_on_its_parts(r1, r3, r4):
     """E(M (+) N) = E(M) (+) E(N) as graded H-modules (Avramov-Buchweitz,
-    Invent. Math. 2000), so the variety read on the parts' resolutions is
-    the one M (+) N's own resolution gives, generators and meta both: the
-    same windows, g, complexity and Betti numbers, and the same ideal."""
-    sums = _sums(r1, r3)
-    assert len(sums) == 12
+    Invent. Math. 2000), so the variety of a `direct_sum`, read on the
+    summands' resolutions, is the one its own resolution gives, generators
+    and meta both: the same windows, g, complexity and Betti numbers, and
+    the same ideal.  The fresh copy records no summands and is resolved."""
+    sums = _sums(r1, r3) + _non_artinian_sums(r4)
+    assert len(sums) == 18
     for label, parts in sums:
-        parts = [ModulePresentation(m.rs, m.gens, m.relations) for m in parts]
         m = direct_sum(*parts)
         want = support_variety(ModulePresentation(m.rs, m.gens, m.relations))
-        got = _sum_variety(m, parts)
+        got = support_variety(m)
         assert (got.gens, got.meta) == (want.gens, want.meta), label
         assert m._resolution is None and support_variety(m) is got, label
 

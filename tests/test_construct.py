@@ -571,17 +571,20 @@ def test_carlson_axis_split(r1):
 
 
 def test_carlson_refuses_attempts_before_any_variety(r1, monkeypatch):
-    """An attempt count that is not an integer is refused at entry, before
-    the premises: no support variety is computed and nothing decomposed."""
+    """An attempt count that is not a positive integer is refused at entry,
+    before the premises: no support variety is computed and nothing
+    decomposed."""
     m = direct_sum(
         present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]])
     )
-    for name in ("support_variety", "_sum_variety", "decompose"):
+    for name in ("support_variety", "decompose"):
         monkeypatch.setattr(construct, name, lambda *a, **k: pytest.fail("called before the check"))
-    with pytest.raises(InputError, match="attempts is 2.5"):
-        check_carlson(
-            m, VarietyIdeal(r1.h_ring, ["chi2"]), VarietyIdeal(r1.h_ring, ["chi1"]), attempts=2.5
-        )
+    for attempts, message in ((2.5, "attempts is 2.5"), (0, "must be positive"), (-3, "must be positive")):
+        with pytest.raises(InputError, match=message):
+            check_carlson(
+                m, VarietyIdeal(r1.h_ring, ["chi2"]), VarietyIdeal(r1.h_ring, ["chi1"]),
+                attempts=attempts,
+            )
 
 
 def test_no_reference_cycles_outlive_a_computation():

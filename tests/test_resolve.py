@@ -148,27 +148,30 @@ def test_generator_degrees_must_be_integers(r1, degrees):
 
 
 # every library count, given as a float, a string or a bool, which once
-# raised a bare TypeError, was compared with a number or ran: (test id,
-# call, the message's head)
+# raised a bare TypeError, was compared with a number or ran, and an
+# attempt budget below 1, which once ran no attempt: (test id, call, the
+# message)
 COUNTS = [
-    ("variety-float", lambda m: support_variety(m, steps=8.5), "steps is 8.5"),
-    ("variety-str", lambda m: support_variety(m, steps="8"), "steps is '8'"),
-    ("variety-bool", lambda m: support_variety(m, steps=True), "steps is True"),
-    ("complexity-float", lambda m: complexity(m, 6.5), "steps is 6.5"),
-    ("syzygy-float", lambda m: syzygy_module(m, 1.5), "syzygy index is 1.5"),
-    ("decompose-float", lambda m: decompose(m, attempts=2.5), "attempts is 2.5"),
-    ("resolve-float", lambda m: resolve_min(m, 2.5), "steps is 2.5"),
-    ("resolve-bool", lambda m: resolve_min(m, True), "steps is True"),
+    ("variety-float", lambda m: support_variety(m, steps=8.5), "steps is 8.5, not an integer"),
+    ("variety-str", lambda m: support_variety(m, steps="8"), "steps is '8', not an integer"),
+    ("variety-bool", lambda m: support_variety(m, steps=True), "steps is True, not an integer"),
+    ("complexity-float", lambda m: complexity(m, 6.5), "steps is 6.5, not an integer"),
+    ("syzygy-float", lambda m: syzygy_module(m, 1.5), "syzygy index is 1.5, not an integer"),
+    ("decompose-float", lambda m: decompose(m, attempts=2.5), "attempts is 2.5, not an integer"),
+    ("decompose-zero", lambda m: decompose(m, attempts=0), "attempts must be positive"),
+    ("decompose-negative", lambda m: decompose(m, attempts=-3), "attempts must be positive"),
+    ("resolve-float", lambda m: resolve_min(m, 2.5), "steps is 2.5, not an integer"),
+    ("resolve-bool", lambda m: resolve_min(m, True), "steps is True, not an integer"),
 ]
 
 
-@pytest.mark.parametrize("call, named", [c[1:] for c in COUNTS], ids=[c[0] for c in COUNTS])
-def test_counts_must_be_integers(r1, call, named):
+@pytest.mark.parametrize("call, message", [c[1:] for c in COUNTS], ids=[c[0] for c in COUNTS])
+def test_counts_must_be_integers(r1, call, message):
     """Refused as InputError before any work starts."""
     m = direct_sum(present_module(r1, (0,), [["x"]]), present_module(r1, (0,), [["y"]]))
     with pytest.raises(InputError) as exc:
         call(m)
-    assert str(exc.value) == named + ", not an integer"
+    assert str(exc.value) == message
     assert m._resolution is None
 
 
@@ -482,6 +485,22 @@ def test_present_from_vector_model_round_trip(r1):
             len(r_back.degs[i]) for i in range(5)
         ]
         assert vector_model(back).dim == vm.dim
+
+
+def test_direct_sum_of_many_is_the_nested_sum(r1, r4):
+    """Generators and relations sit where nested binary sums put them, the
+    summands are recorded flat, one module is its own sum, and modules
+    over different rings are refused."""
+    a, b, c = present_module(r1, (0,), [["x"]]), residue_field(r1), present_module(r1, (1,), [["y"]])
+    s = direct_sum(a, b, c)
+    nested = direct_sum(direct_sum(a, b), c)
+    assert s.gens == nested.gens == (0, 0, 1)
+    assert [str(col) for col in s.relations] == [str(col) for col in nested.relations]
+    assert s._parts == nested._parts == (a, b, c)
+    assert direct_sum(s, direct_sum(b, a))._parts == (a, b, c, b, a)
+    assert direct_sum(a) is a and a._parts == ()
+    with pytest.raises(InputError, match="different rings"):
+        direct_sum(a, b, residue_field(r4))
 
 
 def test_direct_sum_adds_everything(r1):
